@@ -50,8 +50,9 @@ from .momentum import (
     div_constraint_solve,
     momentum_rhs_f,
     singular_tensors,
+    solve_rho_eta,
 )
-from .lichnerowicz import HamiltonianRHS, hamiltonian_rhs, solve_lambda, solve_rho_eta
+from .lichnerowicz import hamiltonian_rhs, solve_lambda
 from .picard import (
     IterState,
     ResidualReport,
@@ -62,6 +63,5 @@ from .picard import (
     solve_constraints,
 )
 from .geometry import PhysicalData, asymptotic_charges, cone_angle, reconstruct_physical
-from .cli import RunConfig, cmd_solve, cmd_sweep, cmd_verify, parse_config
 
 __version__ = "0.1.0"

@@ -45,6 +45,7 @@ from .fields import (
     multiply,
     parse_bump_line,
     sample_analytic,
+    validate_grid,
     write_field_csv,
 )
 from .geometry import asymptotic_charges, cone_angle
@@ -135,25 +136,12 @@ def parse_config(text: str) -> RunConfig:
         udot_bumps=tuple(bumps["udot"]), u_bumps=tuple(bumps["u"]),
         tau_bumps=tuple(bumps["tau_tilde"]), b=seed_kv["b"],
         output_dir=out_dir, **solver_kv)
-    _validate(cfg)
+    try:
+        validate_grid(cfg.K, cfg.N_r, cfg.R_max, cfg.delta)
+    except (DeltaOutOfRange, InvalidResolution) as exc:
+        raise ValidationError(str(exc)) from exc
+    SolverOptions(**solver_kv)  # the one check of the solver settings
     return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if not (-1.0 < cfg.delta < 0.0):
-        raise ValidationError("delta must lie in (-1,0)")
-    if cfg.K < 4:
-        raise ValidationError("K must be at least 4 (3theta content)")
-    if cfg.N_r < 16:
-        raise ValidationError("N_r must be at least 16")
-    if cfg.R_max <= 0:
-        raise ValidationError("R_max must be positive")
-    if cfg.tol_fixed_point <= 0:
-        raise ValidationError("tol_fixed_point must be positive")
-    if cfg.max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-    if cfg.epsilon_threshold <= 0:
-        raise ValidationError("epsilon_threshold must be positive")
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -194,14 +182,19 @@ def config_seed(cfg: RunConfig, grid: Grid, amplitude: float = 1.0):
 
 
 def config_options(cfg: RunConfig) -> SolverOptions:
-    tol = cfg.tol_fixed_point
-    max_iter = cfg.max_iter
-    if os.environ.get("SOLVER_TOL"):
-        tol = float(os.environ["SOLVER_TOL"])
-    if os.environ.get("SOLVER_MAX_ITER"):
-        max_iter = int(os.environ["SOLVER_MAX_ITER"])
-    return SolverOptions(tol_fixed_point=tol, max_iter=max_iter,
-                         epsilon_threshold=cfg.epsilon_threshold)
+    """The config's solver settings with the SOLVER_TOL and SOLVER_MAX_ITER
+    environment overrides; raises ValidationError for a bad value."""
+    settings = {"tol_fixed_point": cfg.tol_fixed_point, "max_iter": cfg.max_iter,
+                "epsilon_threshold": cfg.epsilon_threshold}
+    for var, key, kind in (("SOLVER_TOL", "tol_fixed_point", float),
+                           ("SOLVER_MAX_ITER", "max_iter", int)):
+        raw = os.environ.get(var)
+        if raw:
+            try:
+                settings[key] = kind(raw)
+            except ValueError:
+                raise ValidationError(f"{var} = {raw!r} is not a valid {kind.__name__}")
+    return SolverOptions(**settings)
 
 
 # ----------------------------------------------------------------------------
@@ -228,9 +221,9 @@ def _scalar_block(bundle, seed) -> dict:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    opts = config_options(cfg)
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)
-    opts = config_options(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "solution.json")
     try:
@@ -271,8 +264,8 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
         print("sweep needs a nonempty sorted list of nonnegative amplitudes",
               file=sys.stderr)
         return 1
-    grid = config_grid(cfg)
     opts = config_options(cfg)
+    grid = config_grid(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     rows = []

@@ -32,8 +32,7 @@ from . import operators as ops
 from .errors import GridMismatch, NonDecayingRHS
 from .fields import Grid, ScalarField, integrate
 
-__all__ = ["PoissonSolution", "poisson_solve", "laplacian",
-           "log_part_field", "greens_convolution_oracle"]
+__all__ = ["PoissonSolution", "poisson_solve", "laplacian", "greens_convolution_oracle"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +55,10 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ops.apply_laplacian(f)
 
 
-def log_part_field(grid: Grid, c_log: float) -> ScalarField:
-    """The extracted singular part c_log * chi(r) ln r as a field."""
-    return ScalarField.from_mode(grid, 0, "cos", c_log * grid.chiln)
-
-
 def _check_tail(f: ScalarField) -> None:
     """Mode-0 tail must decay at least like r^{-2-delta'} for int f to converge."""
     g = f.grid
-    p = np.abs(f.a[0])
+    p = np.abs(f.c[:, 0].real)
     scale = float(np.max(p))
     if scale == 0.0:
         return
@@ -96,23 +90,14 @@ def poisson_solve(f: ScalarField, grid: Grid | None = None) -> PoissonSolution:
 
     c_quad = integrate(f) / (2.0 * np.pi)
 
-    a = np.array(f.a)
-    b = np.array(f.b)
-    a[0] = a[0] - c_quad * g.lap_chiln
-
-    va = np.zeros_like(a)
-    vb = np.zeros_like(b)
-    v0, beta = w.solve_mode0_flux_matched(a[0])
-    va[0] = v0
+    v = np.zeros_like(f.c)
+    v[:, 0], beta = w.solve_mode0_flux_matched(f.c[:, 0].real - c_quad * g.lap_chiln)
     for k in range(1, g.K + 1):
         solver = w.lap_solver(k)
-        ya = a[k].copy()
-        ya[0] = ya[-1] = 0.0             # homogeneous Robin rows
-        va[k] = solver.solve(ya)
-        yb = b[k].copy()
-        yb[0] = yb[-1] = 0.0
-        vb[k] = solver.solve(yb)
-    return PoissonSolution(c_log=float(c_quad + beta), v=ScalarField(g, va, vb))
+        y = f.c[:, k].copy()
+        y[0] = y[-1] = 0.0               # homogeneous Robin rows
+        v[:, k] = solver.solve(y.real) + 1j * solver.solve(y.imag)
+    return PoissonSolution(c_log=float(c_quad + beta), v=ScalarField(g, v))
 
 
 def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
@@ -135,13 +120,7 @@ def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
     s_fine = h_fine * np.arange(1, n_fine + 1)
     r_fine = np.expm1(s_fine)
     th = 2.0 * np.pi * np.arange(m_fine) / m_fine
-    vals = np.zeros((n_fine, m_fine))
-    for k in range(g.K + 1):
-        ak = CubicSpline(g.s, f.a[k])(s_fine)
-        vals += ak[:, None] * np.cos(k * th)[None, :]
-        if k >= 1:
-            bk = CubicSpline(g.s, f.b[k])(s_fine)
-            vals += bk[:, None] * np.sin(k * th)[None, :]
+    vals = np.fft.irfft(CubicSpline(g.s, f.c, axis=0)(s_fine), n=m_fine, norm="forward")
     wq = np.full(n_fine, h_fine)
     wq[-1] = 0.5 * h_fine
     area = (wq * r_fine * (1.0 + r_fine))[:, None] * (2.0 * np.pi / m_fine)

@@ -1,13 +1,15 @@
 """Field representation on R^2 and the basic calculus used by the constraint solver.
 
-A scalar function f(r, theta) is stored as a truncated Fourier series in the
-polar angle over a mapped radial grid,
+A scalar function f(r, theta) is a truncated Fourier series in the polar
+angle over a mapped radial grid,
 
-    f(r, theta) = sum_{k=0..K} a_k(r) cos(k theta) + sum_{k=1..K} b_k(r) sin(k theta),
+    f(r, theta) = sum_{k=-K..K} c_k(r) e^{i k theta},   c_{-k} = conj(c_k),
 
-with the radial nodes uniform in s = ln(1 + r).  The mapping resolves both the
-unit-scale cutoff region and the far field with one uniform stencil; centered
-differences in s are second order.
+stored as its rfft half-spectrum c_0..c_K (c_0 real).  In cos/sin terms
+c_0 = a_0 and c_k = (a_k - i b_k)/2.  The radial nodes are uniform in
+s = ln(1 + r).  The mapping resolves both the unit-scale cutoff region and
+the far field with one uniform stencil; centered differences in s are second
+order.
 
 The module also owns the smooth cutoff chi (chi = 0 for r <= 1, chi = 1 for
 r >= 2) together with its exact first and second derivatives.  Every profile
@@ -40,6 +42,7 @@ __all__ = [
     "GaussianBump",
     "SeedData",
     "build_grid",
+    "validate_grid",
     "chi_profiles",
     "sample_analytic",
     "make_seed",
@@ -157,12 +160,9 @@ class Grid:
         return 2.0 * np.pi * np.arange(self.M) / self.M
 
 
-def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
-    """Validate parameters and construct the collocation grid.
-
-    Raises DeltaOutOfRange if delta is not in (-1, 0) and InvalidResolution if
-    K < 4 (mode 3theta unrepresentable) or N_r < 16.
-    """
+def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
+    """Raise DeltaOutOfRange if delta is not in (-1, 0) and InvalidResolution
+    if K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max <= 0."""
     if not (-1.0 < delta < 0.0):
         raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta}")
     if K < 4:
@@ -172,6 +172,10 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
     if R_max <= 0:
         raise InvalidResolution(f"R_max must be positive, got {R_max}")
 
+
+def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
+    """Validate parameters (see validate_grid) and construct the collocation grid."""
+    validate_grid(K, N_r, R_max, delta)
     h = np.log1p(R_max) / N_r
     s = h * np.arange(1, N_r + 1)
     r = np.expm1(s)
@@ -227,98 +231,94 @@ def _check_same_grid(*fields):
 class ScalarField:
     """Truncated Fourier series in theta over the radial nodes.
 
-    a[k] holds the cos(k theta) coefficient profile for k = 0..K and b[k] the
-    sin(k theta) profile (row 0 of b is identically zero).  Fields are
-    immutable; all operations return new instances.
+    c[:, k] holds the e^{i k theta} coefficient profile c_k(r), k = 0..K, of
+    a real field (c_{-k} = conj(c_k) is implied).  Fields are immutable; all
+    operations return new instances.
     """
 
     grid: Grid
-    a: np.ndarray  # (K+1, N_r)
-    b: np.ndarray  # (K+1, N_r), b[0] == 0
+    c: np.ndarray  # (N_r, K+1) complex
 
     def __post_init__(self):
-        if self.a.shape != (self.grid.K + 1, self.grid.N_r):
+        if self.c.shape != (self.grid.N_r, self.grid.K + 1):
             raise ValueError("coefficient array shape mismatch")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if not np.all(np.isfinite(self.c)):
             raise ValueError("non-finite field coefficients")
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
+        self.c.setflags(write=False)
+
+    # -- cos/sin coefficients, computed on access -------------------------
+    @property
+    def a(self) -> np.ndarray:
+        """(K+1, N_r) cos(k theta) coefficient profiles."""
+        a = 2.0 * self.c.real.T
+        a[0] = self.c[:, 0].real
+        a.setflags(write=False)
+        return a
+
+    @property
+    def b(self) -> np.ndarray:
+        """(K+1, N_r) sin(k theta) coefficient profiles; row 0 is zero."""
+        b = -2.0 * self.c.imag.T
+        b[0] = 0.0
+        b.setflags(write=False)
+        return b
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zeros(grid: Grid) -> "ScalarField":
-        n = (grid.K + 1, grid.N_r)
-        return ScalarField(grid, np.zeros(n), np.zeros(n))
+        return ScalarField(grid, np.zeros((grid.N_r, grid.K + 1), dtype=complex))
 
     @staticmethod
     def from_mode(grid: Grid, k: int, kind: str, profile: np.ndarray) -> "ScalarField":
-        """Single-mode field: profile(r) * cos(k theta) or * sin(k theta)."""
+        """Single-mode field: profile(r) * cos(k theta) or * sin(k theta).
+
+        A complex profile w gives the real part of w(r) e^{i k theta} for
+        "cos" and the imaginary part for "sin".
+        """
         if not 0 <= k <= grid.K:
             raise InvalidResolution(f"mode {k} outside 0..{grid.K}")
-        a = np.zeros((grid.K + 1, grid.N_r))
-        b = np.zeros((grid.K + 1, grid.N_r))
-        if kind == "cos":
-            a[k] = profile
-        elif kind == "sin":
+        if kind == "sin":
             if k == 0:
                 raise ValueError("sin mode 0 does not exist")
-            b[k] = profile
-        else:
+            profile = -1j * profile
+        elif kind != "cos":
             raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-        return ScalarField(grid, a, b)
+        c = np.zeros((grid.N_r, grid.K + 1), dtype=complex)
+        c[:, k] = np.real(profile) if k == 0 else 0.5 * profile
+        return ScalarField(grid, c)
 
     # -- linear algebra ---------------------------------------------------
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
-        return ScalarField(self.grid, self.a + other.a, self.b + other.b)
+        return ScalarField(self.grid, self.c + other.c)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
-        return ScalarField(self.grid, self.a - other.a, self.b - other.b)
+        return ScalarField(self.grid, self.c - other.c)
 
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, c * self.a, c * self.b)
+    def __mul__(self, s: float) -> "ScalarField":
+        return ScalarField(self.grid, s * self.c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.a, -self.b)
+        return ScalarField(self.grid, -self.c)
 
     # -- sampling ---------------------------------------------------------
     def to_samples(self) -> np.ndarray:
-        """Values on the (N_r, M) collocation grid, theta_j = 2 pi j / M."""
-        return _coeffs_to_samples(self.grid, self.a, self.b)
+        """Values on the (N_r, M) collocation grid, theta_j = 2 pi j / M.
+
+        Exact for modes <= K < M/2; irfft zero-pads the spectrum to M."""
+        return np.fft.irfft(self.c, n=self.grid.M, axis=-1, norm="forward")
 
     @staticmethod
     def from_samples(grid: Grid, samples: np.ndarray) -> "ScalarField":
-        a, b = _samples_to_coeffs(grid, samples)
-        return ScalarField(grid, a, b)
+        """Forward angular transform, truncated to K modes (dealiasing step)."""
+        spec = np.fft.rfft(samples, axis=-1, norm="forward")
+        return ScalarField(grid, spec[:, :grid.K + 1])
 
     def l_inf(self) -> float:
         return float(np.max(np.abs(self.to_samples()))) if self.grid.N_r else 0.0
-
-
-def _coeffs_to_samples(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inverse angular transform via irfft; exact for modes <= K < M/2."""
-    M = grid.M
-    spec = np.zeros((grid.N_r, M // 2 + 1), dtype=complex)
-    spec[:, 0] = a[0] * M
-    kk = np.arange(1, grid.K + 1)
-    spec[:, kk] = (a[kk].T - 1j * b[kk].T) * (M / 2.0)
-    return np.fft.irfft(spec, n=M, axis=1)
-
-
-def _samples_to_coeffs(grid: Grid, samples: np.ndarray):
-    """Forward angular transform, truncated to K modes (dealiasing step)."""
-    M = grid.M
-    spec = np.fft.rfft(samples, axis=1)
-    a = np.zeros((grid.K + 1, grid.N_r))
-    b = np.zeros((grid.K + 1, grid.N_r))
-    a[0] = spec[:, 0].real / M
-    kk = np.arange(1, grid.K + 1)
-    a[kk] = 2.0 * spec[:, kk].real.T / M
-    b[kk] = -2.0 * spec[:, kk].imag.T / M
-    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,9 +421,10 @@ def _warn_mode_irregularity(f: ScalarField, tol: float = 1e-8):
     Violations signal under-resolved data; they are diagnostic only.
     """
     g = f.grid
-    scale = max(np.max(np.abs(f.a)), np.max(np.abs(f.b)), 1e-300)
+    a, b = f.a, f.b
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     for k in range(1, g.K + 1):
-        edge = max(abs(f.a[k, 0]), abs(f.b[k, 0]))
+        edge = max(abs(a[k, 0]), abs(b[k, 0]))
         # regular behavior bounds the first-node coefficient well below the peak
         if edge > tol * scale and edge > 10.0 * scale * g.r[0] ** min(k, 30):
             warnings.warn(
@@ -443,17 +444,17 @@ def cartesian_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     d1 = cos(theta) d_r - sin(theta)/r d_theta,
     d2 = sin(theta) d_r + cos(theta)/r d_theta;
     modes couple k -> k +- 1, the radial derivative is the centered mapped
-    stencil.  Output is truncated at mode K.
+    stencil.  Output is truncated at mode K.  On the half-spectrum,
+    up = (d1 + i d2) f and dn = (d1 - i d2) f; the one mode that comes from
+    a negative one, up_0 from c_{-1} = conj(c_1), equals conj(dn_0).
     """
     from . import operators as ops
 
     w = ops.workspace(f.grid)
-    C = ops.real_to_cmodes(f)
-    up = ops.raise_mode(w, C)
-    dn = ops.lower_mode(w, C)
-    d1 = ops.cmodes_to_real(f.grid, 0.5 * (up + dn))
-    d2 = ops.cmodes_to_real(f.grid, -0.5j * (up - dn))
-    return d1, d2
+    up = ops.raise_mode(w, f.c)
+    dn = ops.lower_mode(w, f.c)
+    up[:, 0] = np.conj(dn[:, 0])
+    return ScalarField(f.grid, 0.5 * (up + dn)), ScalarField(f.grid, -0.5j * (up - dn))
 
 
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -469,7 +470,7 @@ def integrate(f: ScalarField) -> float:
     Simpson weights (the s = 0 endpoint carries integrand 0).
     """
     g = f.grid
-    return float(2.0 * np.pi * np.sum(g.quad_w * f.a[0] * g.r * (1.0 + g.r)))
+    return float(2.0 * np.pi * np.sum(g.quad_w * f.c[:, 0].real * g.r * (1.0 + g.r)))
 
 
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:
@@ -518,17 +519,13 @@ def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.
     tt = np.arctan2(pts[:, 1], pts[:, 0])
     if np.any(rr > g.R_max):
         raise ValueError("evaluation point outside the radial grid")
-    out = np.zeros(len(pts))
     # points inside the first node evaluate at the node (fields are regular
     # there and mode-k coefficients vanish like r^k)
     sp = np.maximum(np.log1p(rr), g.s[0])
-    for k in range(g.K + 1):
-        ak = CubicSpline(g.s, f.a[k])(sp)
-        out += ak * np.cos(k * tt)
-        if k >= 1:
-            bk = CubicSpline(g.s, f.b[k])(sp)
-            out += bk * np.sin(k * tt)
-    return out
+    ck = CubicSpline(g.s, f.c, axis=0)(sp)
+    k = np.arange(g.K + 1)
+    weight = np.where(k == 0, 1.0, 2.0)  # c_k and c_{-k} = conj(c_k)
+    return np.real(np.sum(weight * ck * np.exp(1j * k * tt[:, None]), axis=1))
 
 
 # ----------------------------------------------------------------------------
@@ -570,17 +567,17 @@ def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,
 # ----------------------------------------------------------------------------
 
 def write_field_csv(f: ScalarField, path) -> None:
+    a, b = f.a, f.b
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         for k in range(f.grid.K + 1):
-            wr.writerow([k, "cos"] + [f"{v:.17g}" for v in f.a[k]])
+            wr.writerow([k, "cos"] + [f"{v:.17g}" for v in a[k]])
         for k in range(1, f.grid.K + 1):
-            wr.writerow([k, "sin"] + [f"{v:.17g}" for v in f.b[k]])
+            wr.writerow([k, "sin"] + [f"{v:.17g}" for v in b[k]])
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
-    a = np.zeros((grid.K + 1, grid.N_r))
-    b = np.zeros((grid.K + 1, grid.N_r))
+    c = np.zeros((grid.N_r, grid.K + 1), dtype=complex)
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row:
@@ -590,9 +587,9 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
             if vals.shape != (grid.N_r,):
                 raise ValueError("field CSV does not match the grid")
             if kind == "cos":
-                a[k] = vals
+                c[:, k] += vals if k == 0 else 0.5 * vals
             elif kind == "sin":
-                b[k] = vals
+                c[:, k] -= 0.5j * vals
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
-    return ScalarField(grid, a, b)
+    return ScalarField(grid, c)

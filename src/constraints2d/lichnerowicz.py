@@ -16,10 +16,6 @@ which decay fast enough for the planar Poisson inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .elliptic import poisson_solve
 from .errors import GridMismatch
 from .fields import (
@@ -29,68 +25,42 @@ from .fields import (
     cartesian_gradient,
     multiply,
 )
-from .momentum import SingularTensorParams, singular_tensors, solve_rho_eta
+from .momentum import SingularTensorParams, singular_tensors
 
-__all__ = ["HamiltonianRHS", "hamiltonian_rhs", "solve_lambda", "solve_rho_eta"]
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianRHS:
-    """Right side of the conformal-exponent equation, post-cancellation."""
-
-    field: ScalarField
+__all__ = ["hamiltonian_rhs", "solve_lambda"]
 
 
-def hamiltonian_rhs(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                    H_tilde: TracelessSymTensorField,
-                    params: SingularTensorParams) -> HamiltonianRHS:
+def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
+                    params: SingularTensorParams) -> ScalarField:
     """Assemble the decaying source with the singular squares cancelled.
 
     rhs = -(1/2) udot^2 - (1/2)|grad u|^2
           - <H_sing, Htilde> - (1/2)|Htilde|^2
           + (1/2) tau_sing tautilde + (1/4) tautilde^2,
 
-    the pure chi^2/r^2 squares having cancelled identically.  (alpha and
-    lambda_tilde do not enter; they are accepted for signature symmetry with
-    the momentum assembly and checked for grid consistency.)
+    the pure chi^2/r^2 squares having cancelled identically.
     """
     g = seed.grid
-    if lambda_tilde.grid is not g or H_tilde.grid is not g:
+    if H_tilde.grid is not g:
         raise GridMismatch("state fields not on the seed grid")
     d1u, d2u = cartesian_gradient(seed.u)
     Hb, Hrho, tau_s = singular_tensors(params, g)
     hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
 
-    rhs = (-0.5 * multiply(seed.udot, seed.udot)
-           - 0.5 * (multiply(d1u, d1u) + multiply(d2u, d2u))
-           - 2.0 * (multiply(hs11, H_tilde.h11) + multiply(hs12, H_tilde.h12))
-           - (multiply(H_tilde.h11, H_tilde.h11) + multiply(H_tilde.h12, H_tilde.h12))
-           + 0.5 * multiply(tau_s, seed.tau_tilde)
-           + 0.25 * multiply(seed.tau_tilde, seed.tau_tilde))
-    return HamiltonianRHS(field=rhs)
+    return (-0.5 * multiply(seed.udot, seed.udot)
+            - 0.5 * (multiply(d1u, d1u) + multiply(d2u, d2u))
+            - 2.0 * (multiply(hs11, H_tilde.h11) + multiply(hs12, H_tilde.h12))
+            - (multiply(H_tilde.h11, H_tilde.h11) + multiply(H_tilde.h12, H_tilde.h12))
+            + 0.5 * multiply(tau_s, seed.tau_tilde)
+            + 0.25 * multiply(seed.tau_tilde, seed.tau_tilde))
 
 
-def solve_lambda(rhs: HamiltonianRHS) -> tuple[float, ScalarField]:
+def solve_lambda(rhs: ScalarField) -> tuple[float, ScalarField]:
     """(alpha', lambdatilde') from the log-extracted Poisson solve.
 
     lambda' = -alpha' chi ln r + lambdatilde' with
     alpha' = -c_log = (1/2pi) int ((1/2)udot^2 + (1/2)|grad u|^2
     + (1/2)|H|^2 - tau^2/4).
     """
-    sol = poisson_solve(rhs.field)
+    sol = poisson_solve(rhs)
     return -sol.c_log, sol.v
-
-
-def rhs_tail_decay_ok(rhs: HamiltonianRHS, power: float = 2.0) -> bool:
-    """Check the mode-0 tail falls faster than r^{-power} on the outer quarter."""
-    g = rhs.field.grid
-    p = np.abs(rhs.field.a[0])
-    scale = float(np.max(p))
-    if scale == 0.0:
-        return True
-    i0 = int(np.searchsorted(g.r, 0.75 * g.R_max))
-    t0, t1 = p[i0], p[-1]
-    floor = 1e-13 * scale
-    if t1 <= floor:
-        return True
-    return t1 / max(t0, floor) <= (g.r[-1] / g.r[i0]) ** (-power)

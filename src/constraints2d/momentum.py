@@ -28,7 +28,7 @@ import numpy as np
 
 from . import operators as ops
 from .elliptic import _check_tail
-from .errors import GridMismatch, NearSingularSelection
+from .errors import GridMismatch, NearSingularSelection, NonDecayingRHS
 from .fields import (
     Grid,
     ScalarField,
@@ -83,16 +83,14 @@ class MomentumOutput:
     H_tilde: TracelessSymTensorField
 
 
-def _field(grid: Grid, entries) -> ScalarField:
-    """Build a field from (k, kind, profile) triples."""
-    a = np.zeros((grid.K + 1, grid.N_r))
-    b = np.zeros((grid.K + 1, grid.N_r))
-    for k, kind, prof in entries:
-        if kind == "cos":
-            a[k] += prof
-        else:
-            b[k] += prof
-    return ScalarField(grid, a, b)
+def _complex_pair(grid: Grid, modes: dict) -> tuple[ScalarField, ScalarField]:
+    """(f1, f2) with f1 + i f2 = sum over m of w_m(r) e^{i m theta}, for the
+    complex profiles w_m given as {m: w_m}."""
+    f1 = f2 = ScalarField.zeros(grid)
+    for m, w in modes.items():
+        f1 = f1 + ScalarField.from_mode(grid, m, "cos", w)
+        f2 = f2 + ScalarField.from_mode(grid, m, "cos", -1j * w)
+    return f1, f2
 
 
 # ----------------------------------------------------------------------------
@@ -104,20 +102,18 @@ def singular_tensors(params: SingularTensorParams, grid: Grid):
 
     H_b has entries -(b chi/2r)(cos 2T, sin 2T); H_rho_eta carries the
     theta+eta and 3theta-eta blocks with profile -(rho chi/4r); the singular
-    mean curvature is (b + rho cos(T-eta)) chi / r.
+    mean curvature is (b + rho cos(T-eta)) chi / r.  With z = p + i q =
+    rho e^{i eta}, zeta = H11 + i H12 is -(b chi/2r) e^{2iT} for H_b and
+    -(chi/4r)(z e^{iT} + conj(z) e^{3iT}) for H_rho_eta.
     """
-    b, p, q = params.b, params.p, params.q
+    b, z = params.b, complex(params.p, params.q)
     cr = grid.chi / grid.r
-    Hb = TracelessSymTensorField(
-        _field(grid, [(2, "cos", -0.5 * b * cr)]),
-        _field(grid, [(2, "sin", -0.5 * b * cr)]),
-    )
-    h11 = _field(grid, [(1, "cos", -0.25 * p * cr), (1, "sin", 0.25 * q * cr),
-                        (3, "cos", -0.25 * p * cr), (3, "sin", -0.25 * q * cr)])
-    h12 = _field(grid, [(1, "cos", -0.25 * q * cr), (1, "sin", -0.25 * p * cr),
-                        (3, "cos", 0.25 * q * cr), (3, "sin", -0.25 * p * cr)])
-    Hrho = TracelessSymTensorField(h11, h12)
-    tau_sing = _field(grid, [(0, "cos", b * cr), (1, "cos", p * cr), (1, "sin", q * cr)])
+    Hb = TracelessSymTensorField(*_complex_pair(grid, {2: -0.5 * b * cr}))
+    Hrho = TracelessSymTensorField(*_complex_pair(
+        grid, {1: -0.25 * z * cr, 3: -0.25 * np.conj(z) * cr}))
+    tau_sing = (ScalarField.from_mode(grid, 0, "cos", b * cr)
+                + ScalarField.from_mode(grid, 1, "cos", params.p * cr)
+                + ScalarField.from_mode(grid, 1, "sin", params.q * cr))
     return Hb, Hrho, tau_sing
 
 
@@ -131,38 +127,26 @@ def band_tensor(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorF
     c = -(p + i q)/4 matches the fixed-point identification rho = -4m,
     eta = phi.
     """
-    p, q = params.p, params.q
     prof = grid.dchi * np.log(grid.r)
-    h11 = _field(grid, [(1, "cos", -0.25 * p * prof), (1, "sin", 0.25 * q * prof)])
-    h12 = _field(grid, [(1, "cos", -0.25 * q * prof), (1, "sin", -0.25 * p * prof)])
-    return TracelessSymTensorField(h11, h12)
-
-
-def _pair_from_complex_mode(grid: Grid, m: int, wre, wim):
-    """(f1, f2) with f1 + i f2 = (wre + i wim)(r) e^{i m theta}."""
-    if m == 0:
-        return (_field(grid, [(0, "cos", wre)]), _field(grid, [(0, "cos", wim)]))
-    f1 = _field(grid, [(m, "cos", wre), (m, "sin", -wim)])
-    f2 = _field(grid, [(m, "cos", wim), (m, "sin", wre)])
-    return f1, f2
+    return TracelessSymTensorField(*_complex_pair(
+        grid, {1: -0.25 * complex(params.p, params.q) * prof}))
 
 
 def _div_Hb(b: float, grid: Grid):
     """Exact divergence of H_b: mode 1, coefficient -b(chi/2r^2 + chi'/2r)."""
-    w1 = -b * (0.5 * grid.chi / grid.r**2 + 0.5 * grid.dchi / grid.r)
-    return _pair_from_complex_mode(grid, 1, w1, np.zeros_like(w1))
+    return _complex_pair(grid, {1: -b * (0.5 * grid.chi / grid.r**2
+                                         + 0.5 * grid.dchi / grid.r)})
 
 
 def _div_log_block(params: SingularTensorParams, grid: Grid):
     """Divergence of the full 1-theta log part c (chi ln r)', c = -(p+iq)/4."""
-    return _pair_from_complex_mode(grid, 0, -0.25 * params.p * grid.lap_chiln,
-                                   -0.25 * params.q * grid.lap_chiln)
+    return _complex_pair(grid, {0: -0.25 * complex(params.p, params.q) * grid.lap_chiln})
 
 
 def _div_S3(params: SingularTensorParams, grid: Grid):
     """Divergence of the 3-theta block: mode 2, -(p-iq)(chi'/4r + chi/2r^2)."""
     prof = grid.dchi / (4.0 * grid.r) + 0.5 * grid.chi / grid.r**2
-    return _pair_from_complex_mode(grid, 2, -params.p * prof, params.q * prof)
+    return _complex_pair(grid, {2: -complex(params.p, -params.q) * prof})
 
 
 def singular_divergence_pair(params: SingularTensorParams, grid: Grid):
@@ -190,12 +174,11 @@ def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> fl
     s31, s32 = _div_S3(params, grid)
     t1, t2 = tau_singular_gradient(params, grid)
     prof = grid.dchi / grid.r
-    f2h = _pair_from_complex_mode(grid, 1, params.b * prof, np.zeros_like(prof))
-    f3h = _pair_from_complex_mode(grid, 2, 0.5 * params.p * prof, -0.5 * params.q * prof)
-    e1 = _field(grid, [(0, "cos", 0.25 * params.p * prof)])
-    e2 = _field(grid, [(0, "cos", 0.25 * params.q * prof)])
-    res1 = hb1 + s31 + f2h[0] + f3h[0] + e1 - 0.5 * t1
-    res2 = hb2 + s32 + f2h[1] + f3h[1] + e2 - 0.5 * t2
+    z = complex(params.p, params.q)
+    f1, f2 = _complex_pair(grid, {1: params.b * prof, 2: 0.5 * np.conj(z) * prof,
+                                  0: 0.25 * z * prof})
+    res1 = hb1 + s31 + f1 - 0.5 * t1
+    res2 = hb2 + s32 + f2 - 0.5 * t2
     mask = grid.r > 0.5
     worst = 0.0
     for f in (res1, res2):
@@ -206,24 +189,18 @@ def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> fl
 
 def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
     """Exact Cartesian gradient of (b + rho cos(theta-eta)) chi / r."""
-    b, p, q = params.b, params.p, params.q
+    z = complex(params.p, params.q)
     r, chi, dchi = grid.r, grid.chi, grid.dchi
     gp = dchi / r - chi / r**2          # (chi/r)'
     gplus = dchi / r                    # (chi/r)' + chi/r^2
     gminus = dchi / r - 2.0 * chi / r**2
-    d1 = _field(grid, [(1, "cos", b * gp),
-                       (0, "cos", 0.5 * p * gplus),
-                       (2, "cos", 0.5 * p * gminus), (2, "sin", 0.5 * q * gminus)])
-    d2 = _field(grid, [(1, "sin", b * gp),
-                       (0, "cos", 0.5 * q * gplus),
-                       (2, "cos", -0.5 * q * gminus), (2, "sin", 0.5 * p * gminus)])
-    return d1, d2
+    return _complex_pair(grid, {1: params.b * gp, 0: 0.5 * z * gplus,
+                                2: 0.5 * np.conj(z) * gminus})
 
 
 def lambda_singular_gradient(grid: Grid, alpha: float):
     """Gradient of -alpha chi(r) ln r, profiles exact."""
-    prof = -alpha * grid.dchiln
-    return (_field(grid, [(1, "cos", prof)]), _field(grid, [(1, "sin", prof)]))
+    return _complex_pair(grid, {1: -alpha * grid.dchiln})
 
 
 # ----------------------------------------------------------------------------
@@ -255,13 +232,13 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     f1 = (-multiply(seed.udot, d1u) + 0.5 * d1tt
           - 0.5 * multiply(seed.tau_tilde, lam1)
           - multiply(H_tilde.h11, lam1) - multiply(H_tilde.h12, lam2)
-          + _field(g, [(0, "cos", params.p * quarter)])
+          + ScalarField.from_mode(g, 0, "cos", params.p * quarter)
           - multiply(d1lt, hs11) - multiply(d2lt, hs12)
           - 0.5 * multiply(tau_s, d1lt))
     f2 = (-multiply(seed.udot, d2u) + 0.5 * d2tt
           - 0.5 * multiply(seed.tau_tilde, lam2)
           - multiply(H_tilde.h12, lam1) + multiply(H_tilde.h11, lam2)
-          + _field(g, [(0, "cos", params.q * quarter)])
+          + ScalarField.from_mode(g, 0, "cos", params.q * quarter)
           - multiply(d1lt, hs12) + multiply(d2lt, hs11)
           - 0.5 * multiply(tau_s, d2lt))
     return f1, f2
@@ -297,29 +274,29 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     K = g.K
 
     c = log_coefficient(f1, f2)
-    Z = ops.pack_pair(f1, f2)
+    Z = ops.full_spectrum(f1, f2)   # column K + m holds mode m
     W = np.zeros_like(Z)
-    F0 = Z[K] - c * g.lap_chiln
+    F0 = Z[:, K] - c * g.lap_chiln
     y = F0.copy()
     y[0] = 0.5 * g.r[0] * F0[0]   # regularity row
     y[-1] = 0.0                   # decay anchor
     solver0 = w.mom_solver(0)
-    W[K] = solver0.solve(y.real) + 1j * solver0.solve(y.imag)
+    W[:, K] = solver0.solve(y.real) + 1j * solver0.solve(y.imag)
     scale = np.max(np.abs(Z)) or 1.0
     for m in range(-K, K):
         if m == 0:
             continue
-        rhs = Z[K + m]
+        rhs = Z[:, K + m]
         if np.max(np.abs(rhs)) < 1e-300 * scale:
             continue
         solver = w.mom_solver(m)
         y = np.array(rhs)
         y[0] = y[-1] = 0.0  # homogeneous regularity/decay rows
-        W[K + m] = solver.solve(y.real) + 1j * solver.solve(y.imag)
+        W[:, K + m] = solver.solve(y.real) + 1j * solver.solve(y.imag)
 
     zeta = ops.raise_mode(w, W)
-    zeta[K + 1] += c * (g.dchi * np.log(g.r))  # band part of the log potential
-    K_tilde = ops.zeta_to_tensor(g, zeta)
+    zeta[:, K + 1] += c * (g.dchi * np.log(g.r))  # band part of the log potential
+    K_tilde = TracelessSymTensorField(*ops.real_pair(g, zeta))
     m_out = float(abs(c))
     phi = float(np.arctan2(c.imag, c.real)) if m_out > 0.0 else 0.0
     return m_out, phi, K_tilde
@@ -331,11 +308,9 @@ def correction_h2(b: float, grid: Grid) -> TracelessSymTensorField:
     The reduced source is the closed form (b chi'/r)(cos theta, sin theta),
     integral-free, so the correction carries no far-field part.
     """
-    prof = b * grid.dchi / grid.r
-    f1 = _field(grid, [(1, "cos", prof)])
-    f2 = _field(grid, [(1, "sin", prof)])
+    f1, f2 = _complex_pair(grid, {1: b * grid.dchi / grid.r})
     m, _, K = div_constraint_solve(f1, f2)
-    assert m < 1e-13 * max(1.0, abs(b))
+    _check_integral_free("H_b", m, abs(b))
     return K
 
 
@@ -345,13 +320,21 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
     Reduced source (rho chi'/2r)(cos(2 theta - eta), sin(2 theta - eta)),
     again integral-free.
     """
-    p, q = params.p, params.q
     prof = grid.dchi / (2.0 * grid.r)
-    f1 = _field(grid, [(2, "cos", p * prof), (2, "sin", q * prof)])
-    f2 = _field(grid, [(2, "cos", -q * prof), (2, "sin", p * prof)])
+    f1, f2 = _complex_pair(grid, {2: complex(params.p, -params.q) * prof})
     m, _, K = div_constraint_solve(f1, f2)
-    assert m < 1e-13 * max(1.0, params.rho)
+    _check_integral_free("3-theta", m, params.rho)
     return K
+
+
+def _check_integral_free(block: str, m: float, size: float) -> None:
+    """A correction's closed-form source has no plane integral, so its
+    potential has no log part: a far-field coefficient above rounding means
+    the correction would not decay."""
+    if not m < 1e-13 * max(1.0, size):
+        raise NonDecayingRHS(
+            f"{block} correction source has far-field coefficient {m:.3g}, "
+            "expected an integral-free source")
 
 
 def assemble_momentum(seed: SeedData, alpha: float, lambda_tilde: ScalarField,

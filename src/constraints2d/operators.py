@@ -33,6 +33,8 @@ from scipy.sparse.linalg import splu
 from .errors import SingularSystem
 from .fields import Grid, ScalarField, TracelessSymTensorField
 
+# The key is the only reference to a grid here: a workspace must not hold its
+# grid, or the grid (and with it the workspace) would never be collected.
 _workspaces: "weakref.WeakKeyDictionary[Grid, OperatorWorkspace]" = weakref.WeakKeyDictionary()
 
 
@@ -44,38 +46,42 @@ def workspace(grid: Grid) -> "OperatorWorkspace":
     return ws
 
 
+def _stencil_matrix(n: int, interior, edge, mirror: float) -> sp.csr_matrix:
+    """Banded matrix: the 3-point ``interior`` stencil on rows 1..n-2, the
+    one-sided ``edge`` stencil on row 0 (columns 0, 1, ...) and ``mirror``
+    times it on row n-1 (columns n-1, n-2, ...)."""
+    offsets = range(1 - len(edge), len(edge))
+    bands = []
+    for k in offsets:
+        band = np.full(n - abs(k), interior[k + 1] if abs(k) <= 1 else 0.0)
+        if k >= 0:
+            band[0] = edge[k]
+        if k <= 0:
+            band[-1] = mirror * edge[-k]
+        bands.append(band)
+    return sp.diags(bands, offsets, format="csr")
+
+
 def _first_derivative_s(n: int, h: float) -> sp.csr_matrix:
     """Centered d/ds with second-order one-sided end rows."""
-    D = sp.lil_matrix((n, n))
     c = 1.0 / (2.0 * h)
-    for i in range(1, n - 1):
-        D[i, i - 1] = -c
-        D[i, i + 1] = c
-    D[0, 0], D[0, 1], D[0, 2] = -3.0 * c, 4.0 * c, -c
-    D[n - 1, n - 1], D[n - 1, n - 2], D[n - 1, n - 3] = 3.0 * c, -4.0 * c, c
-    return D.tocsr()
+    return _stencil_matrix(n, (-c, 0.0, c), (-3.0 * c, 4.0 * c, -c), -1.0)
 
 
 def _second_derivative_s(n: int, h: float) -> sp.csr_matrix:
     """3-point d2/ds2 with second-order one-sided end rows."""
-    D = sp.lil_matrix((n, n))
     c = 1.0 / h**2
-    for i in range(1, n - 1):
-        D[i, i - 1] = c
-        D[i, i] = -2.0 * c
-        D[i, i + 1] = c
-    D[0, 0], D[0, 1], D[0, 2], D[0, 3] = 2.0 * c, -5.0 * c, 4.0 * c, -c
-    D[n - 1, n - 1], D[n - 1, n - 2] = 2.0 * c, -5.0 * c
-    D[n - 1, n - 3], D[n - 1, n - 4] = 4.0 * c, -c
-    return D.tocsr()
+    return _stencil_matrix(n, (c, -2.0 * c, c), (2.0 * c, -5.0 * c, 4.0 * c, -c), 1.0)
 
 
 class OperatorWorkspace:
     """Per-grid matrices and cached factorizations."""
 
     def __init__(self, grid: Grid):
-        self.grid = grid
         n, h, r = grid.N_r, grid.h, grid.r
+        self.K = grid.K
+        self.r1, self.R_max = r[0], grid.R_max
+        self.lap_chiln = grid.lap_chiln
         e1 = 1.0 / (1.0 + r)  # ds/dr
 
         Ds = _first_derivative_s(n, h)
@@ -107,18 +113,31 @@ class OperatorWorkspace:
 
         self._lap_solvers: dict[int, object] = {}
         self._mom_solvers: dict[int, object] = {}
-        self._mode0_z: dict[str, tuple[np.ndarray, float]] = {}
+        self._z: tuple[np.ndarray, float] | None = None
 
-    # -- raw applications -------------------------------------------------
-    def apply_Dr(self, rows: np.ndarray) -> np.ndarray:
-        """Dr applied along the radial axis of a (modes, N_r) array."""
-        return (self.Dr @ rows.T).T
+    def _factorize(self, A: sp.csr_matrix, k: int):
+        """splu of A with its end rows replaced by the boundary rows of mode k.
 
-    def dr_row_inner(self) -> np.ndarray:
-        return self._bc_row_inner
-
-    def dr_row_outer(self) -> np.ndarray:
-        return self._bc_row_outer
+        k = 0: v'(r_1) prescribed and the decay anchor v(R_max) = 0.
+        k != 0: regularity v' = (|k|/r) v at r_1 and decay v' + (|k|/r) v = 0
+        at R_max.
+        """
+        A = A.tolil()
+        n = A.shape[0]
+        row = self._bc_row_inner.copy()
+        row[0] -= abs(k) / self.r1
+        A[0] = row
+        if k == 0:
+            A[n - 1] = np.zeros(n)
+            A[n - 1, n - 1] = 1.0
+        else:
+            row = self._bc_row_outer.copy()
+            row[n - 1] += abs(k) / self.R_max
+            A[n - 1] = row
+        try:
+            return splu(A.tocsc())
+        except RuntimeError as exc:  # pragma: no cover
+            raise SingularSystem(f"mode {k} factorization failed: {exc}")
 
     # -- scalar Laplacian --------------------------------------------------
     def lap_matrix(self, k: int) -> sp.csr_matrix:
@@ -130,47 +149,27 @@ class OperatorWorkspace:
         """Factorized L_k with regularity row at r_1 and decay row at R_max."""
         s = self._lap_solvers.get(k)
         if s is None:
-            n = self.grid.N_r
-            A = self.lap_matrix(k).tolil()
-            r1, R = self.grid.r[0], self.grid.R_max
-            if k == 0:
-                A[0] = self.dr_row_inner()                  # v'(r1) prescribed
-                A[n - 1] = np.zeros(n)
-                A[n - 1, n - 1] = 1.0                       # decay anchor
-            else:
-                row = self.dr_row_inner().copy()
-                row[0] -= k / r1                            # v' = (k/r) v
-                A[0] = row
-                row = self.dr_row_outer().copy()
-                row[n - 1] += k / R                         # v' + (k/r) v = 0
-                A[n - 1] = row
-            try:
-                s = splu(A.tocsc())
-            except RuntimeError as exc:  # pragma: no cover
-                raise SingularSystem(f"mode {k} factorization failed: {exc}")
-            self._lap_solvers[k] = s
+            s = self._lap_solvers[k] = self._factorize(self.lap_matrix(k), k)
         return s
 
     # -- mode-0 flux-matched solve ------------------------------------------
     def farflux(self, vec: np.ndarray):
         """Discrete r v'(R_max) (the one-sided boundary derivative row)."""
-        return self.grid.R_max * (self._bc_row_outer @ vec)
+        return self.R_max * (self._bc_row_outer @ vec)
 
     def _z_profile(self):
         """Cached anchored solve of  L0 z = Delta(chi ln r);  flux(z) ~ 1."""
-        cached = self._mode0_z.get("lap")
-        if cached is None:
+        if self._z is None:
             solver = self.lap_solver(0)
-            rhs = np.array(self.grid.lap_chiln)
+            rhs = np.array(self.lap_chiln)
             rhs[0] = 0.0   # regularity row: the source vanishes at the inner edge
             rhs[-1] = 0.0  # anchor row
             z = solver.solve(rhs)
             ffz = float(self.farflux(z))
             if not 0.5 < ffz < 2.0:  # pragma: no cover
                 raise SingularSystem(f"log-profile flux {ffz} far from 1")
-            cached = (z, ffz)
-            self._mode0_z["lap"] = cached
-        return cached
+            self._z = (z, ffz)
+        return self._z
 
     def solve_mode0_flux_matched(self, rhs0: np.ndarray):
         """Anchored mode-0 solve with the residual far flux moved to the log.
@@ -180,9 +179,8 @@ class OperatorWorkspace:
         satisfies the discrete equation row by row.
         """
         solver = self.lap_solver(0)
-        r1 = self.grid.r[0]
         y = np.array(rhs0)
-        y[0] = 0.5 * r1 * rhs0[0]        # regularity: v'(r1) = (r1/2) f(r1)
+        y[0] = 0.5 * self.r1 * rhs0[0]   # regularity: v'(r1) = (r1/2) f(r1)
         y[-1] = 0.0
         v0 = solver.solve(y)
         z, ffz = self._z_profile()
@@ -198,123 +196,70 @@ class OperatorWorkspace:
     def mom_solver(self, m: int):
         s = self._mom_solvers.get(m)
         if s is None:
-            n = self.grid.N_r
-            A = self.mom_matrix(m).tolil()
-            r1, R = self.grid.r[0], self.grid.R_max
-            am = abs(m)
-            if m == 0:
-                A[0] = self.dr_row_inner()
-                A[n - 1] = np.zeros(n)
-                A[n - 1, n - 1] = 1.0
-            else:
-                row = self.dr_row_inner().copy()
-                row[0] -= am / r1
-                A[0] = row
-                row = self.dr_row_outer().copy()
-                row[n - 1] += am / R
-                A[n - 1] = row
-            try:
-                s = splu(A.tocsc())
-            except RuntimeError as exc:  # pragma: no cover
-                raise SingularSystem(f"potential mode {m} factorization failed: {exc}")
-            self._mom_solvers[m] = s
+            s = self._mom_solvers[m] = self._factorize(self.mom_matrix(m), m)
         return s
 
 
 # ----------------------------------------------------------------------------
-# complex angular modes: row K + m holds the e^{i m theta} coefficient
+# angular modes: column j of a mode array holds the e^{i m theta} coefficient
+# with m = K + 1 - ncols + j, so the K+1 columns of a half-spectrum are modes
+# 0..K and the 2K+1 columns of a full spectrum are modes -K..K
 # ----------------------------------------------------------------------------
 
-def real_to_cmodes(f: ScalarField) -> np.ndarray:
-    K, n = f.grid.K, f.grid.N_r
-    C = np.zeros((2 * K + 1, n), dtype=complex)
-    C[K] = f.a[0]
-    for m in range(1, K + 1):
-        cm = 0.5 * (f.a[m] - 1j * f.b[m])
-        C[K + m] = cm
-        C[K - m] = np.conj(cm)
-    return C
+def _mode_numbers(w: "OperatorWorkspace", C: np.ndarray) -> np.ndarray:
+    return np.arange(w.K + 1 - C.shape[1], w.K + 1)
 
 
-def cmodes_to_real(grid: Grid, C: np.ndarray) -> ScalarField:
-    K = grid.K
-    a = np.zeros((K + 1, grid.N_r))
-    b = np.zeros((K + 1, grid.N_r))
-    a[0] = C[K].real
-    for m in range(1, K + 1):
-        a[m] = (C[K + m] + C[K - m]).real
-        b[m] = (C[K - m] - C[K + m]).imag
-    return ScalarField(grid, a, b)
+def full_spectrum(f1: ScalarField, f2: ScalarField) -> np.ndarray:
+    """Modes -K..K of F = f1 + i f2 (no conjugate symmetry in general),
+    from c_{-m} = conj(c_m) for the real f1 and f2."""
+    neg = np.conj(f1.c - 1j * f2.c)
+    return np.concatenate([neg[:, :0:-1], f1.c + 1j * f2.c], axis=1)
 
 
-def pack_pair(f1: ScalarField, f2: ScalarField) -> np.ndarray:
-    """Complex modes of F = f1 + i f2 (no conjugate symmetry in general)."""
-    return real_to_cmodes(f1) + 1j * real_to_cmodes(f2)
-
-
-def unpack_pair(grid: Grid, Z: np.ndarray) -> tuple[ScalarField, ScalarField]:
-    Zben = np.conj(Z[::-1])  # m -> -m, conjugated
-    f1 = cmodes_to_real(grid, 0.5 * (Z + Zben))
-    f2 = cmodes_to_real(grid, -0.5j * (Z - Zben))
-    return f1, f2
-
-
-def mode_indices(grid: Grid) -> np.ndarray:
-    return np.arange(-grid.K, grid.K + 1)
+def real_pair(grid: Grid, Z: np.ndarray) -> tuple[ScalarField, ScalarField]:
+    """(f1, f2) with f1 + i f2 = F for the full spectrum Z of F."""
+    pos, neg = Z[:, grid.K:], np.conj(Z[:, grid.K::-1])
+    return ScalarField(grid, 0.5 * (pos + neg)), ScalarField(grid, -0.5j * (pos - neg))
 
 
 def raise_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
-    """(A+ C)_m = (Dr - (m-1)/r) C_{m-1}; content above mode K is dropped."""
-    DC = w.apply_Dr(C)
-    PC = C * w.P[None, :]
-    mu = mode_indices(w.grid)
+    """(A+ C)_m = (Dr - (m-1)/r) C_{m-1}; content above mode K is dropped and
+    the lowest mode, fed from outside the array, is left zero."""
+    DC = w.Dr @ C
+    PC = C * w.P[:, None]
+    mu = _mode_numbers(w, C)
     out = np.zeros_like(C)
-    out[1:] = DC[:-1] - mu[:-1, None] * PC[:-1]
+    out[:, 1:] = DC[:, :-1] - mu[:-1] * PC[:, :-1]
     return out
 
 
 def lower_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
-    """(A- C)_m = (Dr + (m+1)/r) C_{m+1}; content below mode -K is dropped."""
-    DC = w.apply_Dr(C)
-    PC = C * w.P[None, :]
-    mu = mode_indices(w.grid)
+    """(A- C)_m = (Dr + (m+1)/r) C_{m+1}; content below the lowest mode is
+    dropped and mode K, fed from above K, is left zero."""
+    DC = w.Dr @ C
+    PC = C * w.P[:, None]
+    mu = _mode_numbers(w, C)
     out = np.zeros_like(C)
-    out[:-1] = DC[1:] + mu[1:, None] * PC[1:]
+    out[:, :-1] = DC[:, 1:] + mu[1:] * PC[:, 1:]
     return out
-
-
-def tensor_to_zeta(H: TracelessSymTensorField) -> np.ndarray:
-    """zeta = H11 + i H12 in complex modes."""
-    return pack_pair(H.h11, H.h12)
-
-
-def zeta_to_tensor(grid: Grid, Z: np.ndarray) -> TracelessSymTensorField:
-    return TracelessSymTensorField(*unpack_pair(grid, Z))
 
 
 def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:
     """(d_i H_i1, d_i H_i2) via A- on zeta = H11 + i H12."""
     w = workspace(H.grid)
-    return unpack_pair(H.grid, lower_mode(w, tensor_to_zeta(H)))
+    return real_pair(H.grid, lower_mode(w, full_spectrum(H.h11, H.h12)))
 
 
 def apply_laplacian(f: ScalarField) -> ScalarField:
     """Mode-diagonal discrete Laplacian (same matrices the scalar solves invert)."""
     w = workspace(f.grid)
-    K = f.grid.K
-    base_a = (w.lap_base @ f.a.T).T
-    base_b = (w.lap_base @ f.b.T).T
-    k2 = (np.arange(K + 1) ** 2)[:, None]
-    a = base_a - k2 * (w.P2[None, :] * f.a)
-    b = base_b - k2 * (w.P2[None, :] * f.b)
-    b[0] = 0.0
-    return ScalarField(f.grid, a, b)
+    k2 = np.arange(f.grid.K + 1) ** 2
+    return ScalarField(f.grid, w.lap_base @ f.c - k2 * (w.P2[:, None] * f.c))
 
 
 def zero_boundary_rows(f: ScalarField) -> ScalarField:
     """Zero the first/last collocation nodes (where BC rows replace the PDE)."""
-    a = f.a.copy()
-    b = f.b.copy()
-    a[:, 0] = a[:, -1] = 0.0
-    b[:, 0] = b[:, -1] = 0.0
-    return ScalarField(f.grid, a, b)
+    c = f.c.copy()
+    c[0] = c[-1] = 0.0
+    return ScalarField(f.grid, c)

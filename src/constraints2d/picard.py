@@ -21,7 +21,13 @@ import numpy as np
 
 from . import operators as ops
 from .elliptic import laplacian
-from .errors import DivergenceDetected, EpsilonTooLarge, GridMismatch, NoConvergence
+from .errors import (
+    DivergenceDetected,
+    EpsilonTooLarge,
+    GridMismatch,
+    NoConvergence,
+    ValidationError,
+)
 from .fields import (
     ScalarField,
     SeedData,
@@ -58,9 +64,20 @@ class IterState:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Fixed-point settings, validated on construction (ValidationError)."""
+
     tol_fixed_point: float = 1e-10
     max_iter: int = 100
     epsilon_threshold: float = 0.5
+
+    def __post_init__(self):
+        if not self.tol_fixed_point > 0:
+            raise ValidationError(f"tol_fixed_point must be positive, got {self.tol_fixed_point}")
+        if not self.max_iter >= 1:
+            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not self.epsilon_threshold > 0:
+            raise ValidationError(
+                f"epsilon_threshold must be positive, got {self.epsilon_threshold}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,7 @@ def picard_step(state: IterState, seed: SeedData):
     p, q = solve_rho_eta(seed, state.alpha, state.lambda_tilde, state.H_tilde, seed.b)
     params = SingularTensorParams(b=seed.b, p=p, q=q)
     mom = assemble_momentum(seed, state.alpha, state.lambda_tilde, state.H_tilde, params)
-    rhs = hamiltonian_rhs(seed, state.alpha, state.lambda_tilde, state.H_tilde, params)
-    alpha_next, lt_next = solve_lambda(rhs)
+    alpha_next, lt_next = solve_lambda(hamiltonian_rhs(seed, state.H_tilde, params))
     return IterState(alpha_next, lt_next, mom.H_tilde), p, q
 
 

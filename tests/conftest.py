@@ -50,13 +50,12 @@ def rng():
 
 def random_low_mode_field(grid, rng, kmax=3, scale=1.0) -> ScalarField:
     """Smooth random field: a few low modes with regular radial profiles."""
-    a = np.zeros((grid.K + 1, grid.N_r))
-    b = np.zeros((grid.K + 1, grid.N_r))
+    f = ScalarField.zeros(grid)
     r = grid.r
     for k in range(0, kmax + 1):
         amp = scale * rng.normal()
-        a[k] = amp * r**min(k, 6) * np.exp(-0.5 * r**2)
+        f = f + ScalarField.from_mode(grid, k, "cos", amp * r**min(k, 6) * np.exp(-0.5 * r**2))
         if k >= 1:
             amp = scale * rng.normal()
-            b[k] = amp * r**min(k, 6) * np.exp(-0.5 * r**2)
-    return ScalarField(grid, a, b)
+            f = f + ScalarField.from_mode(grid, k, "sin", amp * r**min(k, 6) * np.exp(-0.5 * r**2))
+    return f

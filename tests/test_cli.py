@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +192,29 @@ def test_main_bad_config_exit1(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[grid]\nK = 8\n")
     assert main(["solve", str(path)]) == 1
+
+
+@pytest.mark.parametrize("var, value", [
+    ("SOLVER_TOL", "abc"), ("SOLVER_MAX_ITER", "x"),
+    ("SOLVER_MAX_ITER", "0"), ("SOLVER_TOL", "-1"),
+])
+def test_main_bad_env_override_exit1(tmp_path, monkeypatch, capsys, var, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out"))
+    monkeypatch.setenv(var, value)
+    assert main(["solve", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    import constraints2d
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "constraints2d.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_solve(tmp_path):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from constraints2d import operators
 from constraints2d.elliptic import greens_convolution_oracle, poisson_solve
 from constraints2d.errors import NonDecayingRHS
 from constraints2d.fields import (
@@ -86,6 +90,17 @@ def test_tail_decays(grid):
     sol = poisson_solve(sample_analytic([GaussianBump(amp=1.0)], grid))
     i_half = np.searchsorted(grid.r, 0.5 * grid.R_max)
     assert abs(sol.v.a[0, -1]) <= abs(sol.v.a[0, i_half]) + 1e-12
+
+
+def test_workspace_lives_exactly_as_long_as_its_grid():
+    g = build_grid(8, 64, 30.0, -0.5)
+    poisson_solve(zero_mass_rhs(g))  # builds the workspace and its factorizations
+    grid_ref = weakref.ref(g)
+    ws_ref = weakref.ref(operators.workspace(g))
+    del g
+    gc.collect()
+    assert grid_ref() is None
+    assert ws_ref() is None
 
 
 def test_non_decaying_rhs_rejected(grid):

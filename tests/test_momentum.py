@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constraints2d import momentum
+from constraints2d.errors import NonDecayingRHS
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
@@ -201,6 +203,18 @@ def test_h3_zero_mass(grid):
     d1, _ = divergence(K)
     e1 = zero_boundary_rows(d1 - f1)
     assert np.max(np.abs(e1.a)) < 1e-11
+
+
+@pytest.mark.parametrize("correction", [
+    lambda g: correction_h2(1.0, g),
+    lambda g: correction_h3(SingularTensorParams(0.0, 1.0, 0.5), g),
+], ids=["h2", "h3"])
+def test_correction_with_far_field_part_raises(grid, monkeypatch, correction):
+    # the corrections' sources are integral-free; a nonzero log coefficient
+    # must raise a typed error (not an assert, which -O would remove)
+    monkeypatch.setattr(momentum, "log_coefficient", lambda f1, f2: 1e-6 + 0j)
+    with pytest.raises(NonDecayingRHS):
+        correction(grid)
 
 
 # ----------------------------------------------------------------------------
