@@ -31,6 +31,7 @@ from .errors import (
     NoConvergence,
     ParseError,
     SolverError,
+    UnresolvedSpec,
     ValidationError,
 )
 from .fields import (
@@ -38,7 +39,6 @@ from .fields import (
     Grid,
     ScalarField,
     build_grid,
-    cartesian_gradient,
     format_bump,
     integrate,
     make_seed,
@@ -246,17 +246,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _unit_seed_constants(cfg: RunConfig, grid: Grid):
-    """Leading-order constants of the unit-amplitude seed shape."""
-    seed1 = config_seed(cfg, grid, amplitude=1.0)
-    d1u, d2u = cartesian_gradient(seed1.u)
-    e_unit = (integrate(multiply(seed1.udot, seed1.udot))
-              + integrate(multiply(d1u, d1u)) + integrate(multiply(d2u, d2u)))
-    i1 = integrate(multiply(seed1.udot, d1u))
-    i2 = integrate(multiply(seed1.udot, d2u))
-    return e_unit, i1, i2
-
-
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     amplitudes = list(amplitudes)
     if not amplitudes or any(a < 0 for a in amplitudes) or \
@@ -287,8 +276,10 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
                      bundle.residuals.hamiltonian_residual_norm,
                      bundle.iterations))
 
-    e_unit, i1, i2 = _unit_seed_constants(cfg, grid)
-    summary = _sweep_summary(rows, e_unit, i1, i2)
+    # leading-order constants of the unit-amplitude seed shape
+    seed1 = config_seed(cfg, grid, amplitude=1.0)
+    m1, m2 = seed1.momentum_density
+    summary = _sweep_summary(rows, seed1.epsilon, integrate(m1), integrate(m2))
 
     with open(os.path.join(cfg.output_dir, "sweep.csv"), "w") as fh:
         fh.write("a,alpha,p,q,momentum_residual,hamiltonian_residual,"
@@ -413,7 +404,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed = config_seed(cfg, grid)
         z = ScalarField.zeros(grid)
         Z = TracelessSymTensorField.zeros(grid)
-        solve_rho_eta(seed, 0.0, z, Z, seed.b)
+        solve_rho_eta(seed, 0.0, z, Z)
         record("rho_eta_selection_singular", 0.0, 0.5)
 
     attempt("poisson_zero_mass_error", poisson_zero_mass)
@@ -479,7 +470,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, amplitudes)
         if args.command == "verify":
             return cmd_verify(cfg)
-    except (DeltaOutOfRange, InvalidResolution, ValidationError) as exc:
+    except (DeltaOutOfRange, InvalidResolution, UnresolvedSpec, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return 1

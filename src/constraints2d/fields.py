@@ -476,9 +476,11 @@ def integrate(f: ScalarField) -> float:
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:
     """|| (1+|x|^2)^{gamma/2} f ||_{L^2}; the weight is radial."""
     g = f.grid
-    mode0_sq = np.mean(f.to_samples() ** 2, axis=1)  # angular average of f^2
+    # angular mean of f^2 by Parseval, |c_0|^2 + 2 sum |c_k|^2: exact, since
+    # f^2 has modes <= 2K < M and the sampled mean would see them all
+    mean_sq = f.c[:, 0].real ** 2 + 2.0 * np.sum(np.abs(f.c[:, 1:]) ** 2, axis=1)
     val = 2.0 * np.pi * np.sum(
-        g.quad_w * mode0_sq * (1.0 + g.r**2) ** gamma * g.r * (1.0 + g.r))
+        g.quad_w * mean_sq * (1.0 + g.r**2) ** gamma * g.r * (1.0 + g.r))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -495,7 +497,6 @@ def weighted_sobolev_norm(f: ScalarField, m: int, delta: float) -> float:
         total += radial_l2_weighted(d1, delta + 1.0)
         total += radial_l2_weighted(d2, delta + 1.0)
     if m == 2:
-        d1, d2 = cartesian_gradient(f)
         d11, d12 = cartesian_gradient(d1)
         _, d22 = cartesian_gradient(d2)
         for gfield in (d11, d12, d22):
@@ -534,16 +535,35 @@ def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.
 
 @dataclass(frozen=True, eq=False)
 class SeedData:
-    """Given data (udot, u, tau_tilde, b) with the derived smallness measure.
-
-    epsilon = int (udot^2 + |grad u|^2).
-    """
+    """Given data (udot, u, tau_tilde, b) and, computed once on construction
+    (never passed in), energy_density = udot^2 + |grad u|^2, momentum_density
+    = (udot d_1 u, udot d_2 u), grad_tau_tilde and the smallness measure
+    epsilon = int energy_density."""
 
     udot: ScalarField
     u: ScalarField
     tau_tilde: ScalarField
     b: float
-    epsilon: float
+    energy_density: ScalarField = field(init=False, repr=False)
+    momentum_density: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
+    grad_tau_tilde: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
+    epsilon: float = field(init=False)
+
+    def __post_init__(self):
+        _check_same_grid(self.udot, self.u, self.tau_tilde)
+        d1u, d2u = cartesian_gradient(self.u)
+        energy = (multiply(self.udot, self.udot)
+                  + multiply(d1u, d1u) + multiply(d2u, d2u))
+        eps = integrate(energy)
+        if not np.isfinite(eps) or eps < 0:
+            raise ValueError(f"invalid smallness measure epsilon = {eps}")
+        derived = dict(
+            energy_density=energy,
+            momentum_density=(multiply(self.udot, d1u), multiply(self.udot, d2u)),
+            grad_tau_tilde=cartesian_gradient(self.tau_tilde),
+            epsilon=float(eps))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def grid(self) -> Grid:
@@ -552,14 +572,7 @@ class SeedData:
 
 def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,
               b: float) -> SeedData:
-    _check_same_grid(udot, u, tau_tilde)
-    d1u, d2u = cartesian_gradient(u)
-    eps = (integrate(multiply(udot, udot))
-           + integrate(multiply(d1u, d1u))
-           + integrate(multiply(d2u, d2u)))
-    if not np.isfinite(eps) or eps < 0:
-        raise ValueError(f"invalid smallness measure epsilon = {eps}")
-    return SeedData(udot=udot, u=u, tau_tilde=tau_tilde, b=float(b), epsilon=float(eps))
+    return SeedData(udot=udot, u=u, tau_tilde=tau_tilde, b=float(b))
 
 
 # ----------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .fields import (
     ScalarField,
     SeedData,
     TracelessSymTensorField,
-    cartesian_gradient,
     multiply,
 )
 from .momentum import SingularTensorParams, singular_tensors
@@ -43,12 +42,10 @@ def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
     g = seed.grid
     if H_tilde.grid is not g:
         raise GridMismatch("state fields not on the seed grid")
-    d1u, d2u = cartesian_gradient(seed.u)
     Hb, Hrho, tau_s = singular_tensors(params, g)
     hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
 
-    return (-0.5 * multiply(seed.udot, seed.udot)
-            - 0.5 * (multiply(d1u, d1u) + multiply(d2u, d2u))
+    return (-0.5 * seed.energy_density
             - 2.0 * (multiply(hs11, H_tilde.h11) + multiply(hs12, H_tilde.h12))
             - (multiply(H_tilde.h11, H_tilde.h11) + multiply(H_tilde.h12, H_tilde.h12))
             + 0.5 * multiply(tau_s, seed.tau_tilde)

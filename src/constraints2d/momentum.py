@@ -216,37 +216,39 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
           - d_i lambdatilde (H_b + H_rho_eta)_ij
           - (1/2) (singular tau) d_j lambdatilde,
     with lambda = -alpha chi ln r + lambdatilde and e = (cos eta, sin eta).
+    The last three terms are linear in (b, p, q); _singular_source has them.
     """
     g = seed.grid
     if lambda_tilde.grid is not g or H_tilde.grid is not g:
         raise GridMismatch("state fields not on the seed grid")
-    d1u, d2u = cartesian_gradient(seed.u)
-    d1tt, d2tt = cartesian_gradient(seed.tau_tilde)
-    d1lt, d2lt = cartesian_gradient(lambda_tilde)
+    d1lt, d2lt = grad_lt = cartesian_gradient(lambda_tilde)
     s1, s2 = lambda_singular_gradient(g, alpha)
     lam1, lam2 = d1lt + s1, d2lt + s2
-
-    Hb, Hrho, tau_s = singular_tensors(params, g)
-    hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
-    quarter = grid_quarter_profile(g)
-    f1 = (-multiply(seed.udot, d1u) + 0.5 * d1tt
+    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
+    g1, g2 = _singular_source(grad_lt, params)
+    f1 = (-m1 + 0.5 * dt1
           - 0.5 * multiply(seed.tau_tilde, lam1)
-          - multiply(H_tilde.h11, lam1) - multiply(H_tilde.h12, lam2)
-          + ScalarField.from_mode(g, 0, "cos", params.p * quarter)
-          - multiply(d1lt, hs11) - multiply(d2lt, hs12)
-          - 0.5 * multiply(tau_s, d1lt))
-    f2 = (-multiply(seed.udot, d2u) + 0.5 * d2tt
+          - multiply(H_tilde.h11, lam1) - multiply(H_tilde.h12, lam2) + g1)
+    f2 = (-m2 + 0.5 * dt2
           - 0.5 * multiply(seed.tau_tilde, lam2)
-          - multiply(H_tilde.h12, lam1) + multiply(H_tilde.h11, lam2)
-          + ScalarField.from_mode(g, 0, "cos", params.q * quarter)
-          - multiply(d1lt, hs12) + multiply(d2lt, hs11)
-          - 0.5 * multiply(tau_s, d2lt))
+          - multiply(H_tilde.h12, lam1) + multiply(H_tilde.h11, lam2) + g2)
     return f1, f2
 
 
-def grid_quarter_profile(grid: Grid) -> np.ndarray:
-    """chi'/(4r), the compactly supported source of the eta-direction term."""
-    return grid.dchi / (4.0 * grid.r)
+def _singular_source(grad_lambda_tilde, params: SingularTensorParams):
+    """The last three terms of momentum_rhs_f, linear in (b, p, q)."""
+    d1lt, d2lt = grad_lambda_tilde
+    g = d1lt.grid
+    Hb, Hrho, tau_s = singular_tensors(params, g)
+    hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
+    quarter = g.dchi / (4.0 * g.r)
+    f1 = (ScalarField.from_mode(g, 0, "cos", params.p * quarter)
+          - multiply(d1lt, hs11) - multiply(d2lt, hs12)
+          - 0.5 * multiply(tau_s, d1lt))
+    f2 = (ScalarField.from_mode(g, 0, "cos", params.q * quarter)
+          - multiply(d1lt, hs12) + multiply(d2lt, hs11)
+          - 0.5 * multiply(tau_s, d2lt))
+    return f1, f2
 
 
 def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
@@ -337,14 +339,13 @@ def _check_integral_free(block: str, m: float, size: float) -> None:
             "expected an integral-free source")
 
 
-def assemble_momentum(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                      H_tilde_in: TracelessSymTensorField,
-                      params: SingularTensorParams) -> MomentumOutput:
-    """Full momentum solve at the given state and singular parameters."""
-    f1, f2 = momentum_rhs_f(seed, alpha, lambda_tilde, H_tilde_in, params)
+def assemble_momentum(source, params: SingularTensorParams) -> MomentumOutput:
+    """Full momentum solve: the generic part for the source pair (f1, f2)
+    that solve_rho_eta assembled at params, plus the two corrections."""
+    f1, f2 = source
     m, phi, K1 = div_constraint_solve(f1, f2)
-    K2 = correction_h2(params.b, seed.grid)
-    K3 = correction_h3(params, seed.grid)
+    K2 = correction_h2(params.b, f1.grid)
+    K3 = correction_h3(params, f1.grid)
     return MomentumOutput(m=m, phi=phi, H_tilde=K1 + K2 + K3)
 
 
@@ -375,45 +376,44 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     ls1, ls2 = lambda_singular_gradient(g, alpha)
     lam1, lam2 = d1lt + ls1, d2lt + ls2
 
-    d1u, d2u = cartesian_gradient(seed.u)
-    dt1, dt2 = cartesian_gradient(seed.tau_tilde)
+    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
     ts1, ts2 = tau_singular_gradient(params, g)
     tau_tot = tau_s + seed.tau_tilde
 
     r1 = (div1 + s1
           + multiply(h11, lam1) + multiply(h12, lam2)
-          + multiply(seed.udot, d1u)
+          + m1
           - 0.5 * (dt1 + ts1)
           + 0.5 * multiply(tau_tot, lam1))
     r2 = (div2 + s2
           + multiply(h12, lam1) - multiply(h11, lam2)
-          + multiply(seed.udot, d2u)
+          + m2
           - 0.5 * (dt2 + ts2)
           + 0.5 * multiply(tau_tot, lam2))
     return r1, r2
 
 
 def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                  H_tilde: TracelessSymTensorField, b: float):
-    """Fix (p, q) = (rho cos eta, rho sin eta) by the exact affine probe.
+                  H_tilde: TracelessSymTensorField):
+    """Fix (p, q) = (rho cos eta, rho sin eta) and assemble the source there.
 
-    The momentum far-field pair (m cos phi, m sin phi) is affine in (p, q);
-    three probe evaluations of the log-coefficient functional determine it
-    exactly, and the fixed point (p, q) = -4 (m cos phi, m sin phi) is the
-    solution of the resulting 2x2 linear system.
+    The momentum source is affine in (p, q): f = f0 + p f_p + q f_q, with f0
+    the full source at (b, 0, 0) and f_p, f_q its unit couplings.  So is its
+    log coefficient c = m e^{i phi}, and the fixed point
+    (p, q) = -4 (m cos phi, m sin phi) is the solution of a 2x2 linear
+    system.  Returns (p, q, (f1, f2)), the source at the selected point.
     """
-    def probe(p: float, q: float) -> np.ndarray:
-        pr = SingularTensorParams(b=b, p=p, q=q)
-        f1, f2 = momentum_rhs_f(seed, alpha, lambda_tilde, H_tilde, pr)
-        c = log_coefficient(f1, f2)
-        return np.array([c.real, c.imag])
-
-    c00 = probe(0.0, 0.0)
-    A = np.column_stack([probe(1.0, 0.0) - c00, probe(0.0, 1.0) - c00])
-    M = np.eye(2) + 4.0 * A
+    f0 = momentum_rhs_f(seed, alpha, lambda_tilde, H_tilde,
+                        SingularTensorParams(b=seed.b, p=0.0, q=0.0))
+    grad_lt = cartesian_gradient(lambda_tilde)
+    fp = _singular_source(grad_lt, SingularTensorParams(b=0.0, p=1.0, q=0.0))
+    fq = _singular_source(grad_lt, SingularTensorParams(b=0.0, p=0.0, q=1.0))
+    c0, cp, cq = (log_coefficient(*f) for f in (f0, fp, fq))
+    M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e8:
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
-    p, q = np.linalg.solve(M, -4.0 * c00)
-    return float(p), float(q)
+    p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
+    source = tuple(a + p * b + q * c for a, b, c in zip(f0, fp, fq))
+    return p, q, source

@@ -2,8 +2,9 @@
 
 One step maps (alpha, lambdatilde, Htilde) to (alpha', lambdatilde', Htilde'):
 
-  1. fix (rho, eta) by the exact affine probe of the momentum far field,
-  2. solve the momentum constraint at those parameters (Htilde'),
+  1. fix (rho, eta) from the momentum source, which is affine in
+     (rho cos eta, rho sin eta), and assemble that source once,
+  2. solve the momentum constraint with it (Htilde'),
   3. assemble the cancelled Hamiltonian source at the input state and solve
      for (alpha', lambdatilde').
 
@@ -32,7 +33,6 @@ from .fields import (
     ScalarField,
     SeedData,
     TracelessSymTensorField,
-    cartesian_gradient,
     multiply,
     radial_l2_weighted,
     tensor_sobolev_norm,
@@ -118,9 +118,9 @@ def _state_diff_norm(s1: IterState, s2: IterState) -> float:
 
 def picard_step(state: IterState, seed: SeedData):
     """One application of the solution map; returns (next_state, p, q)."""
-    p, q = solve_rho_eta(seed, state.alpha, state.lambda_tilde, state.H_tilde, seed.b)
+    p, q, source = solve_rho_eta(seed, state.alpha, state.lambda_tilde, state.H_tilde)
     params = SingularTensorParams(b=seed.b, p=p, q=q)
-    mom = assemble_momentum(seed, state.alpha, state.lambda_tilde, state.H_tilde, params)
+    mom = assemble_momentum(source, params)
     alpha_next, lt_next = solve_lambda(hamiltonian_rhs(seed, state.H_tilde, params))
     return IterState(alpha_next, lt_next, mom.H_tilde), p, q
 
@@ -214,11 +214,9 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     h11 = Hb.h11 + Hrho.h11 + bundle.H_tilde.h11
     h12 = Hb.h12 + Hrho.h12 + bundle.H_tilde.h12
     tau = tau_s + seed.tau_tilde
-    d1u, d2u = cartesian_gradient(seed.u)
     lap = laplacian(bundle.lambda_tilde) - bundle.alpha * _lap_chiln_field(g)
     rh = (lap
-          + 0.5 * multiply(seed.udot, seed.udot)
-          + 0.5 * (multiply(d1u, d1u) + multiply(d2u, d2u))
+          + 0.5 * seed.energy_density
           + multiply(h11, h11) + multiply(h12, h12)
           - 0.25 * multiply(tau, tau))
     ham_norm = _interior_h0_norm(rh, delta + 2.0)

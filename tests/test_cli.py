@@ -188,10 +188,29 @@ def test_verify_under_resolved_fails(tmp_path):
     assert cmd_verify(cfg) == 3
 
 
-def test_main_bad_config_exit1(tmp_path):
+# a bump narrower than four radial spacings is a property of the config
+UNRESOLVED = """
+[grid]
+K = 16
+N_r = 64
+R_max = 100.0
+delta = -0.5
+
+[seed]
+udot = gauss amp=0.1 w=0.05
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("text", ["[grid]\nK = 8\n", UNRESOLVED],
+                         ids=["missing_grid_keys", "unresolved_bump"])
+def test_main_bad_config_exit1(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
-    path.write_text("[grid]\nK = 8\n")
+    path.write_text(text.format(out=tmp_path / "out"))
     assert main(["solve", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("var, value", [

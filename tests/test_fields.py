@@ -19,6 +19,7 @@ from constraints2d.fields import (
     evaluate_field,
     integrate,
     multiply,
+    radial_l2_weighted,
     read_field_csv,
     sample_analytic,
     weighted_sobolev_norm,
@@ -247,6 +248,8 @@ def test_parseval_identity(grid):
         rhs = 2.0 * np.pi * np.sum(w * coeff)
         assert lhs >= 0.0
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+        # the weighted L^2 norm takes its angular mean by the same identity
+        assert radial_l2_weighted(f, 0.0) ** 2 == pytest.approx(lhs, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------

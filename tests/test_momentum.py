@@ -8,6 +8,7 @@ from constraints2d.errors import NonDecayingRHS
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
+    SeedData,
     TracelessSymTensorField,
     build_grid,
     cartesian_gradient,
@@ -30,7 +31,7 @@ from constraints2d.momentum import (
 )
 from constraints2d.operators import divergence, zero_boundary_rows
 
-from conftest import rng
+from conftest import random_low_mode_field, rng
 
 
 def zero_state(g):
@@ -223,7 +224,9 @@ def test_correction_with_far_field_part_raises(grid, monkeypatch, correction):
 
 def test_assemble_zero(grid):
     z, Z = zero_state(grid)
-    out = assemble_momentum(empty_seed(grid), 0.0, z, Z, SingularTensorParams(0, 0, 0))
+    params = SingularTensorParams(0, 0, 0)
+    source = momentum_rhs_f(empty_seed(grid), 0.0, z, Z, params)
+    out = assemble_momentum(source, params)
     assert out.m == 0.0 and out.phi == 0.0
     assert np.max(np.abs(out.H_tilde.h11.a)) == 0.0
 
@@ -234,7 +237,8 @@ def test_assemble_wave_data_only(grid):
     u = sample_analytic([GaussianBump(amp=0.4, x0=0.7, y0=0.1)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.0)
     z, Z = zero_state(grid)
-    out = assemble_momentum(seed, 0.0, z, Z, SingularTensorParams(0, 0, 0))
+    params = SingularTensorParams(0, 0, 0)
+    out = assemble_momentum(momentum_rhs_f(seed, 0.0, z, Z, params), params)
     d1u, d2u = cartesian_gradient(u)
     mx = -integrate(multiply(udot, d1u)) / (2 * np.pi)
     my = -integrate(multiply(udot, d2u)) / (2 * np.pi)
@@ -263,15 +267,15 @@ def test_fixed_point_identity(grid):
     u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
-    p, q = solve_rho_eta(seed, 0.0, z, Z, seed.b)
-    out = assemble_momentum(seed, 0.0, z, Z, SingularTensorParams(seed.b, p, q))
+    p, q, source = solve_rho_eta(seed, 0.0, z, Z)
+    out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
     assert -4.0 * out.m * np.cos(out.phi) == pytest.approx(p, abs=1e-10)
     assert -4.0 * out.m * np.sin(out.phi) == pytest.approx(q, abs=1e-10)
 
 
 def test_solve_rho_eta_zero(grid):
     z, Z = zero_state(grid)
-    p, q = solve_rho_eta(empty_seed(grid), 0.0, z, Z, 0.0)
+    p, q, _ = solve_rho_eta(empty_seed(grid), 0.0, z, Z)
     assert p == 0.0 and q == 0.0
 
 
@@ -282,7 +286,7 @@ def test_solve_rho_eta_leading_order(fine_grid):
     seed = make_seed(udot, u, ScalarField.zeros(g), b=0.0)
     z = ScalarField.zeros(g)
     Z = TracelessSymTensorField.zeros(g)
-    p, q = solve_rho_eta(seed, 0.0, z, Z, 0.0)
+    p, q, _ = solve_rho_eta(seed, 0.0, z, Z)
     d1u, d2u = cartesian_gradient(u)
     assert p == pytest.approx(integrate(multiply(udot, d1u)) / np.pi, rel=2e-3)
     assert q == pytest.approx(integrate(multiply(udot, d2u)) / np.pi, rel=2e-3)
@@ -293,11 +297,52 @@ def test_output_far_field_removed(grid):
     u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
-    p, q = solve_rho_eta(seed, 0.0, z, Z, seed.b)
-    out = assemble_momentum(seed, 0.0, z, Z, SingularTensorParams(seed.b, p, q))
+    p, q, source = solve_rho_eta(seed, 0.0, z, Z)
+    out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
     i_half = np.searchsorted(grid.r, 0.5 * grid.R_max)
     for k in (1, 3):
         amp_R = np.hypot(out.H_tilde.h11.a[k, -1], out.H_tilde.h11.b[k, -1]) * grid.R_max
         amp_h = np.hypot(out.H_tilde.h11.a[k, i_half],
                          out.H_tilde.h11.b[k, i_half]) * grid.r[i_half]
         assert amp_R <= 0.05 * max(out.m, 1e-6) + amp_h
+
+
+def _max_abs_diff(f, g):
+    return float(np.max(np.abs(f.c - g.c)))
+
+
+def test_solve_rho_eta_source_is_the_source_at_the_selection(grid):
+    # the returned f0 + p f_p + q f_q is the full source at (b, p, q), also
+    # for a state whose lambdatilde and Htilde couple to the singular terms
+    r = rng()
+    udot = sample_analytic([GaussianBump(amp=0.3)], grid)
+    u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
+    tau = sample_analytic([GaussianBump(amp=0.05, w=1.5)], grid)
+    seed = make_seed(udot, u, tau, b=0.1)
+    lt = random_low_mode_field(grid, r, scale=0.02)
+    H = TracelessSymTensorField(random_low_mode_field(grid, r, scale=0.01),
+                                random_low_mode_field(grid, r, scale=0.01))
+    p, q, (f1, f2) = solve_rho_eta(seed, 0.01, lt, H)
+    assert p != 0.0 and q != 0.0
+    g1, g2 = momentum_rhs_f(seed, 0.01, lt, H, SingularTensorParams(seed.b, p, q))
+    scale = max(np.max(np.abs(g1.c)), np.max(np.abs(g2.c)))
+    assert max(_max_abs_diff(f1, g1), _max_abs_diff(f2, g2)) <= 1e-12 * scale
+
+
+def test_seed_densities_match_fresh_products(grid):
+    udot = sample_analytic([GaussianBump(amp=0.3)], grid)
+    u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
+    tau = sample_analytic([GaussianBump(amp=0.05, x0=0.2, w=1.5)], grid)
+    seed = make_seed(udot, u, tau, b=0.1)
+    d1u, d2u = cartesian_gradient(u)
+    energy = multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u)
+    fresh = [(seed.energy_density, energy),
+             (seed.momentum_density[0], multiply(udot, d1u)),
+             (seed.momentum_density[1], multiply(udot, d2u))]
+    fresh += list(zip(seed.grad_tau_tilde, cartesian_gradient(tau)))
+    for stored, f in fresh:
+        assert _max_abs_diff(stored, f) <= 1e-14 * np.max(np.abs(f.c))
+    assert seed.epsilon == pytest.approx(integrate(energy), rel=1e-14)
+    # the derived values are not constructor arguments
+    with pytest.raises(TypeError):
+        SeedData(udot, u, tau, 0.1, energy_density=energy)

@@ -22,6 +22,39 @@ from constraints2d.picard import (
 )
 
 
+def test_one_source_assembly_per_step(small_seed, monkeypatch):
+    # one momentum source per Picard step, and no gradient of the seed's u
+    # or tau_tilde inside the solve (the seed holds its densities)
+    from constraints2d import elliptic, fields, lichnerowicz, momentum, operators, picard
+
+    calls = {"momentum_rhs_f": 0, "picard_step": 0}
+    seed_gradients = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(momentum, "momentum_rhs_f")
+    counted(picard, "picard_step")
+    gradient = fields.cartesian_gradient
+
+    def watched_gradient(f):
+        if f is small_seed.u or f is small_seed.tau_tilde:
+            seed_gradients.append(f)
+        return gradient(f)
+    for module in (elliptic, fields, lichnerowicz, momentum, operators, picard):
+        if getattr(module, "cartesian_gradient", None) is gradient:
+            monkeypatch.setattr(module, "cartesian_gradient", watched_gradient)
+
+    bundle = picard.solve_constraints(small_seed)
+    assert calls["momentum_rhs_f"] == calls["picard_step"] == bundle.iterations
+    assert seed_gradients == []
+
+
 def test_zero_seed(solver_grid):
     z = ScalarField.zeros(solver_grid)
     seed = make_seed(z, z, z, b=0.0)
