@@ -8,8 +8,9 @@ sections; seed fields are lists of Gaussian bumps, one per line, e.g.
     udot = gauss amp=0.1 x0=0.0 y0=0.0 w=1.0
     u    = gauss amp=0.1 x0=0.5 y0=0.0 w=1.0
 
-Exit codes: 0 success, 1 configuration error, 2 non-convergence (diagnostics
-still written), 3 verification failure.
+Exit codes: 0 success, 1 configuration error, 2 failed solve (non-convergence
+or any other SolverError of the solve; diagnostics still written),
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ import numpy as np
 from .elliptic import greens_convolution_oracle, poisson_solve
 from .errors import (
     DeltaOutOfRange,
-    DivergenceDetected,
-    EpsilonTooLarge,
     InvalidResolution,
-    NoConvergence,
     ParseError,
     SolverError,
     UnresolvedSpec,
@@ -49,8 +47,13 @@ from .fields import (
     write_field_csv,
 )
 from .geometry import asymptotic_charges, cone_angle
-from .momentum import SingularTensorParams, singular_tensors
-from .picard import SolverOptions, solve_constraints
+from .momentum import (
+    SELECTION_COND_LIMIT,
+    SingularTensorParams,
+    selection_matrix,
+    singular_tensors,
+)
+from .picard import IterState, SolverOptions, picard_step, solve_constraints
 
 __all__ = ["RunConfig", "parse_config", "serialize_config",
            "cmd_solve", "cmd_sweep", "cmd_verify", "main"]
@@ -228,7 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     out = os.path.join(cfg.output_dir, "solution.json")
     try:
         bundle = solve_constraints(seed, opts)
-    except (NoConvergence, DivergenceDetected, EpsilonTooLarge) as exc:
+    except SolverError as exc:
         with open(out, "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc),
                        "epsilon": seed.epsilon}, fh, indent=2, sort_keys=True)
@@ -266,7 +269,7 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
             continue
         try:
             bundle = solve_constraints(seed, opts)
-        except (NoConvergence, DivergenceDetected, EpsilonTooLarge) as exc:
+        except SolverError as exc:
             print(f"amplitude {a}: {exc}", file=sys.stderr)
             rows.append((a, np.nan, np.nan, np.nan, np.nan, np.nan, -1))
             status = 2
@@ -397,15 +400,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         record("charge_roundtrip_error", err, 1e-6)
 
     def selection():
-        if not (cfg.udot_bumps or cfg.u_bumps):
-            return
-        from .fields import TracelessSymTensorField
-        from .momentum import solve_rho_eta
+        # the matrix the second Picard step solves, at the first iterate
         seed = config_seed(cfg, grid)
-        z = ScalarField.zeros(grid)
-        Z = TracelessSymTensorField.zeros(grid)
-        solve_rho_eta(seed, 0.0, z, Z)
-        record("rho_eta_selection_singular", 0.0, 0.5)
+        state, _, _ = picard_step(IterState.zero(grid), seed)
+        record("rho_eta_selection_condition",
+               np.linalg.cond(selection_matrix(state.lambda_tilde)), SELECTION_COND_LIMIT)
 
     attempt("poisson_zero_mass_error", poisson_zero_mass)
     attempt("poisson_log_coefficient_error", poisson_log_coeff)
@@ -413,7 +412,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     attempt("cancellation_identity", cancellation)
     attempt("divergence_identity_error", divergence_identities)
     attempt("charge_roundtrip_error", charges)
-    attempt("rho_eta_selection_singular", selection)
+    attempt("rho_eta_selection_condition", selection)
     if cfg.delta < -0.9 or cfg.delta > -0.1:
         print(f"warning: delta = {cfg.delta} near the end of (-1,0); "
               "the inversion constant degrades there", file=sys.stderr)

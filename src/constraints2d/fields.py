@@ -396,8 +396,9 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
     Raises UnresolvedSpec when a bump is narrower than 4 radial spacings near
     its center (the transform would alias).
     """
-    r = grid.r
     th = grid.theta
+    x = grid.r[:, None] * np.cos(th)[None, :]
+    y = grid.r[:, None] * np.sin(th)[None, :]
     vals = np.zeros((grid.N_r, grid.M))
     for bump in bumps:
         rc = float(np.hypot(bump.x0, bump.y0))
@@ -407,8 +408,6 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
                 f"bump width {bump.w} < 4 radial spacings ({4*local_dr:.3g}) near r={rc:.3g}")
         if bump.amp == 0.0:
             continue
-        x = r[:, None] * np.cos(th)[None, :]
-        y = r[:, None] * np.sin(th)[None, :]
         vals += bump.amp * np.exp(-((x - bump.x0) ** 2 + (y - bump.y0) ** 2) / bump.w**2)
     f = ScalarField.from_samples(grid, vals)
     _warn_mode_irregularity(f)
@@ -450,9 +449,7 @@ def cartesian_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """
     from . import operators as ops
 
-    w = ops.workspace(f.grid)
-    up = ops.raise_mode(w, f.c)
-    dn = ops.lower_mode(w, f.c)
+    up, dn = ops.raise_and_lower(ops.workspace(f.grid), f.c)
     up[:, 0] = np.conj(dn[:, 0])
     return ScalarField(f.grid, 0.5 * (up + dn)), ScalarField(f.grid, -0.5j * (up - dn))
 
@@ -476,9 +473,11 @@ def integrate(f: ScalarField) -> float:
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:
     """|| (1+|x|^2)^{gamma/2} f ||_{L^2}; the weight is radial."""
     g = f.grid
-    # angular mean of f^2 by Parseval, |c_0|^2 + 2 sum |c_k|^2: exact, since
-    # f^2 has modes <= 2K < M and the sampled mean would see them all
-    mean_sq = f.c[:, 0].real ** 2 + 2.0 * np.sum(np.abs(f.c[:, 1:]) ** 2, axis=1)
+    # angular mean of f^2 by Parseval, c_0^2 + 2 sum_{k>=1} |c_k|^2 with c_0
+    # real: exact, since f^2 has modes <= 2K < M and the sampled mean would
+    # see them all
+    v = np.ascontiguousarray(f.c).view(np.float64)  # (re, im) pairs
+    mean_sq = 2.0 * np.einsum("ij,ij->i", v, v) - f.c[:, 0].real ** 2
     val = 2.0 * np.pi * np.sum(
         g.quad_w * mean_sq * (1.0 + g.r**2) ** gamma * g.r * (1.0 + g.r))
     return float(np.sqrt(max(val, 0.0)))
@@ -550,16 +549,17 @@ class SeedData:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        _check_same_grid(self.udot, self.u, self.tau_tilde)
-        d1u, d2u = cartesian_gradient(self.u)
-        energy = (multiply(self.udot, self.udot)
-                  + multiply(d1u, d1u) + multiply(d2u, d2u))
+        g = _check_same_grid(self.udot, self.u, self.tau_tilde)
+        # one pass on the samples: the products of udot, d1 u and d2 u
+        V, G1, G2 = (f.to_samples() for f in (self.udot, *cartesian_gradient(self.u)))
+        energy = ScalarField.from_samples(g, V * V + G1 * G1 + G2 * G2)
         eps = integrate(energy)
         if not np.isfinite(eps) or eps < 0:
             raise ValueError(f"invalid smallness measure epsilon = {eps}")
         derived = dict(
             energy_density=energy,
-            momentum_density=(multiply(self.udot, d1u), multiply(self.udot, d2u)),
+            momentum_density=(ScalarField.from_samples(g, V * G1),
+                              ScalarField.from_samples(g, V * G2)),
             grad_tau_tilde=cartesian_gradient(self.tau_tilde),
             epsilon=float(eps))
         for name, value in derived.items():

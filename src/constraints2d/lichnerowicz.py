@@ -18,13 +18,8 @@ from __future__ import annotations
 
 from .elliptic import poisson_solve
 from .errors import GridMismatch
-from .fields import (
-    ScalarField,
-    SeedData,
-    TracelessSymTensorField,
-    multiply,
-)
-from .momentum import SingularTensorParams, singular_tensors
+from .fields import ScalarField, SeedData, TracelessSymTensorField
+from .momentum import SingularTensorParams, singular_factors
 
 __all__ = ["hamiltonian_rhs", "solve_lambda"]
 
@@ -37,19 +32,18 @@ def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
           - <H_sing, Htilde> - (1/2)|Htilde|^2
           + (1/2) tau_sing tautilde + (1/4) tautilde^2,
 
-    the pure chi^2/r^2 squares having cancelled identically.
+    the pure chi^2/r^2 squares having cancelled identically.  The products
+    are one pass on the angular samples (one transform per field and one
+    back); the energy density is the seed's.
     """
     g = seed.grid
     if H_tilde.grid is not g:
         raise GridMismatch("state fields not on the seed grid")
-    Hb, Hrho, tau_s = singular_tensors(params, g)
-    hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
-
-    return (-0.5 * seed.energy_density
-            - 2.0 * (multiply(hs11, H_tilde.h11) + multiply(hs12, H_tilde.h12))
-            - (multiply(H_tilde.h11, H_tilde.h11) + multiply(H_tilde.h12, H_tilde.h12))
-            + 0.5 * multiply(tau_s, seed.tau_tilde)
-            + 0.25 * multiply(seed.tau_tilde, seed.tau_tilde))
+    cr, u11, u12, ut = singular_factors(params, g)
+    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    S = (cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B))
+         - (A * A + B * B) + 0.25 * T * T)
+    return ScalarField.from_samples(g, S) - 0.5 * seed.energy_density
 
 
 def solve_lambda(rhs: ScalarField) -> tuple[float, ScalarField]:

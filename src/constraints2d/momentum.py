@@ -36,13 +36,13 @@ from .fields import (
     TracelessSymTensorField,
     cartesian_gradient,
     integrate,
-    multiply,
 )
 
 __all__ = [
     "SingularTensorParams",
     "MomentumOutput",
     "singular_tensors",
+    "singular_factors",
     "band_tensor",
     "singular_divergence_pair",
     "divergence_identity_residual",
@@ -53,6 +53,7 @@ __all__ = [
     "correction_h3",
     "assemble_momentum",
     "momentum_residual",
+    "selection_matrix",
     "solve_rho_eta",
 ]
 
@@ -115,6 +116,23 @@ def singular_tensors(params: SingularTensorParams, grid: Grid):
                 + ScalarField.from_mode(grid, 1, "cos", params.p * cr)
                 + ScalarField.from_mode(grid, 1, "sin", params.q * cr))
     return Hb, Hrho, tau_sing
+
+
+def singular_factors(params: SingularTensorParams, grid: Grid):
+    """The closed forms of singular_tensors on the (N_r, M) sample grid.
+
+    Returns (cr, u11, u12, ut): H_b + H_rho_eta = cr (u11, u12) and the
+    singular mean curvature is cr ut, with cr = chi/r as an (N_r, 1) column
+    and u11, u12, ut as (M,) rows.  They enter the sample-space passes by
+    broadcasting; no (N_r, M) array of them is kept.
+    """
+    b, p, q = params.b, params.p, params.q
+    th = grid.theta
+    c1, s1, c2, s2, c3, s3 = (f(m * th) for m in (1, 2, 3) for f in (np.cos, np.sin))
+    u11 = -0.5 * b * c2 - 0.25 * (p * (c1 + c3) + q * (s3 - s1))
+    u12 = -0.5 * b * s2 - 0.25 * (p * (s1 + s3) + q * (c1 - c3))
+    ut = b + p * c1 + q * s1
+    return (grid.chi / grid.r)[:, None], u11, u12, ut
 
 
 def band_tensor(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorField:
@@ -198,14 +216,61 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
                                 2: 0.5 * np.conj(z) * gminus})
 
 
-def lambda_singular_gradient(grid: Grid, alpha: float):
-    """Gradient of -alpha chi(r) ln r, profiles exact."""
-    return _complex_pair(grid, {1: -alpha * grid.dchiln})
-
-
 # ----------------------------------------------------------------------------
 # right-hand sides and solves
+#
+# Each source is one pass on the (N_r, M) angular samples: one irfft per
+# distinct state or seed field, the whole pointwise expression on the
+# samples, one rfft per output.  A sum of dealiased products equals the
+# dealiased sum, so this is the product-by-product assembly up to rounding.
 # ----------------------------------------------------------------------------
+
+def _gradient_samples(f: ScalarField):
+    """Samples of (d1 f, d2 f)."""
+    return tuple(d.to_samples() for d in cartesian_gradient(f))
+
+
+def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
+    """Samples of grad lambda for lambda = -alpha chi ln r + lambdatilde,
+    from the samples (L1, L2) of grad lambdatilde; the singular part is the
+    exact (chi ln r)' times (cos theta, sin theta)."""
+    prof = -alpha * grid.dchiln[:, None]
+    th = grid.theta
+    return L1 + prof * np.cos(th), L2 + prof * np.sin(th)
+
+
+def _state_source(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
+                  H_tilde: TracelessSymTensorField, b: float):
+    """Samples (P1, P2) of the momentum source at (b, 0, 0) without its
+    seed-only terms, and the samples (L1, L2) of grad lambdatilde."""
+    g = seed.grid
+    if lambda_tilde.grid is not g or H_tilde.grid is not g:
+        raise GridMismatch("state fields not on the seed grid")
+    L1, L2 = _gradient_samples(lambda_tilde)
+    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    lam1, lam2 = _lambda_gradient(g, alpha, L1, L2)
+    S1, S2 = _singular_source(g, L1, L2, SingularTensorParams(b=b, p=0.0, q=0.0))
+    P1 = S1 - (0.5 * T + A) * lam1 - B * lam2
+    P2 = S2 - (0.5 * T - A) * lam2 - B * lam1
+    return (P1, P2), (L1, L2)
+
+
+def _singular_source(grid: Grid, L1, L2, params: SingularTensorParams):
+    """Samples of the source terms linear in (b, p, q), from the samples
+    (L1, L2) of grad lambdatilde: (p, q) chi'/4r
+    - d_i lambdatilde (H_b + H_rho_eta)_ij - (1/2) tau_sing d_j lambdatilde."""
+    cr, u11, u12, ut = singular_factors(params, grid)
+    quarter = (grid.dchi / (4.0 * grid.r))[:, None]
+    S1 = params.p * quarter - cr * (L1 * (u11 + 0.5 * ut) + L2 * u12)
+    S2 = params.q * quarter - cr * (L1 * u12 - L2 * (u11 - 0.5 * ut))
+    return S1, S2
+
+
+def _seed_source(seed: SeedData):
+    """The seed-only source terms -udot d_j u + (1/2) d_j tautilde."""
+    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
+    return 0.5 * dt1 - m1, 0.5 * dt2 - m2
+
 
 def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
                    H_tilde: TracelessSymTensorField, params: SingularTensorParams):
@@ -216,39 +281,14 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
           - d_i lambdatilde (H_b + H_rho_eta)_ij
           - (1/2) (singular tau) d_j lambdatilde,
     with lambda = -alpha chi ln r + lambdatilde and e = (cos eta, sin eta).
-    The last three terms are linear in (b, p, q); _singular_source has them.
+    The last three terms are linear in (b, p, q).
     """
     g = seed.grid
-    if lambda_tilde.grid is not g or H_tilde.grid is not g:
-        raise GridMismatch("state fields not on the seed grid")
-    d1lt, d2lt = grad_lt = cartesian_gradient(lambda_tilde)
-    s1, s2 = lambda_singular_gradient(g, alpha)
-    lam1, lam2 = d1lt + s1, d2lt + s2
-    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
-    g1, g2 = _singular_source(grad_lt, params)
-    f1 = (-m1 + 0.5 * dt1
-          - 0.5 * multiply(seed.tau_tilde, lam1)
-          - multiply(H_tilde.h11, lam1) - multiply(H_tilde.h12, lam2) + g1)
-    f2 = (-m2 + 0.5 * dt2
-          - 0.5 * multiply(seed.tau_tilde, lam2)
-          - multiply(H_tilde.h12, lam1) + multiply(H_tilde.h11, lam2) + g2)
-    return f1, f2
-
-
-def _singular_source(grad_lambda_tilde, params: SingularTensorParams):
-    """The last three terms of momentum_rhs_f, linear in (b, p, q)."""
-    d1lt, d2lt = grad_lambda_tilde
-    g = d1lt.grid
-    Hb, Hrho, tau_s = singular_tensors(params, g)
-    hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
-    quarter = g.dchi / (4.0 * g.r)
-    f1 = (ScalarField.from_mode(g, 0, "cos", params.p * quarter)
-          - multiply(d1lt, hs11) - multiply(d2lt, hs12)
-          - 0.5 * multiply(tau_s, d1lt))
-    f2 = (ScalarField.from_mode(g, 0, "cos", params.q * quarter)
-          - multiply(d1lt, hs12) + multiply(d2lt, hs11)
-          - 0.5 * multiply(tau_s, d2lt))
-    return f1, f2
+    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde, params.b)
+    S1, S2 = _singular_source(g, *L, SingularTensorParams(b=0.0, p=params.p, q=params.q))
+    f1, f2 = _seed_source(seed)
+    return (f1 + ScalarField.from_samples(g, P1 + S1),
+            f2 + ScalarField.from_samples(g, P2 + S2))
 
 
 def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
@@ -258,6 +298,13 @@ def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
     chi ln r in the potential pair, free of far-field fitting noise.
     """
     return (integrate(f1) + 1j * integrate(f2)) / (2.0 * np.pi)
+
+
+def _sample_log_coefficient(grid: Grid, S1, S2) -> complex:
+    """log_coefficient of the fields with samples (S1, S2); only their
+    angular means, the mode-0 profiles, enter."""
+    return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", S.mean(axis=1))
+                             for S in (S1, S2)))
 
 
 def div_constraint_solve(f1: ScalarField, f2: ScalarField):
@@ -304,16 +351,43 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     return m_out, phi, K_tilde
 
 
+def _unit_corrections(grid: Grid) -> np.ndarray:
+    """Complex profiles (w_b, w_p, w_q) of the corrections for unit b, p, q.
+
+    The corrections are linear in (b, p, q), and a mode-m source pair gives
+    a zeta = K11 + i K12 of mode m + 1 only: the correction for (b, p, q) is
+    zeta = b w_b e^{2 i theta} + (p w_p + q w_q) e^{3 i theta}.  The three
+    unit problems are solved once per grid; the profiles are kept on the
+    grid's operator workspace, as plain arrays that hold no reference to the
+    grid, so they live exactly as long as the grid.
+    """
+    w = ops.workspace(grid)
+    if w.unit_corrections is None:
+        prof = grid.dchi / grid.r
+        units = []
+        for block, m, source in (("H_b", 1, prof), ("3-theta", 2, 0.5 * prof),
+                                 ("3-theta", 2, -0.5j * prof)):
+            m_far, _, K = div_constraint_solve(*_complex_pair(grid, {m: source}))
+            _check_integral_free(block, m_far)
+            units.append(K.h11.c[:, m + 1] + 1j * K.h12.c[:, m + 1])
+        w.unit_corrections = np.array(units)
+        w.unit_corrections.setflags(write=False)
+    return w.unit_corrections
+
+
+def _corrections(grid: Grid, b: float, p: float, q: float) -> TracelessSymTensorField:
+    """Sum of the H_b correction at b and the 3-theta correction at (p, q)."""
+    w_b, w_p, w_q = _unit_corrections(grid)
+    return TracelessSymTensorField(*_complex_pair(grid, {2: b * w_b, 3: p * w_p + q * w_q}))
+
+
 def correction_h2(b: float, grid: Grid) -> TracelessSymTensorField:
     """Decaying correction that upgrades H_b to a solution of its block.
 
     The reduced source is the closed form (b chi'/r)(cos theta, sin theta),
     integral-free, so the correction carries no far-field part.
     """
-    f1, f2 = _complex_pair(grid, {1: b * grid.dchi / grid.r})
-    m, _, K = div_constraint_solve(f1, f2)
-    _check_integral_free("H_b", m, abs(b))
-    return K
+    return _corrections(grid, b, 0.0, 0.0)
 
 
 def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorField:
@@ -322,18 +396,14 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
     Reduced source (rho chi'/2r)(cos(2 theta - eta), sin(2 theta - eta)),
     again integral-free.
     """
-    prof = grid.dchi / (2.0 * grid.r)
-    f1, f2 = _complex_pair(grid, {2: complex(params.p, -params.q) * prof})
-    m, _, K = div_constraint_solve(f1, f2)
-    _check_integral_free("3-theta", m, params.rho)
-    return K
+    return _corrections(grid, 0.0, params.p, params.q)
 
 
-def _check_integral_free(block: str, m: float, size: float) -> None:
+def _check_integral_free(block: str, m: float) -> None:
     """A correction's closed-form source has no plane integral, so its
-    potential has no log part: a far-field coefficient above rounding means
-    the correction would not decay."""
-    if not m < 1e-13 * max(1.0, size):
+    potential has no log part: a far-field coefficient above rounding (of a
+    unit source) means the correction would not decay."""
+    if not m < 1e-13:
         raise NonDecayingRHS(
             f"{block} correction source has far-field coefficient {m:.3g}, "
             "expected an integral-free source")
@@ -344,9 +414,8 @@ def assemble_momentum(source, params: SingularTensorParams) -> MomentumOutput:
     that solve_rho_eta assembled at params, plus the two corrections."""
     f1, f2 = source
     m, phi, K1 = div_constraint_solve(f1, f2)
-    K2 = correction_h2(params.b, f1.grid)
-    K3 = correction_h3(params, f1.grid)
-    return MomentumOutput(m=m, phi=phi, H_tilde=K1 + K2 + K3)
+    return MomentumOutput(m=m, phi=phi,
+                          H_tilde=K1 + _corrections(f1.grid, params.b, params.p, params.q))
 
 
 # ----------------------------------------------------------------------------
@@ -367,30 +436,44 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     band = band_tensor(params, g)
     div1, div2 = ops.divergence(H_tilde - band)
     s1, s2 = singular_divergence_pair(params, g)
-
-    Hb, Hrho, tau_s = singular_tensors(params, g)
-    h11 = Hb.h11 + Hrho.h11 + H_tilde.h11
-    h12 = Hb.h12 + Hrho.h12 + H_tilde.h12
-
-    d1lt, d2lt = cartesian_gradient(lambda_tilde)
-    ls1, ls2 = lambda_singular_gradient(g, alpha)
-    lam1, lam2 = d1lt + ls1, d2lt + ls2
-
-    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
     ts1, ts2 = tau_singular_gradient(params, g)
-    tau_tot = tau_s + seed.tau_tilde
+    f1, f2 = _seed_source(seed)
 
-    r1 = (div1 + s1
-          + multiply(h11, lam1) + multiply(h12, lam2)
-          + m1
-          - 0.5 * (dt1 + ts1)
-          + 0.5 * multiply(tau_tot, lam1))
-    r2 = (div2 + s2
-          + multiply(h12, lam1) - multiply(h11, lam2)
-          + m2
-          - 0.5 * (dt2 + ts2)
-          + 0.5 * multiply(tau_tot, lam2))
+    cr, u11, u12, ut = singular_factors(params, g)
+    L1, L2 = _gradient_samples(lambda_tilde)
+    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    lam1, lam2 = _lambda_gradient(g, alpha, L1, L2)
+    h11, h12 = cr * u11 + A, cr * u12 + B
+    half_tau = 0.5 * (cr * ut + T)
+    P1 = (h11 + half_tau) * lam1 + h12 * lam2
+    P2 = h12 * lam1 - (h11 - half_tau) * lam2
+
+    r1 = div1 + s1 + ScalarField.from_samples(g, P1) - f1 - 0.5 * ts1
+    r2 = div2 + s2 + ScalarField.from_samples(g, P2) - f2 - 0.5 * ts2
     return r1, r2
+
+
+SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused
+
+
+def _selection(grid: Grid, L1, L2):
+    """The (rho, eta) selection matrix I + 4 (Re, Im) of the unit couplings'
+    log coefficients, and the unit couplings f_p, f_q as sample pairs, from
+    the samples (L1, L2) of grad lambdatilde."""
+    fp = _singular_source(grid, L1, L2, SingularTensorParams(b=0.0, p=1.0, q=0.0))
+    fq = _singular_source(grid, L1, L2, SingularTensorParams(b=0.0, p=0.0, q=1.0))
+    cp, cq = (_sample_log_coefficient(grid, *f) for f in (fp, fq))
+    M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
+    return M, fp, fq
+
+
+def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
+    """The 2x2 matrix whose solve fixes (p, q) in solve_rho_eta.
+
+    It depends on the state only through grad lambdatilde; at lambdatilde = 0
+    it is (1 + 4 c) I with c the log coefficient of chi'/4r.
+    """
+    return _selection(lambda_tilde.grid, *_gradient_samples(lambda_tilde))[0]
 
 
 def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
@@ -401,19 +484,21 @@ def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     the full source at (b, 0, 0) and f_p, f_q its unit couplings.  So is its
     log coefficient c = m e^{i phi}, and the fixed point
     (p, q) = -4 (m cos phi, m sin phi) is the solution of a 2x2 linear
-    system.  Returns (p, q, (f1, f2)), the source at the selected point.
+    system.  f_p and f_q enter the system only through their log
+    coefficients; the selected p f_p + q f_q is added to the samples of f0,
+    which are then transformed once.  Returns (p, q, (f1, f2)), the source at
+    the selected point.
     """
-    f0 = momentum_rhs_f(seed, alpha, lambda_tilde, H_tilde,
-                        SingularTensorParams(b=seed.b, p=0.0, q=0.0))
-    grad_lt = cartesian_gradient(lambda_tilde)
-    fp = _singular_source(grad_lt, SingularTensorParams(b=0.0, p=1.0, q=0.0))
-    fq = _singular_source(grad_lt, SingularTensorParams(b=0.0, p=0.0, q=1.0))
-    c0, cp, cq = (log_coefficient(*f) for f in (f0, fp, fq))
-    M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
+    g = seed.grid
+    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde, seed.b)
+    M, fp, fq = _selection(g, *L)
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e8:
+    if not np.isfinite(cond) or cond > SELECTION_COND_LIMIT:
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
+    f1, f2 = _seed_source(seed)
+    c0 = log_coefficient(f1, f2) + _sample_log_coefficient(g, P1, P2)
     p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
-    source = tuple(a + p * b + q * c for a, b, c in zip(f0, fp, fq))
-    return p, q, source
+    P1 += p * fp[0] + q * fq[0]
+    P2 += p * fp[1] + q * fq[1]
+    return p, q, (f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2))

@@ -114,6 +114,9 @@ class OperatorWorkspace:
         self._lap_solvers: dict[int, object] = {}
         self._mom_solvers: dict[int, object] = {}
         self._z: tuple[np.ndarray, float] | None = None
+        # the momentum corrections' unit profiles, filled by
+        # momentum._unit_corrections (plain arrays, no grid reference)
+        self.unit_corrections: np.ndarray | None = None
 
     def _factorize(self, A: sp.csr_matrix, k: int):
         """splu of A with its end rows replaced by the boundary rows of mode k.
@@ -223,26 +226,39 @@ def real_pair(grid: Grid, Z: np.ndarray) -> tuple[ScalarField, ScalarField]:
     return ScalarField(grid, 0.5 * (pos + neg)), ScalarField(grid, -0.5j * (pos - neg))
 
 
+def _radial_parts(w: OperatorWorkspace, C: np.ndarray):
+    """(Dr C, (m/r) C) column by column: the two pieces of both mode shifts."""
+    return w.Dr @ C, C * (w.P[:, None] * _mode_numbers(w, C))
+
+
+def _raise(DC: np.ndarray, MC: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(DC)
+    out[:, 1:] = DC[:, :-1] - MC[:, :-1]
+    return out
+
+
+def _lower(DC: np.ndarray, MC: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(DC)
+    out[:, :-1] = DC[:, 1:] + MC[:, 1:]
+    return out
+
+
 def raise_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
     """(A+ C)_m = (Dr - (m-1)/r) C_{m-1}; content above mode K is dropped and
     the lowest mode, fed from outside the array, is left zero."""
-    DC = w.Dr @ C
-    PC = C * w.P[:, None]
-    mu = _mode_numbers(w, C)
-    out = np.zeros_like(C)
-    out[:, 1:] = DC[:, :-1] - mu[:-1] * PC[:, :-1]
-    return out
+    return _raise(*_radial_parts(w, C))
 
 
 def lower_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
     """(A- C)_m = (Dr + (m+1)/r) C_{m+1}; content below the lowest mode is
     dropped and mode K, fed from above K, is left zero."""
-    DC = w.Dr @ C
-    PC = C * w.P[:, None]
-    mu = _mode_numbers(w, C)
-    out = np.zeros_like(C)
-    out[:, :-1] = DC[:, 1:] + mu[1:] * PC[:, 1:]
-    return out
+    return _lower(*_radial_parts(w, C))
+
+
+def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
+    """(raise_mode(w, C), lower_mode(w, C)) from one radial derivative of C."""
+    parts = _radial_parts(w, C)
+    return _raise(*parts), _lower(*parts)
 
 
 def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:

@@ -241,3 +241,35 @@ def test_main_solve(tmp_path):
     path.write_text(FULL.format(out=tmp_path / "out"))
     assert main(["solve", str(path)]) == 0
     assert (tmp_path / "out" / "solution.json").exists()
+
+
+@pytest.mark.parametrize("error", ["NearSingularSelection", "NonDecayingRHS", "SingularSystem"])
+def test_solver_error_in_solve_and_sweep_exits_2(tmp_path, monkeypatch, capsys, error):
+    # any SolverError of the solve is a failed solve (exit 2 with the error
+    # record, a NaN sweep row), not a traceback
+    from constraints2d import errors, picard
+
+    def failing(*args, **kwargs):
+        raise getattr(errors, error)("injected")
+    monkeypatch.setattr(picard, "solve_rho_eta", failing)
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out"))
+    assert main(["solve", str(path)]) == 2
+    data = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert data["error"] == error and data["message"] == "injected"
+    assert "solve failed: injected" in capsys.readouterr().err
+
+    assert main(["sweep", str(path), "--amplitudes", "0,1"]) == 2
+    rows = [line.split(",") for line in (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+            if line and not line.startswith(("a,", "#"))]
+    assert rows[0][:4] == ["0", "0", "0", "0"]
+    assert rows[1][1:4] == ["nan", "nan", "nan"] and rows[1][6] == "-1"
+
+
+def test_verify_records_selection_condition(tmp_path):
+    cfg = parse_config(FULL.format(out=tmp_path))
+    assert cmd_verify(cfg) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())}
+    sel = checks["rho_eta_selection_condition"]
+    assert sel["tolerance"] == 1e8
+    assert 1.0 <= sel["value"] < 1.1   # near (1 + 4c) I for these small data

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constraints2d import momentum
+from constraints2d import momentum, operators
 from constraints2d.errors import NonDecayingRHS
 from constraints2d.fields import (
     GaussianBump,
@@ -210,12 +210,16 @@ def test_h3_zero_mass(grid):
     lambda g: correction_h2(1.0, g),
     lambda g: correction_h3(SingularTensorParams(0.0, 1.0, 0.5), g),
 ], ids=["h2", "h3"])
-def test_correction_with_far_field_part_raises(grid, monkeypatch, correction):
+def test_correction_with_far_field_part_raises(monkeypatch, correction):
     # the corrections' sources are integral-free; a nonzero log coefficient
-    # must raise a typed error (not an assert, which -O would remove)
+    # must raise a typed error (not an assert, which -O would remove).  The
+    # unit corrections are solved and checked once per grid, so the check
+    # runs on a fresh grid
+    grid = build_grid(8, 64, 30.0, -0.5)
     monkeypatch.setattr(momentum, "log_coefficient", lambda f1, f2: 1e-6 + 0j)
     with pytest.raises(NonDecayingRHS):
         correction(grid)
+    assert operators.workspace(grid).unit_corrections is None
 
 
 # ----------------------------------------------------------------------------
@@ -346,3 +350,129 @@ def test_seed_densities_match_fresh_products(grid):
     # the derived values are not constructor arguments
     with pytest.raises(TypeError):
         SeedData(udot, u, tau, 0.1, energy_density=energy)
+
+
+# ----------------------------------------------------------------------------
+# the sample-space source passes against the written formulas
+# ----------------------------------------------------------------------------
+
+def _coupled_state(grid):
+    r = rng()
+    udot = sample_analytic([GaussianBump(amp=0.3)], grid)
+    u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
+    tau = sample_analytic([GaussianBump(amp=0.05, w=1.5)], grid)
+    seed = make_seed(udot, u, tau, b=0.1)
+    lt = random_low_mode_field(grid, r, scale=0.02)
+    H = TracelessSymTensorField(random_low_mode_field(grid, r, scale=0.01),
+                                random_low_mode_field(grid, r, scale=0.01))
+    return seed, 0.01, lt, H
+
+
+def _assert_close(fused, oracle, rtol=1e-12):
+    scale = max(np.max(np.abs(f.c)) for f in oracle)
+    for f, g in zip(fused, oracle):
+        assert _max_abs_diff(f, g) <= rtol * scale
+
+
+def _lambda_gradient_oracle(grid, alpha, lt):
+    d1, d2 = cartesian_gradient(lt)
+    prof = -alpha * grid.dchiln
+    return (d1 + ScalarField.from_mode(grid, 1, "cos", prof),
+            d2 + ScalarField.from_mode(grid, 1, "sin", prof))
+
+
+def test_fused_sources_match_term_by_term_products(grid):
+    from constraints2d.lichnerowicz import hamiltonian_rhs
+
+    seed, alpha, lt, H = _coupled_state(grid)
+    p, q, source = solve_rho_eta(seed, alpha, lt, H)
+    params = SingularTensorParams(seed.b, p, q)
+    udot, tau = seed.udot, seed.tau_tilde
+    d1u, d2u = cartesian_gradient(seed.u)
+    dt1, dt2 = cartesian_gradient(tau)
+    d1lt, d2lt = cartesian_gradient(lt)
+    lam1, lam2 = _lambda_gradient_oracle(grid, alpha, lt)
+    Hb, Hrho, tau_s = singular_tensors(params, grid)
+    hs11, hs12 = Hb.h11 + Hrho.h11, Hb.h12 + Hrho.h12
+    quarter = grid.dchi / (4.0 * grid.r)
+
+    f1 = (-multiply(udot, d1u) + 0.5 * dt1 - 0.5 * multiply(tau, lam1)
+          - multiply(H.h11, lam1) - multiply(H.h12, lam2)
+          + ScalarField.from_mode(grid, 0, "cos", p * quarter)
+          - multiply(d1lt, hs11) - multiply(d2lt, hs12) - 0.5 * multiply(tau_s, d1lt))
+    f2 = (-multiply(udot, d2u) + 0.5 * dt2 - 0.5 * multiply(tau, lam2)
+          - multiply(H.h12, lam1) + multiply(H.h11, lam2)
+          + ScalarField.from_mode(grid, 0, "cos", q * quarter)
+          - multiply(d1lt, hs12) + multiply(d2lt, hs11) - 0.5 * multiply(tau_s, d2lt))
+    _assert_close(source, (f1, f2))
+    _assert_close(momentum_rhs_f(seed, alpha, lt, H, params), (f1, f2))
+
+    ham = (-0.5 * (multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u))
+           - 2.0 * (multiply(hs11, H.h11) + multiply(hs12, H.h12))
+           - (multiply(H.h11, H.h11) + multiply(H.h12, H.h12))
+           + 0.5 * multiply(tau_s, tau) + 0.25 * multiply(tau, tau))
+    _assert_close([hamiltonian_rhs(seed, H, params)], [ham])
+
+
+def test_fused_momentum_residual_matches_term_by_term_products(grid):
+    from constraints2d.momentum import (
+        band_tensor,
+        momentum_residual,
+        singular_divergence_pair,
+        tau_singular_gradient,
+    )
+
+    seed, alpha, lt, H = _coupled_state(grid)
+    params = SingularTensorParams(seed.b, 0.02, -0.01)
+    udot, tau = seed.udot, seed.tau_tilde
+    d1u, d2u = cartesian_gradient(seed.u)
+    dt1, dt2 = cartesian_gradient(tau)
+    lam1, lam2 = _lambda_gradient_oracle(grid, alpha, lt)
+    Hb, Hrho, tau_s = singular_tensors(params, grid)
+    h11, h12 = Hb.h11 + Hrho.h11 + H.h11, Hb.h12 + Hrho.h12 + H.h12
+    tau_tot = tau_s + tau
+    div1, div2 = divergence(H - band_tensor(params, grid))
+    s1, s2 = singular_divergence_pair(params, grid)
+    ts1, ts2 = tau_singular_gradient(params, grid)
+    r1 = (div1 + s1 + multiply(h11, lam1) + multiply(h12, lam2) + multiply(udot, d1u)
+          - 0.5 * (dt1 + ts1) + 0.5 * multiply(tau_tot, lam1))
+    r2 = (div2 + s2 + multiply(h12, lam1) - multiply(h11, lam2) + multiply(udot, d2u)
+          - 0.5 * (dt2 + ts2) + 0.5 * multiply(tau_tot, lam2))
+    _assert_close(momentum_residual(seed, alpha, lt, H, params), (r1, r2))
+
+
+@pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
+def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
+    # a direct solve of each correction's closed-form source at (b, p, q)
+    # equals the combination of the per-grid unit corrections
+    prof = grid.dchi / grid.r
+    direct_h2 = div_constraint_solve(ScalarField.from_mode(grid, 1, "cos", b * prof),
+                                     ScalarField.from_mode(grid, 1, "sin", b * prof))[2]
+    z = complex(p, -q) * 0.5 * prof
+    direct_h3 = div_constraint_solve(ScalarField.from_mode(grid, 2, "cos", z),
+                                     ScalarField.from_mode(grid, 2, "cos", -1j * z))[2]
+    K2 = correction_h2(b, grid)
+    K3 = correction_h3(SingularTensorParams(0.0, p, q), grid)
+    for K, direct in ((K2, direct_h2), (K3, direct_h3)):
+        _assert_close((K.h11, K.h12), (direct.h11, direct.h12))
+    K = assemble_momentum((ScalarField.zeros(grid), ScalarField.zeros(grid)),
+                          SingularTensorParams(b, p, q)).H_tilde
+    _assert_close((K.h11, K.h12), ((K2 + K3).h11, (K2 + K3).h12))
+
+
+def test_unit_corrections_cached_per_grid_and_die_with_it(monkeypatch):
+    import gc
+    import weakref
+
+    g = build_grid(8, 64, 30.0, -0.5)
+    correction_h2(1.0, g)
+    ws = operators.workspace(g)
+    cache = ws.unit_corrections
+    assert isinstance(cache, np.ndarray) and cache.shape == (3, g.N_r)
+    # a warm grid solves nothing for its corrections
+    monkeypatch.setattr(momentum, "div_constraint_solve", None)
+    correction_h3(SingularTensorParams(0.0, 1.0, 0.5), g)
+    grid_ref, ws_ref, cache_ref = weakref.ref(g), weakref.ref(ws), weakref.ref(cache)
+    del g, ws, cache
+    gc.collect()
+    assert grid_ref() is None and ws_ref() is None and cache_ref() is None

@@ -27,7 +27,7 @@ def test_one_source_assembly_per_step(small_seed, monkeypatch):
     # or tau_tilde inside the solve (the seed holds its densities)
     from constraints2d import elliptic, fields, lichnerowicz, momentum, operators, picard
 
-    calls = {"momentum_rhs_f": 0, "picard_step": 0}
+    calls = {"_state_source": 0, "picard_step": 0}
     seed_gradients = []
 
     def counted(module, name):
@@ -38,7 +38,7 @@ def test_one_source_assembly_per_step(small_seed, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(momentum, "momentum_rhs_f")
+    counted(momentum, "_state_source")
     counted(picard, "picard_step")
     gradient = fields.cartesian_gradient
 
@@ -51,8 +51,34 @@ def test_one_source_assembly_per_step(small_seed, monkeypatch):
             monkeypatch.setattr(module, "cartesian_gradient", watched_gradient)
 
     bundle = picard.solve_constraints(small_seed)
-    assert calls["momentum_rhs_f"] == calls["picard_step"] == bundle.iterations
+    assert calls["_state_source"] == calls["picard_step"] == bundle.iterations
     assert seed_gradients == []
+
+
+def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
+    # on a warm grid one step transforms each distinct field once per source
+    # pass and each output once: 7 for the momentum source, 4 for the
+    # Hamiltonian source; the corrections come from the per-grid unit solves
+    from constraints2d import momentum
+
+    counts = {"fft": 0, "corrections": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("rfft", "irfft"):
+        counted(np.fft, name, "fft")
+    for name in ("correction_h2", "correction_h3"):
+        counted(momentum, name, "corrections")
+    state = IterState(small_bundle.alpha, small_bundle.lambda_tilde, small_bundle.H_tilde)
+    picard_step(state, small_seed)
+    assert counts["fft"] <= 11
+    assert counts["corrections"] == 0
 
 
 def test_zero_seed(solver_grid):
