@@ -251,9 +251,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     amplitudes = list(amplitudes)
-    if not amplitudes or any(a < 0 for a in amplitudes) or \
+    if not amplitudes or not all(np.isfinite(a) and a >= 0 for a in amplitudes) or \
             sorted(amplitudes) != amplitudes:
-        print("sweep needs a nonempty sorted list of nonnegative amplitudes",
+        print("sweep needs a nonempty sorted list of finite nonnegative amplitudes",
               file=sys.stderr)
         return 1
     opts = config_options(cfg)

@@ -33,6 +33,7 @@ from .errors import (
     InvalidResolution,
     UnresolvedSpec,
     UnsupportedOrder,
+    ValidationError,
 )
 
 __all__ = [
@@ -62,32 +63,18 @@ __all__ = [
 # smooth cutoff
 # ----------------------------------------------------------------------------
 
-def _bump_g(x: np.ndarray) -> np.ndarray:
-    """g(x) = exp(-1/x) for x > 0, extended by 0; C-infinity at 0."""
+def _bump_g(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, g' = g/x^2 and g'' = g (1/x^4 - 2/x^3) for g(x) = exp(-1/x) at
+    x > 0, extended by 0; C-infinity at 0."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    g, g1, g2 = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     pos = x > 1e-4  # below this exp(-1/x) underflows anyway
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def _bump_g1(x: np.ndarray) -> np.ndarray:
-    """g'(x) = g(x)/x^2."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 1e-4
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
-
-
-def _bump_g2(x: np.ndarray) -> np.ndarray:
-    """g''(x) = g(x)(1/x^4 - 2/x^3)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 1e-4
     xp = x[pos]
-    out[pos] = np.exp(-1.0 / xp) * (1.0 / xp**4 - 2.0 / xp**3)
-    return out
+    e = np.exp(-1.0 / xp)
+    g[pos] = e
+    g1[pos] = e / xp**2
+    g2[pos] = e * (1.0 / xp**4 - 2.0 / xp**3)
+    return g, g1, g2
 
 
 def _transition_psi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,9 +84,8 @@ def _transition_psi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounded below by exp(-2), so the quotient rule is numerically safe.
     """
     x = np.asarray(x, dtype=float)
-    G, H = _bump_g(x), _bump_g(1.0 - x)
-    G1, H1g = _bump_g1(x), _bump_g1(1.0 - x)  # H'(x) = -g'(1-x)
-    G2, H2g = _bump_g2(x), _bump_g2(1.0 - x)  # H''(x) = g''(1-x)
+    G, G1, G2 = _bump_g(x)
+    H, H1g, H2g = _bump_g(1.0 - x)  # H'(x) = -g'(1-x), H''(x) = g''(1-x)
     S = G + H
     inside = (x > 0.0) & (x < 1.0)
     psi = np.where(x >= 1.0, 1.0, 0.0)
@@ -162,15 +148,16 @@ class Grid:
 
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
     """Raise DeltaOutOfRange if delta is not in (-1, 0) and InvalidResolution
-    if K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max <= 0."""
+    if K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max is not
+    positive and finite."""
     if not (-1.0 < delta < 0.0):
         raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta}")
     if K < 4:
         raise InvalidResolution(f"K >= 4 required (3theta content), got {K}")
     if N_r < 16:
         raise InvalidResolution(f"N_r >= 16 required, got {N_r}")
-    if R_max <= 0:
-        raise InvalidResolution(f"R_max must be positive, got {R_max}")
+    if not (np.isfinite(R_max) and R_max > 0):
+        raise InvalidResolution(f"R_max must be positive and finite, got {R_max}")
 
 
 def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
@@ -381,6 +368,8 @@ def parse_bump_line(text: str) -> GaussianBump:
         if key not in ("amp", "x0", "y0", "w"):
             raise ValueError(f"unknown bump parameter {key!r}")
         kw[key] = float(val)
+        if not np.isfinite(kw[key]):
+            raise ValueError(f"bump parameter {key} must be finite, got {val!r}")
     if "amp" not in kw:
         raise ValueError("bump needs amp=<value>")
     return GaussianBump(**kw)
@@ -549,6 +538,8 @@ class SeedData:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.b):
+            raise ValidationError(f"b must be finite, got {self.b}")
         g = _check_same_grid(self.udot, self.u, self.tau_tilde)
         # one pass on the samples: the products of udot, d1 u and d2 u
         V, G1, G2 = (f.to_samples() for f in (self.udot, *cartesian_gradient(self.u)))

@@ -1,12 +1,13 @@
 """Momentum constraint: divergence equation for the traceless tensor.
 
 The equation  d_i H'_ij + H_ij d_i lambda = -udot d_j u + (1/2) d_j tau
-- (1/2) tau d_j lambda  is solved by the three-part split H' = H1 + H2 + H3:
-H2 and H3 carry the closed-form singular tensors (their reduced right-hand
-sides are compactly supported and integral-free), H1 carries the generic
-decaying source.
+- (1/2) tau d_j lambda  rests on the three-part split H' = H1 + H2 + H3:
+H2 and H3 carry the closed-form singular tensors, H1 the generic decaying
+source.  The reduced sources of H2 and H3 are compactly supported and
+integral-free, and the divergence solve is linear, so they enter as extra
+source terms of the one solve that gives H1 + H2 + H3.
 
-Each part solves  d_i K_ij = f_j  through the complex potential
+The solve of  d_i K_ij = f_j  runs through the complex potential
 W = Y1 + i Y2:  with zeta = K11 + i K12 = (d1 + i d2) W the divergence pair
 becomes (d1 - i d2) zeta, so per angular mode the problem factorizes into
 M_m = (Dr + (m+1)/r)(Dr - m/r) acting on W_m.  Because the same discrete Dr
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import operators as ops
 from .elliptic import _check_tail
-from .errors import GridMismatch, NearSingularSelection, NonDecayingRHS
+from .errors import GridMismatch, NearSingularSelection
 from .fields import (
     Grid,
     ScalarField,
@@ -351,71 +352,34 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     return m_out, phi, K_tilde
 
 
-def _unit_corrections(grid: Grid) -> np.ndarray:
-    """Complex profiles (w_b, w_p, w_q) of the corrections for unit b, p, q.
+def _correction_source(grid: Grid, b: float, p: float, q: float):
+    """Reduced sources of the two corrections: (b chi'/r) e^{i theta} for the
+    H_b block and ((p - i q) chi'/2r) e^{2 i theta} for the 3-theta block.
 
-    The corrections are linear in (b, p, q), and a mode-m source pair gives
-    a zeta = K11 + i K12 of mode m + 1 only: the correction for (b, p, q) is
-    zeta = b w_b e^{2 i theta} + (p w_p + q w_q) e^{3 i theta}.  The three
-    unit problems are solved once per grid; the profiles are kept on the
-    grid's operator workspace, as plain arrays that hold no reference to the
-    grid, so they live exactly as long as the grid.
+    Both are closed forms with no mode-0 part, hence integral-free: they add
+    nothing to a solve's log coefficient, so their corrections decay.
     """
-    w = ops.workspace(grid)
-    if w.unit_corrections is None:
-        prof = grid.dchi / grid.r
-        units = []
-        for block, m, source in (("H_b", 1, prof), ("3-theta", 2, 0.5 * prof),
-                                 ("3-theta", 2, -0.5j * prof)):
-            m_far, _, K = div_constraint_solve(*_complex_pair(grid, {m: source}))
-            _check_integral_free(block, m_far)
-            units.append(K.h11.c[:, m + 1] + 1j * K.h12.c[:, m + 1])
-        w.unit_corrections = np.array(units)
-        w.unit_corrections.setflags(write=False)
-    return w.unit_corrections
-
-
-def _corrections(grid: Grid, b: float, p: float, q: float) -> TracelessSymTensorField:
-    """Sum of the H_b correction at b and the 3-theta correction at (p, q)."""
-    w_b, w_p, w_q = _unit_corrections(grid)
-    return TracelessSymTensorField(*_complex_pair(grid, {2: b * w_b, 3: p * w_p + q * w_q}))
+    prof = grid.dchi / grid.r
+    return _complex_pair(grid, {1: b * prof, 2: 0.5 * complex(p, -q) * prof})
 
 
 def correction_h2(b: float, grid: Grid) -> TracelessSymTensorField:
-    """Decaying correction that upgrades H_b to a solution of its block.
-
-    The reduced source is the closed form (b chi'/r)(cos theta, sin theta),
-    integral-free, so the correction carries no far-field part.
-    """
-    return _corrections(grid, b, 0.0, 0.0)
+    """Decaying correction that upgrades H_b to a solution of its block."""
+    return div_constraint_solve(*_correction_source(grid, b, 0.0, 0.0))[2]
 
 
 def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorField:
-    """Decaying correction for the 3-theta block.
-
-    Reduced source (rho chi'/2r)(cos(2 theta - eta), sin(2 theta - eta)),
-    again integral-free.
-    """
-    return _corrections(grid, 0.0, params.p, params.q)
-
-
-def _check_integral_free(block: str, m: float) -> None:
-    """A correction's closed-form source has no plane integral, so its
-    potential has no log part: a far-field coefficient above rounding (of a
-    unit source) means the correction would not decay."""
-    if not m < 1e-13:
-        raise NonDecayingRHS(
-            f"{block} correction source has far-field coefficient {m:.3g}, "
-            "expected an integral-free source")
+    """Decaying correction for the 3-theta block."""
+    return div_constraint_solve(*_correction_source(grid, 0.0, params.p, params.q))[2]
 
 
 def assemble_momentum(source, params: SingularTensorParams) -> MomentumOutput:
-    """Full momentum solve: the generic part for the source pair (f1, f2)
-    that solve_rho_eta assembled at params, plus the two corrections."""
+    """Full momentum solve for the source pair (f1, f2) that solve_rho_eta
+    assembled at params.  The solve is linear, so the corrections' sources
+    are added to (f1, f2) and one potential solve gives H1 + H2 + H3."""
     f1, f2 = source
-    m, phi, K1 = div_constraint_solve(f1, f2)
-    return MomentumOutput(m=m, phi=phi,
-                          H_tilde=K1 + _corrections(f1.grid, params.b, params.p, params.q))
+    s1, s2 = _correction_source(f1.grid, params.b, params.p, params.q)
+    return MomentumOutput(*div_constraint_solve(f1 + s1, f2 + s2))
 
 
 # ----------------------------------------------------------------------------

@@ -114,9 +114,6 @@ class OperatorWorkspace:
         self._lap_solvers: dict[int, object] = {}
         self._mom_solvers: dict[int, object] = {}
         self._z: tuple[np.ndarray, float] | None = None
-        # the momentum corrections' unit profiles, filled by
-        # momentum._unit_corrections (plain arrays, no grid reference)
-        self.unit_corrections: np.ndarray | None = None
 
     def _factorize(self, A: sp.csr_matrix, k: int):
         """splu of A with its end rows replaced by the boundary rows of mode k.

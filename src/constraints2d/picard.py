@@ -16,7 +16,7 @@ than the relative tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,18 +165,15 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         raise NoConvergence(
             f"no fixed point after {opts.max_iter} iterations (last ratio {tail:.3g})")
 
+    params = SingularTensorParams(b=seed.b, p=p, q=q)
     bundle = SolutionBundle(
-        alpha=state.alpha,
-        rho=float(np.hypot(p, q)),
-        eta=float(np.arctan2(q, p) % (2.0 * np.pi)) if (p, q) != (0.0, 0.0) else 0.0,
-        p=p, q=q,
+        alpha=state.alpha, rho=params.rho, eta=params.eta, p=p, q=q,
         lambda_tilde=state.lambda_tilde,
         H_tilde=state.H_tilde,
         iterations=iterations,
         contraction_ratios=ratios,
     )
-    rep = residuals(bundle, seed)
-    return SolutionBundle(**{**bundle.__dict__, "residuals": rep})
+    return replace(bundle, residuals=residuals(bundle, seed))
 
 
 def _interior_h0_norm(f: ScalarField, gamma: float) -> float:

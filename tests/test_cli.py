@@ -204,13 +204,28 @@ dir = {out}
 """
 
 
-@pytest.mark.parametrize("text", ["[grid]\nK = 8\n", UNRESOLVED],
-                         ids=["missing_grid_keys", "unresolved_bump"])
+@pytest.mark.parametrize("text", [
+    "[grid]\nK = 8\n", UNRESOLVED,
+    FULL.replace("R_max = 60.0", "R_max = nan"),
+    FULL.replace("R_max = 60.0", "R_max = inf"),
+    FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
+    FULL.replace("b = 0.03", "b = nan"),
+    FULL.replace("b = 0.03", "b = inf"),
+], ids=["missing_grid_keys", "unresolved_bump", "R_max_nan", "R_max_inf",
+        "bump_amp_nan", "b_nan", "b_inf"])
 def test_main_bad_config_exit1(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text.format(out=tmp_path / "out"))
     assert main(["solve", str(path)]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan"])
+def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes):
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out"))
+    assert main(["sweep", str(path), "--amplitudes", amplitudes]) == 1
+    assert "finite nonnegative amplitudes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("var, value", [

@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constraints2d import momentum, operators
-from constraints2d.errors import NonDecayingRHS
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
@@ -204,22 +202,6 @@ def test_h3_zero_mass(grid):
     d1, _ = divergence(K)
     e1 = zero_boundary_rows(d1 - f1)
     assert np.max(np.abs(e1.a)) < 1e-11
-
-
-@pytest.mark.parametrize("correction", [
-    lambda g: correction_h2(1.0, g),
-    lambda g: correction_h3(SingularTensorParams(0.0, 1.0, 0.5), g),
-], ids=["h2", "h3"])
-def test_correction_with_far_field_part_raises(monkeypatch, correction):
-    # the corrections' sources are integral-free; a nonzero log coefficient
-    # must raise a typed error (not an assert, which -O would remove).  The
-    # unit corrections are solved and checked once per grid, so the check
-    # runs on a fresh grid
-    grid = build_grid(8, 64, 30.0, -0.5)
-    monkeypatch.setattr(momentum, "log_coefficient", lambda f1, f2: 1e-6 + 0j)
-    with pytest.raises(NonDecayingRHS):
-        correction(grid)
-    assert operators.workspace(grid).unit_corrections is None
 
 
 # ----------------------------------------------------------------------------
@@ -443,8 +425,10 @@ def test_fused_momentum_residual_matches_term_by_term_products(grid):
 
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
 def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
-    # a direct solve of each correction's closed-form source at (b, p, q)
-    # equals the combination of the per-grid unit corrections
+    # each correction equals a direct solve of its closed-form source at
+    # (b, p, q), and the one solve of assemble_momentum equals the generic
+    # solve plus both corrections: the corrections' sources have no mode-0
+    # part, so the far field (m, phi) is the generic solve's exactly
     prof = grid.dchi / grid.r
     direct_h2 = div_constraint_solve(ScalarField.from_mode(grid, 1, "cos", b * prof),
                                      ScalarField.from_mode(grid, 1, "sin", b * prof))[2]
@@ -455,24 +439,12 @@ def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
     K3 = correction_h3(SingularTensorParams(0.0, p, q), grid)
     for K, direct in ((K2, direct_h2), (K3, direct_h3)):
         _assert_close((K.h11, K.h12), (direct.h11, direct.h12))
-    K = assemble_momentum((ScalarField.zeros(grid), ScalarField.zeros(grid)),
-                          SingularTensorParams(b, p, q)).H_tilde
-    _assert_close((K.h11, K.h12), ((K2 + K3).h11, (K2 + K3).h12))
-
-
-def test_unit_corrections_cached_per_grid_and_die_with_it(monkeypatch):
-    import gc
-    import weakref
-
-    g = build_grid(8, 64, 30.0, -0.5)
-    correction_h2(1.0, g)
-    ws = operators.workspace(g)
-    cache = ws.unit_corrections
-    assert isinstance(cache, np.ndarray) and cache.shape == (3, g.N_r)
-    # a warm grid solves nothing for its corrections
-    monkeypatch.setattr(momentum, "div_constraint_solve", None)
-    correction_h3(SingularTensorParams(0.0, 1.0, 0.5), g)
-    grid_ref, ws_ref, cache_ref = weakref.ref(g), weakref.ref(ws), weakref.ref(cache)
-    del g, ws, cache
-    gc.collect()
-    assert grid_ref() is None and ws_ref() is None and cache_ref() is None
+    gen = rng()
+    zero = ScalarField.zeros(grid)
+    source = tuple(random_low_mode_field(grid, gen) for _ in range(2))
+    for f1, f2 in ((zero, zero), source):
+        out = assemble_momentum((f1, f2), SingularTensorParams(b, p, q))
+        m, phi, K1 = div_constraint_solve(f1, f2)
+        assert (out.m, out.phi) == (m, phi)
+        H = K1 + K2 + K3
+        _assert_close((out.H_tilde.h11, out.H_tilde.h12), (H.h11, H.h12))

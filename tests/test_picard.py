@@ -7,6 +7,7 @@ from constraints2d.fields import (
     GaussianBump,
     ScalarField,
     TracelessSymTensorField,
+    build_grid,
     make_seed,
     sample_analytic,
 )
@@ -58,7 +59,8 @@ def test_one_source_assembly_per_step(small_seed, monkeypatch):
 def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
     # on a warm grid one step transforms each distinct field once per source
     # pass and each output once: 7 for the momentum source, 4 for the
-    # Hamiltonian source; the corrections come from the per-grid unit solves
+    # Hamiltonian source; the corrections' closed-form sources are sampled
+    # directly as modes and need no transform
     from constraints2d import momentum
 
     counts = {"fft": 0, "corrections": 0}
@@ -79,6 +81,28 @@ def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
     picard_step(state, small_seed)
     assert counts["fft"] <= 11
     assert counts["corrections"] == 0
+
+
+def test_one_potential_solve_per_step_on_fresh_and_warm_grids(monkeypatch):
+    # the corrections' sources join the generic source, so a step makes one
+    # momentum potential solve, and a fresh grid solves nothing extra
+    from constraints2d import momentum
+
+    solves = []
+    solve = momentum.div_constraint_solve
+
+    def counted(f1, f2):
+        solves.append(f1.grid)
+        return solve(f1, f2)
+    monkeypatch.setattr(momentum, "div_constraint_solve", counted)
+    g = build_grid(8, 64, 30.0, -0.5)
+    seed = make_seed(sample_analytic([GaussianBump(amp=0.1)], g),
+                     sample_analytic([GaussianBump(amp=0.1, x0=0.5)], g),
+                     ScalarField.zeros(g), b=0.02)
+    state, _, _ = picard_step(IterState.zero(g), seed)
+    assert solves == [g]
+    picard_step(state, seed)
+    assert solves == [g, g]
 
 
 def test_zero_seed(solver_grid):
