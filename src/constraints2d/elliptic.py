@@ -7,11 +7,12 @@ Delta (1/2pi) ln r = delta_0) the solution splits as
     u = c_log * chi(r) ln r + v,    c_log = (1/2pi) int f,
 
 with v decaying.  Each angular mode is a radial two-point boundary-value
-problem: modes k >= 1 get a regularity condition v ~ r^k at the inner edge
-and the decaying Robin condition v' + (k/r) v = 0 at R_max; mode 0 gets the
-regularity condition v'(r_1) = (r_1/2) f(r_1), the decaying branch anchored
-by v(R_max) = 0, and the residual far flux r v'(R_max) zeroed by a rank-1
-correction along the cached solve of Delta z = Delta(chi ln r):
+problem, all solved in one call of the grid's one block factorization of
+the Laplacian family: modes k >= 1 get a regularity condition v ~ r^k at the
+inner edge and the decaying Robin condition v' + (k/r) v = 0 at R_max; mode
+0 gets the regularity condition v'(r_1) = (r_1/2) f(r_1), the decaying branch
+anchored by v(R_max) = 0, and the residual far flux r v'(R_max) zeroed by a
+rank-1 correction along the cached solve of Delta z = Delta(chi ln r):
 
     v = v0 - beta z,   beta = flux(v0)/flux(z),   c_log <- c_log + beta.
 
@@ -78,9 +79,9 @@ def _check_tail(f: ScalarField) -> None:
 def poisson_solve(f: ScalarField, grid: Grid | None = None) -> PoissonSolution:
     """Solve Delta u = f, returning the log coefficient and the decaying part.
 
-    The per-mode systems are direct banded factorizations (cached per grid);
-    the PDE rows are imposed at the interior collocation nodes, the first and
-    last rows carrying the boundary conditions.
+    All modes are solved in one call of the Laplacian family's block
+    factorization (cached per grid); the PDE rows hold at the interior
+    collocation nodes, the first and last rows carry the boundary conditions.
     """
     if grid is not None and grid is not f.grid:
         raise GridMismatch("grid argument does not match the field's grid")
@@ -90,13 +91,12 @@ def poisson_solve(f: ScalarField, grid: Grid | None = None) -> PoissonSolution:
 
     c_quad = integrate(f) / (2.0 * np.pi)
 
-    v = np.zeros_like(f.c)
-    v[:, 0], beta = w.solve_mode0_flux_matched(f.c[:, 0].real - c_quad * g.lap_chiln)
-    for k in range(1, g.K + 1):
-        solver = w.lap_solver(k)
-        y = f.c[:, k].copy()
-        y[0] = y[-1] = 0.0               # homogeneous Robin rows
-        v[:, k] = solver.solve(y.real) + 1j * solver.solve(y.imag)
+    F = f.c.copy()
+    F[:, 0] = f.c[:, 0].real - c_quad * g.lap_chiln
+    v = w.solve_modes(w.lap_solver(g.K), F, 0)
+    z, ffz = w.z_profile()
+    beta = w.farflux(v[:, 0].real) / ffz   # residual far flux moves to the log
+    v[:, 0] -= beta * z
     return PoissonSolution(c_log=float(c_quad + beta), v=ScalarField(g, v))
 
 

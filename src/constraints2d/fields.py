@@ -571,13 +571,15 @@ def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,
 # ----------------------------------------------------------------------------
 
 def write_field_csv(f: ScalarField, path) -> None:
-    a, b = f.a, f.b
+    """Rows `k,kind,v_1,...,v_N` with every value as `%.17g` and
+    csv.writer's CRLF line ends, formatted in one pass and written at once."""
+    K = f.grid.K
+    a, b = f.a.tolist(), f.b.tolist()
+    rows = [(k, "cos", a[k]) for k in range(K + 1)] + [(k, "sin", b[k]) for k in range(1, K + 1)]
+    line = "%d,%s" + ",%.17g" * f.grid.N_r + "\r\n"
+    text = "".join(line % (k, kind, *vals) for k, kind, vals in rows)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        for k in range(f.grid.K + 1):
-            wr.writerow([k, "cos"] + [f"{v:.17g}" for v in a[k]])
-        for k in range(1, f.grid.K + 1):
-            wr.writerow([k, "sin"] + [f"{v:.17g}" for v in b[k]])
+        fh.write(text)
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:

@@ -325,24 +325,9 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
 
     c = log_coefficient(f1, f2)
     Z = ops.full_spectrum(f1, f2)   # column K + m holds mode m
-    W = np.zeros_like(Z)
-    F0 = Z[:, K] - c * g.lap_chiln
-    y = F0.copy()
-    y[0] = 0.5 * g.r[0] * F0[0]   # regularity row
-    y[-1] = 0.0                   # decay anchor
-    solver0 = w.mom_solver(0)
-    W[:, K] = solver0.solve(y.real) + 1j * solver0.solve(y.imag)
-    scale = np.max(np.abs(Z)) or 1.0
-    for m in range(-K, K):
-        if m == 0:
-            continue
-        rhs = Z[:, K + m]
-        if np.max(np.abs(rhs)) < 1e-300 * scale:
-            continue
-        solver = w.mom_solver(m)
-        y = np.array(rhs)
-        y[0] = y[-1] = 0.0  # homogeneous regularity/decay rows
-        W[:, K + m] = solver.solve(y.real) + 1j * solver.solve(y.imag)
+    Z[:, K] -= c * g.lap_chiln
+    W = np.zeros_like(Z)            # mode K would only feed mode K + 1
+    W[:, :-1] = w.solve_modes(w.mom_solver(K), Z[:, :-1], K)
 
     zeta = ops.raise_mode(w, W)
     zeta[:, K + 1] += c * (g.dchi * np.log(g.r))  # band part of the log potential

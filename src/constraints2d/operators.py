@@ -17,9 +17,15 @@ L_k = d2/dr2 + (1/r) d/dr - k^2/r^2 (second derivative from the 3-point
 formula in s), which has the smaller truncation constant; it is mode-diagonal
 and its own residual evaluator applies the identical matrices.
 
-Boundary rows: the solvers replace the first and last collocation rows with
-regularity/decay conditions, so residual norms are taken over the interior
-rows where the PDE rows were imposed.
+Boundary rows: the first and last collocation rows of every mode are
+replaced with regularity/decay conditions, so residual norms are taken over
+the interior rows where the PDE rows were imposed.
+
+Factorizations: each operator family (L_k for k = 0..K, M_m for
+m = -K..K-1) is one block-diagonal system, built directly from the band
+arrays of its modes with the boundary rows written in, and factored once
+per grid.  A solve handles every mode of the family in one call, with the
+real and imaginary parts as two right-hand-side columns.
 """
 
 from __future__ import annotations
@@ -74,8 +80,21 @@ def _second_derivative_s(n: int, h: float) -> sp.csr_matrix:
     return _stencil_matrix(n, (c, -2.0 * c, c), (2.0 * c, -5.0 * c, 4.0 * c, -c), 1.0)
 
 
+_OFFSETS = np.arange(-3, 4)  # the bands of every operator and boundary row
+_MAIN = 3                     # index of the main diagonal in _OFFSETS
+
+
+def _bands(A: sp.spmatrix) -> np.ndarray:
+    """Row-indexed bands of A: B[j, i] = A[i, i + _OFFSETS[j]], 0 off the matrix."""
+    n = A.shape[0]
+    B = np.zeros((len(_OFFSETS), n))
+    for j, o in enumerate(_OFFSETS):
+        B[j, max(0, -o):n - max(0, o)] = A.diagonal(o)
+    return B
+
+
 class OperatorWorkspace:
-    """Per-grid matrices and cached factorizations."""
+    """Per-grid matrices and the cached block factorization of each family."""
 
     def __init__(self, grid: Grid):
         n, h, r = grid.N_r, grid.h, grid.r
@@ -86,118 +105,109 @@ class OperatorWorkspace:
 
         Ds = _first_derivative_s(n, h)
         Dss = _second_derivative_s(n, h)
-        E1 = sp.diags(e1)
-        self.Dr = (E1 @ Ds).tocsr()
+        self.Dr = (sp.diags(e1) @ Ds).tocsr()
         # d2/dr2 = e^{-2s} (d2/ds2 - d/ds)
-        self.Lr2 = (sp.diags(e1**2) @ (Dss - Ds)).tocsr()
+        Lr2 = sp.diags(e1**2) @ (Dss - Ds)
         self.P = 1.0 / r
         self.P2 = self.P**2
-        Pd = sp.diags(self.P)
-        self.lap_base = (self.Lr2 + Pd @ self.Dr).tocsr()  # k = 0 Laplacian
+        self.lap_base = (Lr2 + sp.diags(self.P) @ self.Dr).tocsr()  # k = 0 Laplacian
 
-        # wide (composed) pieces for the momentum factorization
-        self.D2w = (self.Dr @ self.Dr).tocsr()
-        self.PDw = (Pd @ self.Dr).tocsr()
-        self.DPw = (self.Dr @ Pd).tocsr()
-
-        # third-order one-sided d/dr rows used only in boundary-condition rows
-        # (they do not change the interior scheme's order, only keep the
-        # boundary truncation below the interior one)
+        # third-order one-sided d/dr on the four end nodes, used only in
+        # boundary-condition rows (they do not change the interior scheme's
+        # order, only keep the boundary truncation below the interior one)
         c6 = 1.0 / (6.0 * h)
-        row = np.zeros(n)
-        row[:4] = np.array([-11.0, 18.0, -9.0, 2.0]) * c6 * e1[0]
-        self._bc_row_inner = row
-        row = np.zeros(n)
-        row[-4:] = np.array([-2.0, 9.0, -18.0, 11.0]) * c6 * e1[-1]
-        self._bc_row_outer = row
+        self._bc_inner = np.array([-11.0, 18.0, -9.0, 2.0]) * c6 * e1[0]
+        self._bc_outer = np.array([-2.0, 9.0, -18.0, 11.0]) * c6 * e1[-1]
 
-        self._lap_solvers: dict[int, object] = {}
-        self._mom_solvers: dict[int, object] = {}
+        self._lap = self._mom = None
         self._z: tuple[np.ndarray, float] | None = None
 
-    def _factorize(self, A: sp.csr_matrix, k: int):
-        """splu of A with its end rows replaced by the boundary rows of mode k.
+    def _factorize(self, B: np.ndarray, modes: np.ndarray):
+        """splu of the block-diagonal system whose block b has the row bands
+        B[:, b] (overwritten) with its end rows replaced by the boundary rows
+        of mode k = modes[b].
 
         k = 0: v'(r_1) prescribed and the decay anchor v(R_max) = 0.
         k != 0: regularity v' = (|k|/r) v at r_1 and decay v' + (|k|/r) v = 0
         at R_max.
         """
-        A = A.tolil()
-        n = A.shape[0]
-        row = self._bc_row_inner.copy()
-        row[0] -= abs(k) / self.r1
-        A[0] = row
-        if k == 0:
-            A[n - 1] = np.zeros(n)
-            A[n - 1, n - 1] = 1.0
-        else:
-            row = self._bc_row_outer.copy()
-            row[n - 1] += abs(k) / self.R_max
-            A[n - 1] = row
+        k = np.abs(modes)
+        B[:, :, 0] = 0.0
+        B[_MAIN:_MAIN + 4, :, 0] = self._bc_inner[:, None]
+        B[_MAIN, :, 0] -= k / self.r1
+        B[:, :, -1] = 0.0
+        B[_MAIN - 3:_MAIN + 1, :, -1] = self._bc_outer[:, None]
+        B[_MAIN, :, -1] += k / self.R_max
+        B[:, k == 0, -1] = 0.0
+        B[_MAIN, k == 0, -1] = 1.0
+        B = B.reshape(len(_OFFSETS), -1)
+        nt = B.shape[1]
+        A = sp.diags([B[j, max(0, -o):nt - max(0, o)] for j, o in enumerate(_OFFSETS)],
+                     _OFFSETS, format="csc")
         try:
-            return splu(A.tocsc())
+            # panel_size=1: banded blocks gain nothing from panel updates, and
+            # the dense (N, panel_size) work arrays of the default would set
+            # the process's peak memory
+            return splu(A, permc_spec="NATURAL", panel_size=1)
         except RuntimeError as exc:  # pragma: no cover
-            raise SingularSystem(f"mode {k} factorization failed: {exc}")
+            raise SingularSystem(f"block factorization failed: {exc}")
 
-    # -- scalar Laplacian --------------------------------------------------
-    def lap_matrix(self, k: int) -> sp.csr_matrix:
-        if k == 0:
-            return self.lap_base
-        return (self.lap_base - sp.diags(k * k * self.P2)).tocsr()
+    def lap_solver(self, K: int):
+        """Factorized L_k = lap_base - k^2/r^2 for the modes k = 0..K, with
+        their boundary rows, as one block system (K, the highest mode, is
+        always the grid's)."""
+        if self._lap is None:
+            k = np.arange(self.K + 1)
+            B = np.repeat(_bands(self.lap_base)[:, None], len(k), axis=1)
+            B[_MAIN] -= (k * k)[:, None] * self.P2
+            self._lap = self._factorize(B, k)
+        return self._lap
 
-    def lap_solver(self, k: int):
-        """Factorized L_k with regularity row at r_1 and decay row at R_max."""
-        s = self._lap_solvers.get(k)
-        if s is None:
-            s = self._lap_solvers[k] = self._factorize(self.lap_matrix(k), k)
-        return s
+    def mom_solver(self, K: int):
+        """Factorized M_m = (Dr + (m+1)/r)(Dr - m/r) for the modes
+        m = -K..K-1, with their boundary rows, as one block system (K is
+        always the grid's)."""
+        if self._mom is None:
+            m = np.arange(-self.K, self.K)
+            Pd = sp.diags(self.P)
+            D2, DP, PD = (_bands(A)[:, None] for A in
+                          (self.Dr @ self.Dr, self.Dr @ Pd, Pd @ self.Dr))
+            B = D2 - m[:, None] * DP + (m + 1)[:, None] * PD
+            B[_MAIN] -= (m * (m + 1))[:, None] * self.P2
+            self._mom = self._factorize(B, m)
+        return self._mom
 
-    # -- mode-0 flux-matched solve ------------------------------------------
+    def solve_modes(self, solver, F: np.ndarray, j0: int) -> np.ndarray:
+        """Solution of solver's block family for the complex sources F, one
+        column per mode with mode 0 in column j0, in one call: the real and
+        imaginary parts are the two columns of the right-hand side.
+
+        The boundary rows are homogeneous except mode 0's regularity value
+        v'(r_1) = (r_1/2) f(r_1).
+        """
+        Y = np.array(F.T, dtype=complex, order="C")   # block b is Y[b]
+        reg = 0.5 * self.r1 * Y[j0, 0]
+        Y[:, 0] = Y[:, -1] = 0.0
+        Y[j0, 0] = reg
+        X = solver.solve(Y.view(np.float64).reshape(-1, 2))
+        return np.ascontiguousarray((X[:, 0] + 1j * X[:, 1]).reshape(Y.shape).T)
+
+    # -- mode-0 flux matching -----------------------------------------------
     def farflux(self, vec: np.ndarray):
         """Discrete r v'(R_max) (the one-sided boundary derivative row)."""
-        return self.R_max * (self._bc_row_outer @ vec)
+        return self.R_max * (self._bc_outer @ vec[-4:])
 
-    def _z_profile(self):
-        """Cached anchored solve of  L0 z = Delta(chi ln r);  flux(z) ~ 1."""
+    def z_profile(self):
+        """Cached anchored mode-0 solve of  L0 z = Delta(chi ln r);  flux(z) ~ 1."""
         if self._z is None:
-            solver = self.lap_solver(0)
-            rhs = np.array(self.lap_chiln)
-            rhs[0] = 0.0   # regularity row: the source vanishes at the inner edge
-            rhs[-1] = 0.0  # anchor row
-            z = solver.solve(rhs)
+            F = np.zeros((len(self.lap_chiln), self.K + 1))
+            F[:, 0] = self.lap_chiln
+            z = self.solve_modes(self.lap_solver(self.K), F, 0)[:, 0].real.copy()
             ffz = float(self.farflux(z))
             if not 0.5 < ffz < 2.0:  # pragma: no cover
                 raise SingularSystem(f"log-profile flux {ffz} far from 1")
             self._z = (z, ffz)
         return self._z
-
-    def solve_mode0_flux_matched(self, rhs0: np.ndarray):
-        """Anchored mode-0 solve with the residual far flux moved to the log.
-
-        Returns (v, beta): v has r v'(R_max) = 0 in the discrete sense and the
-        caller adds beta to its log coefficient, so the full solution still
-        satisfies the discrete equation row by row.
-        """
-        solver = self.lap_solver(0)
-        y = np.array(rhs0)
-        y[0] = 0.5 * self.r1 * rhs0[0]   # regularity: v'(r1) = (r1/2) f(r1)
-        y[-1] = 0.0
-        v0 = solver.solve(y)
-        z, ffz = self._z_profile()
-        beta = self.farflux(v0) / ffz
-        return v0 - beta * z, beta
-
-    # -- momentum factorization --------------------------------------------
-    def mom_matrix(self, m: int) -> sp.csr_matrix:
-        """M_m = (Dr + (m+1)/r)(Dr - m/r), assembled from shared products."""
-        return (self.D2w - m * self.DPw + (m + 1) * self.PDw
-                - sp.diags(m * (m + 1) * self.P2)).tocsr()
-
-    def mom_solver(self, m: int):
-        s = self._mom_solvers.get(m)
-        if s is None:
-            s = self._mom_solvers[m] = self._factorize(self.mom_matrix(m), m)
-        return s
 
 
 # ----------------------------------------------------------------------------

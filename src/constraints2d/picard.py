@@ -71,8 +71,9 @@ class SolverOptions:
     epsilon_threshold: float = 0.5
 
     def __post_init__(self):
-        if not self.tol_fixed_point > 0:
-            raise ValidationError(f"tol_fixed_point must be positive, got {self.tol_fixed_point}")
+        if not 0 < self.tol_fixed_point < np.inf:
+            raise ValidationError(
+                f"tol_fixed_point must be finite and positive, got {self.tol_fixed_point}")
         if not self.max_iter >= 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.epsilon_threshold > 0:

@@ -211,8 +211,9 @@ dir = {out}
     FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
     FULL.replace("b = 0.03", "b = nan"),
     FULL.replace("b = 0.03", "b = inf"),
+    FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
 ], ids=["missing_grid_keys", "unresolved_bump", "R_max_nan", "R_max_inf",
-        "bump_amp_nan", "b_nan", "b_inf"])
+        "bump_amp_nan", "b_nan", "b_inf", "tol_inf"])
 def test_main_bad_config_exit1(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -230,7 +231,7 @@ def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes):
 
 @pytest.mark.parametrize("var, value", [
     ("SOLVER_TOL", "abc"), ("SOLVER_MAX_ITER", "x"),
-    ("SOLVER_MAX_ITER", "0"), ("SOLVER_TOL", "-1"),
+    ("SOLVER_MAX_ITER", "0"), ("SOLVER_TOL", "-1"), ("SOLVER_TOL", "inf"),
 ])
 def test_main_bad_env_override_exit1(tmp_path, monkeypatch, capsys, var, value):
     path = tmp_path / "run.cfg"

@@ -12,8 +12,10 @@ from constraints2d.fields import (
     ScalarField,
     build_grid,
     evaluate_field,
+    integrate,
     sample_analytic,
 )
+from constraints2d.momentum import div_constraint_solve, log_coefficient
 from constraints2d.picard import _interior_h0_norm
 
 from conftest import random_low_mode_field, rng
@@ -101,6 +103,95 @@ def test_workspace_lives_exactly_as_long_as_its_grid():
     gc.collect()
     assert grid_ref() is None
     assert ws_ref() is None
+
+
+def test_one_factorization_per_family_and_one_solve_call_per_solve(monkeypatch):
+    # counted the way the benchmark's tracer counts: every factorization goes
+    # through operators.splu, every solve through the object it returns
+    counts = {"splu": 0, "solve": 0}
+    splu = operators.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            counts["solve"] += 1
+            return self.lu.solve(rhs)
+
+    def counted_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return Counted(splu(*args, **kwargs))
+    monkeypatch.setattr(operators, "splu", counted_splu)
+
+    g = build_grid(8, 64, 30.0, -0.5)
+    f = random_low_mode_field(g, rng(), kmax=g.K)
+    h = random_low_mode_field(g, rng(), kmax=g.K, scale=0.5)
+    poisson_solve(f)
+    div_constraint_solve(f, h)
+    assert counts["splu"] == 2
+    for solve in (lambda: poisson_solve(h), lambda: div_constraint_solve(h, f)):
+        before = counts["solve"]
+        solve()
+        assert counts["solve"] == before + 1
+    assert counts["splu"] == 2
+
+
+def _poisson_profiles(f):
+    """(solved profiles, their modes, mode 0's source) of a Poisson solve."""
+    g = f.grid
+    sol = poisson_solve(f)
+    c = integrate(f) / (2.0 * np.pi)
+    return sol.v.c, np.arange(g.K + 1), f.c[:, 0] - c * g.lap_chiln
+
+
+def _momentum_profiles(f, h, monkeypatch):
+    """(solved potential profiles W_m, m = -K..K-1, their modes, mode 0's
+    source) of a momentum potential solve, caught where W enters raise_mode."""
+    g = f.grid
+    caught = []
+    raise_mode = operators.raise_mode
+
+    def spy(w, W):
+        caught.append(W.copy())
+        return raise_mode(w, W)
+    monkeypatch.setattr(operators, "raise_mode", spy)
+    div_constraint_solve(f, h)
+    (W,) = caught
+    Z = operators.full_spectrum(f, h)
+    return W[:, :-1], np.arange(-g.K, g.K), Z[:, g.K] - log_coefficient(f, h) * g.lap_chiln
+
+
+@pytest.mark.parametrize("solver", ["poisson_solve", "div_constraint_solve"])
+def test_every_mode_satisfies_its_own_boundary_rows(grid, monkeypatch, solver):
+    # each mode's end rows, restated from the third-order one-sided d/dr:
+    # regularity v' - (|k|/r) v = 0 at r_1 ((r_1/2) f(r_1) for k = 0), and
+    # v(R_max) = 0 for k = 0, v' + (|k|/r) v = 0 at R_max otherwise
+    r = rng()
+    f = random_low_mode_field(grid, r, kmax=grid.K)
+    h = random_low_mode_field(grid, r, kmax=grid.K)
+    if solver == "poisson_solve":
+        V, modes, f0 = _poisson_profiles(f)
+    else:
+        V, modes, f0 = _momentum_profiles(f, h, monkeypatch)
+    r1, R = grid.r[0], grid.R_max
+    d_in = np.array([-11.0, 18.0, -9.0, 2.0]) / (6.0 * grid.h * (1.0 + r1))
+    d_out = np.array([-2.0, 9.0, -18.0, 11.0]) / (6.0 * grid.h * (1.0 + grid.r[-1]))
+
+    def check(terms, target=0.0):
+        scale = np.sum(np.abs(terms)) + abs(target)
+        assert scale > 0.0
+        assert abs(np.sum(terms) - target) <= 1e-12 * scale
+
+    for j, k in enumerate(np.abs(modes)):
+        v = V[:, j]
+        inner = np.append(d_in * v[:4], -k / r1 * v[0])
+        if k == 0:
+            check(inner, 0.5 * r1 * f0[0])
+            assert abs(v[-1]) <= 1e-12 * np.max(np.abs(v))
+        else:
+            check(inner)
+            check(np.append(d_out * v[-4:], k / R * v[-1]))
 
 
 def test_non_decaying_rhs_rejected(grid):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,10 +321,27 @@ def test_chi_derivative_consistency():
 # serialization
 # ----------------------------------------------------------------------------
 
+def _csv_writer_oracle(f, path):
+    """The per-value csv.writer formatting that write_field_csv must match."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        for k in range(f.grid.K + 1):
+            wr.writerow([k, "cos"] + [f"{v:.17g}" for v in f.a[k]])
+        for k in range(1, f.grid.K + 1):
+            wr.writerow([k, "sin"] + [f"{v:.17g}" for v in f.b[k]])
+
+
 def test_csv_round_trip(grid, tmp_path):
     f = random_low_mode_field(grid, rng(), kmax=grid.K)
-    path = tmp_path / "field.csv"
+    c = f.c.copy()
+    c[:3, 1] = [-0.0, 0.0, complex(-0.0, -0.0)]
+    c[3:9, 2] = [1e-300, -3.7e-301, 5e-324, 1e300, -2.5e17, 123456789.0]
+    c[9, 0] = -0.0
+    f = ScalarField(grid, c)
+    path, oracle = tmp_path / "field.csv", tmp_path / "oracle.csv"
     write_field_csv(f, path)
+    _csv_writer_oracle(f, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
     f2 = read_field_csv(path, grid)
     assert np.array_equal(f.a, f2.a)
     assert np.array_equal(f.b, f2.b)
