@@ -432,15 +432,12 @@ def cartesian_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     d1 = cos(theta) d_r - sin(theta)/r d_theta,
     d2 = sin(theta) d_r + cos(theta)/r d_theta;
     modes couple k -> k +- 1, the radial derivative is the centered mapped
-    stencil.  Output is truncated at mode K.  On the half-spectrum,
-    up = (d1 + i d2) f and dn = (d1 - i d2) f; the one mode that comes from
-    a negative one, up_0 from c_{-1} = conj(c_1), equals conj(dn_0).
+    stencil.  Output is truncated at mode K (operators.gradient_coefficients).
     """
     from . import operators as ops
 
-    up, dn = ops.raise_and_lower(ops.workspace(f.grid), f.c)
-    up[:, 0] = np.conj(dn[:, 0])
-    return ScalarField(f.grid, 0.5 * (up + dn)), ScalarField(f.grid, -0.5j * (up - dn))
+    d1, d2 = ops.gradient_coefficients(ops.workspace(f.grid), f.c)
+    return ScalarField(f.grid, d1), ScalarField(f.grid, d2)
 
 
 def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -461,15 +458,25 @@ def integrate(f: ScalarField) -> float:
 
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:
     """|| (1+|x|^2)^{gamma/2} f ||_{L^2}; the weight is radial."""
-    g = f.grid
+    return weighted_l2(f.c, l2_weight(f.grid, gamma))
+
+
+def l2_weight(g: Grid, gamma: float) -> np.ndarray:
+    """Quadrature row of the (1+|x|^2)^gamma-weighted plane integral of a
+    radial function: 2 pi w_i (1+r_i^2)^gamma r_i dr/ds."""
+    return 2.0 * np.pi * g.quad_w * (1.0 + g.r**2) ** gamma * g.r * (1.0 + g.r)
+
+
+def weighted_l2(c: np.ndarray, weight: np.ndarray) -> float:
+    """sqrt(weight @ <f^2>) for the real field f with half-spectrum c, where
+    <f^2> is the angular mean of f^2 on each radial node: with
+    weight = l2_weight(grid, gamma) this is || (1+|x|^2)^{gamma/2} f ||_{L^2}."""
     # angular mean of f^2 by Parseval, c_0^2 + 2 sum_{k>=1} |c_k|^2 with c_0
     # real: exact, since f^2 has modes <= 2K < M and the sampled mean would
     # see them all
-    v = np.ascontiguousarray(f.c).view(np.float64)  # (re, im) pairs
-    mean_sq = 2.0 * np.einsum("ij,ij->i", v, v) - f.c[:, 0].real ** 2
-    val = 2.0 * np.pi * np.sum(
-        g.quad_w * mean_sq * (1.0 + g.r**2) ** gamma * g.r * (1.0 + g.r))
-    return float(np.sqrt(max(val, 0.0)))
+    v = np.ascontiguousarray(c).view(np.float64)  # (re, im) pairs
+    mean_sq = 2.0 * np.einsum("ij,ij->i", v, v) - c[:, 0].real ** 2
+    return float(np.sqrt(max(weight @ mean_sq, 0.0)))
 
 
 def weighted_sobolev_norm(f: ScalarField, m: int, delta: float) -> float:

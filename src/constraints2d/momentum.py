@@ -241,18 +241,17 @@ def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
 
 
 def _state_source(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                  H_tilde: TracelessSymTensorField, b: float):
-    """Samples (P1, P2) of the momentum source at (b, 0, 0) without its
-    seed-only terms, and the samples (L1, L2) of grad lambdatilde."""
+                  H_tilde: TracelessSymTensorField):
+    """Samples (P1, P2) of the momentum source's terms that involve the state
+    but not (b, p, q), and the samples (L1, L2) of grad lambdatilde."""
     g = seed.grid
     if lambda_tilde.grid is not g or H_tilde.grid is not g:
         raise GridMismatch("state fields not on the seed grid")
     L1, L2 = _gradient_samples(lambda_tilde)
     T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
     lam1, lam2 = _lambda_gradient(g, alpha, L1, L2)
-    S1, S2 = _singular_source(g, L1, L2, SingularTensorParams(b=b, p=0.0, q=0.0))
-    P1 = S1 - (0.5 * T + A) * lam1 - B * lam2
-    P2 = S2 - (0.5 * T - A) * lam2 - B * lam1
+    P1 = -(0.5 * T + A) * lam1 - B * lam2
+    P2 = -(0.5 * T - A) * lam2 - B * lam1
     return (P1, P2), (L1, L2)
 
 
@@ -265,6 +264,18 @@ def _singular_source(grid: Grid, L1, L2, params: SingularTensorParams):
     S1 = params.p * quarter - cr * (L1 * (u11 + 0.5 * ut) + L2 * u12)
     S2 = params.q * quarter - cr * (L1 * u12 - L2 * (u11 - 0.5 * ut))
     return S1, S2
+
+
+def _singular_means(grid: Grid, L1, L2, params: SingularTensorParams):
+    """Angular means (mode-0 profiles) of _singular_source(grid, L1, L2,
+    params), with no sample array built: the mean of L u(theta) over the M
+    samples is L @ u / M."""
+    cr, u11, u12, ut = singular_factors(params, grid)
+    quarter = grid.dchi / (4.0 * grid.r)
+    crm = cr[:, 0] / grid.M
+    m1 = params.p * quarter - crm * (L1 @ (u11 + 0.5 * ut) + L2 @ u12)
+    m2 = params.q * quarter - crm * (L1 @ u12 - L2 @ (u11 - 0.5 * ut))
+    return m1, m2
 
 
 def _seed_source(seed: SeedData):
@@ -285,8 +296,8 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     The last three terms are linear in (b, p, q).
     """
     g = seed.grid
-    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde, params.b)
-    S1, S2 = _singular_source(g, *L, SingularTensorParams(b=0.0, p=params.p, q=params.q))
+    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde)
+    S1, S2 = _singular_source(g, *L, params)
     f1, f2 = _seed_source(seed)
     return (f1 + ScalarField.from_samples(g, P1 + S1),
             f2 + ScalarField.from_samples(g, P2 + S2))
@@ -301,11 +312,9 @@ def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
     return (integrate(f1) + 1j * integrate(f2)) / (2.0 * np.pi)
 
 
-def _sample_log_coefficient(grid: Grid, S1, S2) -> complex:
-    """log_coefficient of the fields with samples (S1, S2); only their
-    angular means, the mode-0 profiles, enter."""
-    return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", S.mean(axis=1))
-                             for S in (S1, S2)))
+def _mean_log_coefficient(grid: Grid, m1, m2) -> complex:
+    """log_coefficient of any fields whose mode-0 profiles are (m1, m2)."""
+    return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", m) for m in (m1, m2)))
 
 
 def div_constraint_solve(f1: ScalarField, f2: ScalarField):
@@ -382,38 +391,43 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     result vanishes to factorization accuracy on the interior rows.
     """
     g = seed.grid
-    band = band_tensor(params, g)
-    div1, div2 = ops.divergence(H_tilde - band)
+    P1, P2 = _residual_products(seed, alpha, lambda_tilde, H_tilde, params)
+    div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
     s1, s2 = singular_divergence_pair(params, g)
     ts1, ts2 = tau_singular_gradient(params, g)
     f1, f2 = _seed_source(seed)
-
-    cr, u11, u12, ut = singular_factors(params, g)
-    L1, L2 = _gradient_samples(lambda_tilde)
-    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
-    lam1, lam2 = _lambda_gradient(g, alpha, L1, L2)
-    h11, h12 = cr * u11 + A, cr * u12 + B
-    half_tau = 0.5 * (cr * ut + T)
-    P1 = (h11 + half_tau) * lam1 + h12 * lam2
-    P2 = h12 * lam1 - (h11 - half_tau) * lam2
-
-    r1 = div1 + s1 + ScalarField.from_samples(g, P1) - f1 - 0.5 * ts1
-    r2 = div2 + s2 + ScalarField.from_samples(g, P2) - f2 - 0.5 * ts2
+    r1 = div1 + s1 + P1 - f1 - 0.5 * ts1
+    r2 = div2 + s2 + P2 - f2 - 0.5 * ts2
     return r1, r2
+
+
+def _residual_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
+                       H_tilde: TracelessSymTensorField, params: SingularTensorParams):
+    """The fields H_ij d_i lambda + (1/2) tau d_j lambda of the full H and tau,
+    from one sample pass that updates its arrays in place: the residual runs
+    after a solve and would otherwise set its peak memory."""
+    g = seed.grid
+    cr, u11, u12, ut = singular_factors(params, g)
+    lam1, lam2 = _lambda_gradient(g, alpha, *_gradient_samples(lambda_tilde))
+    h11, h12, half_tau = (f.to_samples() for f in (H_tilde.h11, H_tilde.h12, seed.tau_tilde))
+    h11 += cr * u11
+    h12 += cr * u12
+    half_tau += cr * ut
+    half_tau *= 0.5
+    return (ScalarField.from_samples(g, (h11 + half_tau) * lam1 + h12 * lam2),
+            ScalarField.from_samples(g, h12 * lam1 - (h11 - half_tau) * lam2))
 
 
 SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused
 
 
-def _selection(grid: Grid, L1, L2):
-    """The (rho, eta) selection matrix I + 4 (Re, Im) of the unit couplings'
-    log coefficients, and the unit couplings f_p, f_q as sample pairs, from
-    the samples (L1, L2) of grad lambdatilde."""
-    fp = _singular_source(grid, L1, L2, SingularTensorParams(b=0.0, p=1.0, q=0.0))
-    fq = _singular_source(grid, L1, L2, SingularTensorParams(b=0.0, p=0.0, q=1.0))
-    cp, cq = (_sample_log_coefficient(grid, *f) for f in (fp, fq))
-    M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
-    return M, fp, fq
+def _selection(grid: Grid, L1, L2) -> np.ndarray:
+    """The (rho, eta) selection matrix I + 4 (Re, Im) of the log coefficients
+    of the unit couplings f_p and f_q, from the samples (L1, L2) of
+    grad lambdatilde."""
+    cp, cq = (_mean_log_coefficient(grid, *_singular_means(
+        grid, L1, L2, SingularTensorParams(b=0.0, p=p, q=q))) for p, q in ((1.0, 0.0), (0.0, 1.0)))
+    return np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
 
 
 def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
@@ -422,7 +436,7 @@ def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
     It depends on the state only through grad lambdatilde; at lambdatilde = 0
     it is (1 + 4 c) I with c the log coefficient of chi'/4r.
     """
-    return _selection(lambda_tilde.grid, *_gradient_samples(lambda_tilde))[0]
+    return _selection(lambda_tilde.grid, *_gradient_samples(lambda_tilde))
 
 
 def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
@@ -433,21 +447,26 @@ def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     the full source at (b, 0, 0) and f_p, f_q its unit couplings.  So is its
     log coefficient c = m e^{i phi}, and the fixed point
     (p, q) = -4 (m cos phi, m sin phi) is the solution of a 2x2 linear
-    system.  f_p and f_q enter the system only through their log
-    coefficients; the selected p f_p + q f_q is added to the samples of f0,
-    which are then transformed once.  Returns (p, q, (f1, f2)), the source at
-    the selected point.
+    system.  A log coefficient needs only angular means, so the singular
+    terms' coefficients (of f_p, f_q and the b part of f0) come from their
+    mean profiles; the singular terms at the selected (b, p, q) are then
+    added to the samples of the other state terms once, and the sum is
+    transformed once.  Returns (p, q, (f1, f2)), the source at the selected
+    point.
     """
     g = seed.grid
-    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde, seed.b)
-    M, fp, fq = _selection(g, *L)
+    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde)
+    M = _selection(g, *L)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SELECTION_COND_LIMIT:
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
     f1, f2 = _seed_source(seed)
-    c0 = log_coefficient(f1, f2) + _sample_log_coefficient(g, P1, P2)
+    b1, b2 = _singular_means(g, *L, SingularTensorParams(b=seed.b, p=0.0, q=0.0))
+    c0 = log_coefficient(f1, f2) + _mean_log_coefficient(
+        g, P1.mean(axis=1) + b1, P2.mean(axis=1) + b2)
     p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
-    P1 += p * fp[0] + q * fq[0]
-    P2 += p * fp[1] + q * fq[1]
+    S1, S2 = _singular_source(g, *L, SingularTensorParams(b=seed.b, p=p, q=q))
+    P1 += S1
+    P2 += S2
     return p, q, (f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2))

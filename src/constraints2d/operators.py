@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SingularSystem
-from .fields import Grid, ScalarField, TracelessSymTensorField
+from .fields import Grid, ScalarField, TracelessSymTensorField, l2_weight
 
 # The key is the only reference to a grid here: a workspace must not hold its
 # grid, or the grid (and with it the workspace) would never be collected.
@@ -118,6 +118,10 @@ class OperatorWorkspace:
         c6 = 1.0 / (6.0 * h)
         self._bc_inner = np.array([-11.0, 18.0, -9.0, 2.0]) * c6 * e1[0]
         self._bc_outer = np.array([-2.0, 9.0, -18.0, 11.0]) * c6 * e1[-1]
+
+        # row j is the quadrature of the (1+r^2)^{delta+j}-weighted L^2 norm,
+        # j = 0, 1, 2: the weights of the Picard iteration's combined norm
+        self.norm_weights = np.array([l2_weight(grid, grid.delta + j) for j in range(3)])
 
         self._lap = self._mom = None
         self._z: tuple[np.ndarray, float] | None = None
@@ -266,6 +270,20 @@ def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
     """(raise_mode(w, C), lower_mode(w, C)) from one radial derivative of C."""
     parts = _radial_parts(w, C)
     return _raise(*parts), _lower(*parts)
+
+
+def gradient_coefficients(w: OperatorWorkspace, c: np.ndarray):
+    """Half-spectra (d1 f, d2 f) of the real field f with half-spectrum c,
+    from one raise_and_lower: up = (d1 + i d2) f and dn = (d1 - i d2) f on
+    modes 0..K, where the one mode of up fed from a negative mode, up_0 from
+    c_{-1} = conj(c_1), equals conj(dn_0)."""
+    up, dn = raise_and_lower(w, c)
+    up[:, 0] = np.conj(dn[:, 0])
+    d2 = up - dn
+    d2 *= -0.5j
+    up += dn
+    up *= 0.5
+    return up, d2
 
 
 def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:

@@ -12,6 +12,14 @@ For small seed data the map contracts geometrically; the iteration starts
 from the zero state and stops when the combined norm
 |alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}} moves less
 than the relative tolerance.
+
+Each iterate is differentiated once.  Its norm terms are raw half-spectra:
+lambdatilde with its first and second Cartesian derivatives, h11 and h12
+with their first derivatives.  Their weighted L^2 norms give the iterate's
+combined norm, and the same norms of their differences from the previous
+iterate's terms give the step norm: the discrete derivatives are linear, so
+that is the norm of the difference up to rounding.  The zero start state
+has no terms to take; its step norm is the first iterate's norm.
 """
 
 from __future__ import annotations
@@ -35,8 +43,7 @@ from .fields import (
     TracelessSymTensorField,
     multiply,  # noqa: F401  unused; the benchmark's tracing test wraps picard.multiply
     radial_l2_weighted,
-    tensor_sobolev_norm,
-    weighted_sobolev_norm,
+    weighted_l2,
 )
 from .lichnerowicz import hamiltonian_rhs, solve_lambda
 from .momentum import (
@@ -103,18 +110,42 @@ class SolutionBundle:
     residuals: ResidualReport | None = None
 
 
+# weight row (OperatorWorkspace.norm_weights) of each term of _norm_terms
+_TERM_WEIGHTS = (0, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 2)
+
+
+def _norm_terms(state: IterState) -> tuple[float, list[np.ndarray]]:
+    """alpha and the half-spectra whose weighted L^2 norms make up the rest
+    of the combined norm: lambdatilde with its first and second Cartesian
+    derivatives (d1, d2, d11, d12, d22), then h11 and h12 each with its
+    first derivatives.  One derivative pass, five raise_and_lower calls."""
+    lt = state.lambda_tilde
+    w = ops.workspace(lt.grid)
+    d1, d2 = ops.gradient_coefficients(w, lt.c)
+    terms = [lt.c, d1, d2, *ops.gradient_coefficients(w, d1),
+             ops.gradient_coefficients(w, d2)[1]]
+    for h in (state.H_tilde.h11, state.H_tilde.h12):
+        terms += [h.c, *ops.gradient_coefficients(w, h.c)]
+    return state.alpha, terms
+
+
+def _terms_norm(w: ops.OperatorWorkspace, alpha: float, terms) -> float:
+    return abs(alpha) + sum(weighted_l2(c, w.norm_weights[j])
+                            for c, j in zip(terms, _TERM_WEIGHTS))
+
+
+def _step_norm(w: ops.OperatorWorkspace, new, old) -> float:
+    """Combined norm of the difference of two states, from their _norm_terms.
+
+    The discrete derivatives are linear, so the difference of the terms is
+    the terms of the difference up to rounding; no derivative is taken."""
+    (a1, t1), (a0, t0) = new, old
+    return _terms_norm(w, a1 - a0, (x - y for x, y in zip(t1, t0)))
+
+
 def combined_norm(state: IterState) -> float:
     """|alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}}."""
-    g = state.lambda_tilde.grid
-    return (abs(state.alpha)
-            + weighted_sobolev_norm(state.lambda_tilde, 2, g.delta)
-            + tensor_sobolev_norm(state.H_tilde, 1, g.delta + 1.0))
-
-
-def _state_diff_norm(s1: IterState, s2: IterState) -> float:
-    return combined_norm(IterState(s1.alpha - s2.alpha,
-                                   s1.lambda_tilde - s2.lambda_tilde,
-                                   s1.H_tilde - s2.H_tilde))
+    return _terms_norm(ops.workspace(state.lambda_tilde.grid), *_norm_terms(state))
 
 
 def picard_step(state: IterState, seed: SeedData):
@@ -133,7 +164,9 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         raise EpsilonTooLarge(
             f"epsilon = {seed.epsilon:.3g} exceeds threshold {opts.epsilon_threshold}")
 
+    w = ops.workspace(seed.grid)
     state = IterState.zero(seed.grid)
+    terms = None  # _norm_terms(state); the zero start state needs none
     p = q = 0.0
     ratios: list[float] = []
     d_prev = None
@@ -145,8 +178,9 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
             nxt, p, q = picard_step(state, seed)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
-        d = _state_diff_norm(nxt, state)
-        n = combined_norm(nxt)
+        nxt_terms = _norm_terms(nxt)
+        n = _terms_norm(w, *nxt_terms)
+        d = n if terms is None else _step_norm(w, nxt_terms, terms)
         if not np.isfinite(n) or not np.isfinite(d):
             raise DivergenceDetected("non-finite iterate norm")
         if first_norm is None:
@@ -157,10 +191,11 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         if d_prev is not None and d_prev > 1e-300:
             ratios.append(d / d_prev)
         d_prev = d
-        state = nxt
+        state, terms = nxt, nxt_terms
         if d <= opts.tol_fixed_point * max(1.0, n):
             converged = True
             break
+    terms = nxt_terms = None  # dropped: the residuals below set the peak memory
     if not converged:
         tail = ratios[-1] if ratios else float("inf")
         raise NoConvergence(
@@ -200,29 +235,44 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     delta = g.delta
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
 
-    r1, r2 = momentum_residual(seed, bundle.alpha, bundle.lambda_tilde,
-                               bundle.H_tilde, params)
-    mom_norm = (_interior_h0_norm(r1, delta + 2.0)
-                + _interior_h0_norm(r2, delta + 2.0))
-    mom_max = max(_interior_max(r1), _interior_max(r2))
-
-    # Hamiltonian residual, assembled the direct way: the singular squares
-    # cancel numerically on the samples (the solver used the analytic
-    # cancellation)
-    cr, u11, u12, ut = singular_factors(params, g)
-    T, A, B = (f.to_samples() for f in (seed.tau_tilde, bundle.H_tilde.h11,
-                                         bundle.H_tilde.h12))
-    h11, h12, tau = cr * u11 + A, cr * u12 + B, cr * ut + T
+    mom_norm, mom_max = _interior_norm_and_max(
+        momentum_residual(seed, bundle.alpha, bundle.lambda_tilde, bundle.H_tilde, params),
+        delta)
     lap = laplacian(bundle.lambda_tilde) - bundle.alpha * _lap_chiln_field(g)
     rh = (lap + 0.5 * seed.energy_density
-          + ScalarField.from_samples(g, h11 * h11 + h12 * h12 - 0.25 * tau * tau))
-    ham_norm = _interior_h0_norm(rh, delta + 2.0)
-    ham_max = _interior_max(rh)
+          + ScalarField.from_samples(g, _direct_squares(seed, bundle.H_tilde, params)))
+    ham_norm, ham_max = _interior_norm_and_max((rh,), delta)
 
     return ResidualReport(momentum_residual_norm=float(mom_norm),
                           hamiltonian_residual_norm=float(ham_norm),
                           pointwise_max_momentum=float(mom_max),
                           pointwise_max_hamiltonian=float(ham_max))
+
+
+def _interior_norm_and_max(fields, delta: float) -> tuple[float, float]:
+    return (sum(_interior_h0_norm(f, delta + 2.0) for f in fields),
+            max(_interior_max(f) for f in fields))
+
+
+def _direct_squares(seed: SeedData, H_tilde: TracelessSymTensorField,
+                    params: SingularTensorParams) -> np.ndarray:
+    """Samples of |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 for the full H
+    and tau, assembled the direct way: the singular squares cancel
+    numerically on the samples (the solver used the analytic cancellation).
+    Computed in place on three sample arrays, like the momentum residual's
+    products."""
+    cr, u11, u12, ut = singular_factors(params, seed.grid)
+    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    A += cr * u11
+    A *= A
+    B += cr * u12
+    B *= B
+    A += B
+    T += cr * ut
+    T *= 0.5
+    T *= T
+    A -= T
+    return A
 
 
 def _lap_chiln_field(g) -> ScalarField:

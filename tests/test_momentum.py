@@ -23,7 +23,11 @@ from constraints2d.momentum import (
     div_constraint_solve,
     divergence_identity_residual,
     log_coefficient,
+    _seed_source,
+    _singular_source,
+    _state_source,
     momentum_rhs_f,
+    selection_matrix,
     singular_tensors,
     solve_rho_eta,
 )
@@ -313,6 +317,36 @@ def test_solve_rho_eta_source_is_the_source_at_the_selection(grid):
     g1, g2 = momentum_rhs_f(seed, 0.01, lt, H, SingularTensorParams(seed.b, p, q))
     scale = max(np.max(np.abs(g1.c)), np.max(np.abs(g2.c)))
     assert max(_max_abs_diff(f1, g1), _max_abs_diff(f2, g2)) <= 1e-12 * scale
+
+
+def test_selection_from_angular_means_matches_the_sample_built_one(grid):
+    # the sample-built construction: the unit couplings f_p, f_q and the
+    # source f0 at (b, 0, 0) as (N_r, M) sample pairs, log coefficients from
+    # their sampled angular means
+    r = rng()
+    udot = sample_analytic([GaussianBump(amp=0.3)], grid)
+    u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
+    tau = sample_analytic([GaussianBump(amp=0.05, w=1.5)], grid)
+    seed = make_seed(udot, u, tau, b=0.1)
+    lt = random_low_mode_field(grid, r, scale=0.02)
+    H = TracelessSymTensorField(random_low_mode_field(grid, r, scale=0.01),
+                                random_low_mode_field(grid, r, scale=0.01))
+
+    def sample_log_coefficient(S1, S2):
+        return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", S.mean(axis=1))
+                                 for S in (S1, S2)))
+
+    (P1, P2), L = _state_source(seed, 0.01, lt, H)
+    cp, cq = (sample_log_coefficient(*_singular_source(grid, *L, SingularTensorParams(0.0, *pq)))
+              for pq in ((1.0, 0.0), (0.0, 1.0)))
+    M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
+    S1, S2 = _singular_source(grid, *L, SingularTensorParams(seed.b, 0.0, 0.0))
+    c0 = log_coefficient(*_seed_source(seed)) + sample_log_coefficient(P1 + S1, P2 + S2)
+    pq = np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag]))
+
+    assert np.max(np.abs(selection_matrix(lt) - M)) <= 1e-13 * np.max(np.abs(M))
+    p, q, _ = solve_rho_eta(seed, 0.01, lt, H)
+    assert np.max(np.abs(np.array([p, q]) - pq)) <= 1e-13 * np.max(np.abs(pq))
 
 
 def test_seed_densities_match_fresh_products(grid):

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from constraints2d import cli
 from constraints2d.elliptic import laplacian
 from constraints2d.errors import EpsilonTooLarge, NoConvergence
 from constraints2d.fields import (
@@ -10,17 +13,38 @@ from constraints2d.fields import (
     build_grid,
     make_seed,
     sample_analytic,
+    tensor_sobolev_norm,
+    weighted_sobolev_norm,
 )
+from constraints2d.operators import workspace
 from constraints2d.picard import (
     IterState,
     SolverOptions,
     _interior_h0_norm,
-    _state_diff_norm,
+    _norm_terms,
+    _step_norm,
     combined_norm,
     picard_step,
     residuals,
     solve_constraints,
 )
+
+from conftest import random_low_mode_field, rng
+
+DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+
+
+@pytest.fixture(scope="module")
+def demo_seed():
+    cfg = cli.parse_config(DEMO_CFG.read_text())
+    return cli.config_seed(cfg, cli.config_grid(cfg))
+
+
+def sobolev_norm(state: IterState) -> float:
+    """The combined norm from the field-level Sobolev norms (the oracle)."""
+    g = state.lambda_tilde.grid
+    return (abs(state.alpha) + weighted_sobolev_norm(state.lambda_tilde, 2, g.delta)
+            + tensor_sobolev_norm(state.H_tilde, 1, g.delta + 1.0))
 
 
 def test_one_source_assembly_per_step(small_seed, monkeypatch):
@@ -160,8 +184,9 @@ def test_contraction_of_nearby_states(solver_grid, small_seed):
                    s0.H_tilde + delta.H_tilde)
     f0, _, _ = picard_step(s0, small_seed)
     f1, _, _ = picard_step(s1, small_seed)
-    num = _state_diff_norm(f1, f0)
-    den = _state_diff_norm(s1, s0)
+    w = workspace(g)
+    num = _step_norm(w, _norm_terms(f1), _norm_terms(f0))
+    den = _step_norm(w, _norm_terms(s1), _norm_terms(s0))
     assert num <= 0.5 * den
 
 
@@ -251,3 +276,48 @@ def test_residual_linear_response(solver_grid, small_seed, small_bundle):
     # the norm of Delta(delta) almost exactly
     assert rep1.hamiltonian_residual_norm == pytest.approx(expected, rel=1e-6)
     assert rep0.hamiltonian_residual_norm < 1e-10
+
+
+def test_combined_norm_is_the_sobolev_norm(solver_grid):
+    g = solver_grid
+    r = rng()
+    for kmax in (2, 5, 8):
+        state = IterState(r.normal(), random_low_mode_field(g, r, kmax=kmax),
+                          TracelessSymTensorField(random_low_mode_field(g, r, kmax=kmax),
+                                                  random_low_mode_field(g, r, kmax=kmax)))
+        assert combined_norm(state) == pytest.approx(sobolev_norm(state), rel=1e-13)
+
+
+def test_step_norm_is_the_sobolev_norm_of_the_difference(demo_seed):
+    # the step norm differences the iterates' derivative terms instead of
+    # differentiating the difference; the rounding of the terms is relative
+    # to the iterate, so near convergence the bound is that floor
+    g = demo_seed.grid
+    w = workspace(g)
+    state = IterState.zero(g)
+    for _ in range(6):
+        nxt, _, _ = picard_step(state, demo_seed)
+        diff = IterState(nxt.alpha - state.alpha, nxt.lambda_tilde - state.lambda_tilde,
+                         nxt.H_tilde - state.H_tilde)
+        step, oracle = _step_norm(w, _norm_terms(nxt), _norm_terms(state)), sobolev_norm(diff)
+        assert abs(step - oracle) <= 1e-9 * oracle + 1e-16 * combined_norm(nxt)
+        state = nxt
+
+
+def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch):
+    # per iterate: one derivative pass for its norm terms (5 raise_and_lower
+    # calls; the zero start state needs none) and grad lambdatilde for its
+    # step's source; then grad lambdatilde once for the residual
+    from constraints2d import operators
+
+    solve_constraints(demo_seed)  # warm the grid
+    calls = []
+    raise_and_lower = operators.raise_and_lower
+
+    def counted(w, C):
+        calls.append(C.shape)
+        return raise_and_lower(w, C)
+    monkeypatch.setattr(operators, "raise_and_lower", counted)
+    bundle = solve_constraints(demo_seed)
+    assert bundle.iterations == 6
+    assert len(calls) <= 6 * 5 + 6 + 1
