@@ -30,7 +30,6 @@ from .fields import (
     TracelessSymTensorField,
     build_grid,
     cartesian_gradient,
-    chi_profiles,
     evaluate_field,
     integrate,
     make_seed,

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import GridMismatch, NonDecayingRHS
-from .fields import Grid, ScalarField, integrate
+from .errors import NonDecayingRHS
+from .fields import ScalarField, integrate
 
 __all__ = ["PoissonSolution", "poisson_solve", "laplacian", "greens_convolution_oracle"]
 
@@ -46,14 +46,14 @@ class PoissonSolution:
     def reconstruct_laplacian(self) -> ScalarField:
         """Discrete Delta u, singular part from closed forms."""
         g = self.v.grid
-        lap = ops.apply_laplacian(self.v)
-        sing = ScalarField.from_mode(g, 0, "cos", self.c_log * g.lap_chiln)
-        return lap + sing
+        return laplacian(self.v) + ScalarField.from_mode(g, 0, "cos", self.c_log * g.lap_chiln)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Mode-diagonal discrete Laplacian (the matrices poisson_solve inverts)."""
-    return ops.apply_laplacian(f)
+    w = ops.workspace(f.grid)
+    k2 = np.arange(f.grid.K + 1) ** 2
+    return ScalarField(f.grid, w.lap_base @ f.c - k2 * (w.P2[:, None] * f.c))
 
 
 def _check_tail(f: ScalarField) -> None:
@@ -76,15 +76,13 @@ def _check_tail(f: ScalarField) -> None:
             "exceeds the r^-2 decay requirement")
 
 
-def poisson_solve(f: ScalarField, grid: Grid | None = None) -> PoissonSolution:
+def poisson_solve(f: ScalarField) -> PoissonSolution:
     """Solve Delta u = f, returning the log coefficient and the decaying part.
 
     All modes are solved in one call of the Laplacian family's block
     factorization (cached per grid); the PDE rows hold at the interior
     collocation nodes, the first and last rows carry the boundary conditions.
     """
-    if grid is not None and grid is not f.grid:
-        raise GridMismatch("grid argument does not match the field's grid")
     g = f.grid
     _check_tail(f)
     w = ops.workspace(g)

@@ -44,7 +44,6 @@ __all__ = [
     "SeedData",
     "build_grid",
     "validate_grid",
-    "chi_profiles",
     "sample_analytic",
     "make_seed",
     "cartesian_gradient",
@@ -197,11 +196,6 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
     return g
 
 
-def chi_profiles(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(chi, chi', chi*ln r) sampled on the radial nodes."""
-    return grid.chi, grid.dchi, grid.chiln
-
-
 # ----------------------------------------------------------------------------
 # scalar fields
 # ----------------------------------------------------------------------------
@@ -300,12 +294,12 @@ class ScalarField:
 
     @staticmethod
     def from_samples(grid: Grid, samples: np.ndarray) -> "ScalarField":
-        """Forward angular transform, truncated to K modes (dealiasing step)."""
-        spec = np.fft.rfft(samples, axis=-1, norm="forward")
-        return ScalarField(grid, spec[:, :grid.K + 1])
+        """Forward angular transform, truncated to K modes (dealiasing step).
 
-    def l_inf(self) -> float:
-        return float(np.max(np.abs(self.to_samples()))) if self.grid.N_r else 0.0
+        The K+1 kept columns are copied, so the field does not hold the
+        whole M/2+1-column spectrum alive."""
+        spec = np.fft.rfft(samples, axis=-1, norm="forward")
+        return ScalarField(grid, spec[:, :grid.K + 1].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,10 +444,10 @@ def integrate(f: ScalarField) -> float:
     """Plane integral of f; only mode 0 contributes.
 
     int f dx = 2 pi int a_0(r) r dr, computed in s = ln(1+r) with composite
-    Simpson weights (the s = 0 endpoint carries integrand 0).
+    Simpson weights (the s = 0 endpoint carries integrand 0): the quadrature
+    row l2_weight(grid, 0).
     """
-    g = f.grid
-    return float(2.0 * np.pi * np.sum(g.quad_w * f.c[:, 0].real * g.r * (1.0 + g.r)))
+    return float(l2_weight(f.grid, 0.0) @ f.c[:, 0].real)
 
 
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateCone
 from .fields import Grid, ScalarField, SeedData
-from .momentum import SingularTensorParams, singular_tensors
+from .momentum import SingularTensorParams, full_state_samples
 from .picard import SolutionBundle
 
 __all__ = ["PhysicalData", "cone_angle", "reconstruct_physical",
@@ -54,17 +54,13 @@ def reconstruct_physical(bundle: SolutionBundle, seed: SeedData) -> PhysicalData
     e^{-lambda}K recovers H) hold to rounding on the samples.
     """
     g = seed.grid
-    params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
-    Hb, Hrho, tau_s = singular_tensors(params, g)
-
     lam = bundle.lambda_tilde + ScalarField.from_mode(
         g, 0, "cos", -bundle.alpha * g.chiln)
     lam_s = lam.to_samples()
     elam = np.exp(lam_s)
 
-    h11 = (Hb.h11 + Hrho.h11 + bundle.H_tilde.h11).to_samples()
-    h12 = (Hb.h12 + Hrho.h12 + bundle.H_tilde.h12).to_samples()
-    tau = (tau_s + seed.tau_tilde).to_samples()
+    h11, h12, tau = full_state_samples(
+        seed, bundle.H_tilde, SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q))
 
     K11 = elam * (h11 + 0.5 * tau)
     K12 = elam * h12

@@ -1,4 +1,5 @@
-"""Hamiltonian (Lichnerowicz) side: source assembly and the log-extracted solve.
+"""Hamiltonian (Lichnerowicz) side: source assembly, the log-extracted solve
+and the residual of the full equation.
 
 The equation for the conformal exponent is
 
@@ -12,16 +13,20 @@ the invertible class.  The singular parts are tuned so that
 exactly, and the right-hand side is assembled post-cancellation: only the
 cross terms with the decaying tensors and the tilde squares remain, all of
 which decay fast enough for the planar Poisson inversion.
+
+The residual, in contrast, is assembled directly from the full state
+(momentum.full_state_samples), so the singular squares cancel on the
+samples; it mirrors momentum.momentum_residual.
 """
 
 from __future__ import annotations
 
-from .elliptic import poisson_solve
+from .elliptic import PoissonSolution, poisson_solve
 from .errors import GridMismatch
 from .fields import ScalarField, SeedData, TracelessSymTensorField
-from .momentum import SingularTensorParams, singular_factors
+from .momentum import SingularTensorParams, full_state_samples, singular_factors
 
-__all__ = ["hamiltonian_rhs", "solve_lambda"]
+__all__ = ["hamiltonian_rhs", "hamiltonian_residual", "solve_lambda"]
 
 
 def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
@@ -44,6 +49,30 @@ def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
     S = (cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B))
          - (A * A + B * B) + 0.25 * T * T)
     return ScalarField.from_samples(g, S) - 0.5 * seed.energy_density
+
+
+def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
+                         H_tilde: TracelessSymTensorField,
+                         params: SingularTensorParams) -> ScalarField:
+    """Delta lambda + (1/2) udot^2 + (1/2)|grad u|^2 + (1/2)|H|^2 - tau^2/4
+    at the given state (lambda' = lambda), for lambda = -alpha chi ln r
+    + lambdatilde and the full H and tau.
+
+    Delta lambda is the discrete Laplacian of lambdatilde plus the closed
+    form of the log part; |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 is one
+    in-place pass on the full-state samples.  At a converged state the result
+    vanishes to the fixed-point tolerance on the interior rows.
+    """
+    g = seed.grid
+    A, B, T = full_state_samples(seed, H_tilde, params)
+    A *= A
+    B *= B
+    A += B
+    T *= 0.5
+    T *= T
+    A -= T
+    lap = PoissonSolution(-alpha, lambda_tilde).reconstruct_laplacian()
+    return lap + 0.5 * seed.energy_density + ScalarField.from_samples(g, A)
 
 
 def solve_lambda(rhs: ScalarField) -> tuple[float, ScalarField]:

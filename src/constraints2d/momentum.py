@@ -36,7 +36,7 @@ from .fields import (
     SeedData,
     TracelessSymTensorField,
     cartesian_gradient,
-    integrate,
+    l2_weight,
 )
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "correction_h2",
     "correction_h3",
     "assemble_momentum",
+    "full_state_samples",
     "momentum_residual",
     "selection_matrix",
     "solve_rho_eta",
@@ -87,12 +88,11 @@ class MomentumOutput:
 
 def _complex_pair(grid: Grid, modes: dict) -> tuple[ScalarField, ScalarField]:
     """(f1, f2) with f1 + i f2 = sum over m of w_m(r) e^{i m theta}, for the
-    complex profiles w_m given as {m: w_m}."""
-    f1 = f2 = ScalarField.zeros(grid)
+    complex profiles w_m given as {m: w_m}, written into one full spectrum."""
+    Z = np.zeros((grid.N_r, 2 * grid.K + 1), dtype=complex)
     for m, w in modes.items():
-        f1 = f1 + ScalarField.from_mode(grid, m, "cos", w)
-        f2 = f2 + ScalarField.from_mode(grid, m, "cos", -1j * w)
-    return f1, f2
+        Z[:, grid.K + m] = w
+    return ops.real_pair(grid, Z)
 
 
 # ----------------------------------------------------------------------------
@@ -113,9 +113,7 @@ def singular_tensors(params: SingularTensorParams, grid: Grid):
     Hb = TracelessSymTensorField(*_complex_pair(grid, {2: -0.5 * b * cr}))
     Hrho = TracelessSymTensorField(*_complex_pair(
         grid, {1: -0.25 * z * cr, 3: -0.25 * np.conj(z) * cr}))
-    tau_sing = (ScalarField.from_mode(grid, 0, "cos", b * cr)
-                + ScalarField.from_mode(grid, 1, "cos", params.p * cr)
-                + ScalarField.from_mode(grid, 1, "sin", params.q * cr))
+    tau_sing = _complex_pair(grid, {0: b * cr, 1: np.conj(z) * cr})[0]
     return Hb, Hrho, tau_sing
 
 
@@ -309,12 +307,14 @@ def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
     Pure quadrature, c = (1/2pi)(int f1 + i int f2): the exact coefficient of
     chi ln r in the potential pair, free of far-field fitting noise.
     """
-    return (integrate(f1) + 1j * integrate(f2)) / (2.0 * np.pi)
+    return _mean_log_coefficient(f1.grid, f1.c[:, 0].real, f2.c[:, 0].real)
 
 
 def _mean_log_coefficient(grid: Grid, m1, m2) -> complex:
-    """log_coefficient of any fields whose mode-0 profiles are (m1, m2)."""
-    return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", m) for m in (m1, m2)))
+    """log_coefficient of any fields whose mode-0 profiles are (m1, m2), by
+    the quadrature row of fields.integrate."""
+    w = l2_weight(grid, 0.0)
+    return complex(w @ m1, w @ m2) / (2.0 * np.pi)
 
 
 def div_constraint_solve(f1: ScalarField, f2: ScalarField):
@@ -401,18 +401,30 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     return r1, r2
 
 
+def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
+                       params: SingularTensorParams):
+    """Fresh (N_r, M) samples of the full h11, h12 and tau: the tilde fields
+    plus the closed-form singular parts H_b + H_rho_eta and tau_sing.  The
+    caller owns the arrays and may update them in place."""
+    g = seed.grid
+    if H_tilde.grid is not g:
+        raise GridMismatch("state fields not on the seed grid")
+    cr, u11, u12, ut = singular_factors(params, g)
+    h11, h12, tau = (f.to_samples() for f in (H_tilde.h11, H_tilde.h12, seed.tau_tilde))
+    h11 += cr * u11
+    h12 += cr * u12
+    tau += cr * ut
+    return h11, h12, tau
+
+
 def _residual_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
                        H_tilde: TracelessSymTensorField, params: SingularTensorParams):
     """The fields H_ij d_i lambda + (1/2) tau d_j lambda of the full H and tau,
     from one sample pass that updates its arrays in place: the residual runs
     after a solve and would otherwise set its peak memory."""
     g = seed.grid
-    cr, u11, u12, ut = singular_factors(params, g)
     lam1, lam2 = _lambda_gradient(g, alpha, *_gradient_samples(lambda_tilde))
-    h11, h12, half_tau = (f.to_samples() for f in (H_tilde.h11, H_tilde.h12, seed.tau_tilde))
-    h11 += cr * u11
-    h12 += cr * u12
-    half_tau += cr * ut
+    h11, h12, half_tau = full_state_samples(seed, H_tilde, params)
     half_tau *= 0.5
     return (ScalarField.from_samples(g, (h11 + half_tau) * lam1 + h12 * lam2),
             ScalarField.from_samples(g, h12 * lam1 - (h11 - half_tau) * lam2))

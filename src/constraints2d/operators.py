@@ -15,7 +15,7 @@ operator identities used by the solvers hold at the matrix level:
 Scalar Poisson problems use the tight mapped stencil
 L_k = d2/dr2 + (1/r) d/dr - k^2/r^2 (second derivative from the 3-point
 formula in s), which has the smaller truncation constant; it is mode-diagonal
-and its own residual evaluator applies the identical matrices.
+and elliptic.laplacian applies the identical matrices.
 
 Boundary rows: the first and last collocation rows of every mode are
 replaced with regularity/decay conditions, so residual norms are taken over
@@ -290,13 +290,6 @@ def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:
     """(d_i H_i1, d_i H_i2) via A- on zeta = H11 + i H12."""
     w = workspace(H.grid)
     return real_pair(H.grid, lower_mode(w, full_spectrum(H.h11, H.h12)))
-
-
-def apply_laplacian(f: ScalarField) -> ScalarField:
-    """Mode-diagonal discrete Laplacian (same matrices the scalar solves invert)."""
-    w = workspace(f.grid)
-    k2 = np.arange(f.grid.K + 1) ** 2
-    return ScalarField(f.grid, w.lap_base @ f.c - k2 * (w.P2[:, None] * f.c))
 
 
 def zero_boundary_rows(f: ScalarField) -> ScalarField:

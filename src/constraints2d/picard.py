@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import operators as ops
-from .elliptic import laplacian
 from .errors import (
     DivergenceDetected,
     EpsilonTooLarge,
@@ -45,14 +44,8 @@ from .fields import (
     radial_l2_weighted,
     weighted_l2,
 )
-from .lichnerowicz import hamiltonian_rhs, solve_lambda
-from .momentum import (
-    SingularTensorParams,
-    assemble_momentum,
-    momentum_residual,
-    singular_factors,
-    solve_rho_eta,
-)
+from .lichnerowicz import hamiltonian_residual, hamiltonian_rhs, solve_lambda
+from .momentum import SingularTensorParams, assemble_momentum, momentum_residual, solve_rho_eta
 
 __all__ = ["IterState", "SolverOptions", "ResidualReport", "SolutionBundle",
            "picard_step", "solve_constraints", "residuals", "combined_norm"]
@@ -221,28 +214,24 @@ def _interior_max(f: ScalarField) -> float:
 
 
 def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
-    """Evaluate both constraint equations at the bundle, pointwise.
+    """Norms of both constraint residuals at the bundle.
 
-    The momentum divergence and the Laplacian are the same discrete operators
-    the solvers inverted, with the closed-form singular profiles treated
-    analytically; norms are the weighted H^0_{delta+2} quadrature over the
+    The residual fields are momentum.momentum_residual and
+    lichnerowicz.hamiltonian_residual: the same discrete operators the
+    solvers inverted, with the closed-form singular profiles treated
+    analytically.  Norms are the weighted H^0_{delta+2} quadrature over the
     interior collocation rows (the two boundary rows carry the boundary
-    conditions, not the PDE).
+    conditions, not the PDE).  The Hamiltonian norm is of the order of the
+    last Picard step, so it follows tol_fixed_point; the rounding of the
+    singular squares cancelling on the samples lies far below it.
     """
     g = seed.grid
     if bundle.lambda_tilde.grid is not g:
         raise GridMismatch("bundle fields not on the seed grid")
-    delta = g.delta
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
-
-    mom_norm, mom_max = _interior_norm_and_max(
-        momentum_residual(seed, bundle.alpha, bundle.lambda_tilde, bundle.H_tilde, params),
-        delta)
-    lap = laplacian(bundle.lambda_tilde) - bundle.alpha * _lap_chiln_field(g)
-    rh = (lap + 0.5 * seed.energy_density
-          + ScalarField.from_samples(g, _direct_squares(seed, bundle.H_tilde, params)))
-    ham_norm, ham_max = _interior_norm_and_max((rh,), delta)
-
+    args = (seed, bundle.alpha, bundle.lambda_tilde, bundle.H_tilde, params)
+    mom_norm, mom_max = _interior_norm_and_max(momentum_residual(*args), g.delta)
+    ham_norm, ham_max = _interior_norm_and_max((hamiltonian_residual(*args),), g.delta)
     return ResidualReport(momentum_residual_norm=float(mom_norm),
                           hamiltonian_residual_norm=float(ham_norm),
                           pointwise_max_momentum=float(mom_max),
@@ -252,28 +241,3 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
 def _interior_norm_and_max(fields, delta: float) -> tuple[float, float]:
     return (sum(_interior_h0_norm(f, delta + 2.0) for f in fields),
             max(_interior_max(f) for f in fields))
-
-
-def _direct_squares(seed: SeedData, H_tilde: TracelessSymTensorField,
-                    params: SingularTensorParams) -> np.ndarray:
-    """Samples of |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 for the full H
-    and tau, assembled the direct way: the singular squares cancel
-    numerically on the samples (the solver used the analytic cancellation).
-    Computed in place on three sample arrays, like the momentum residual's
-    products."""
-    cr, u11, u12, ut = singular_factors(params, seed.grid)
-    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
-    A += cr * u11
-    A *= A
-    B += cr * u12
-    B *= B
-    A += B
-    T += cr * ut
-    T *= 0.5
-    T *= T
-    A -= T
-    return A
-
-
-def _lap_chiln_field(g) -> ScalarField:
-    return ScalarField.from_mode(g, 0, "cos", g.lap_chiln)

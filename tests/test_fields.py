@@ -17,7 +17,6 @@ from constraints2d.fields import (
     ScalarField,
     build_grid,
     cartesian_gradient,
-    chi_profiles,
     evaluate_field,
     integrate,
     multiply,
@@ -152,6 +151,13 @@ def test_multiply_zero(grid):
     z = ScalarField.zeros(grid)
     p = multiply(f, z)
     assert np.max(np.abs(p.a)) == 0.0
+
+
+def test_from_samples_owns_only_its_modes(grid):
+    # the field holds a copy of its K+1 columns, not a view that keeps the
+    # whole M/2+1-column spectrum alive
+    f = ScalarField.from_samples(grid, random_low_mode_field(grid, rng()).to_samples())
+    assert f.c.base is None
 
 
 def test_multiply_matches_fine_grid_oracle(grid):
@@ -295,7 +301,7 @@ def test_product_estimate(grid):
 # ----------------------------------------------------------------------------
 
 def test_chi_support(grid):
-    chi, dchi, chiln = chi_profiles(grid)
+    chi, dchi, chiln = grid.chi, grid.dchi, grid.chiln
     r = grid.r
     assert np.all(chi[r <= 1.0] == 0.0)
     assert np.all(chi[r >= 2.0] == 1.0)

@@ -62,6 +62,24 @@ def test_reconstruct_identities(small_seed, small_bundle):
     assert np.max(np.abs(mf - elam**2)) < 1e-10
 
 
+def test_reconstruct_matches_field_sums(small_seed, small_bundle):
+    # the full H and tau from the closed-form samples equal the sums of the
+    # singular_tensors fields and the tilde fields, transformed afterwards
+    g = small_seed.grid
+    Hb, Hrho, tau_s = singular_tensors(
+        SingularTensorParams(b=small_seed.b, p=small_bundle.p, q=small_bundle.q), g)
+    elam = np.exp(small_bundle.lambda_tilde.to_samples()
+                  - small_bundle.alpha * g.chiln[:, None])
+    h11 = (Hb.h11 + Hrho.h11 + small_bundle.H_tilde.h11).to_samples()
+    h12 = (Hb.h12 + Hrho.h12 + small_bundle.H_tilde.h12).to_samples()
+    tau = (tau_s + small_seed.tau_tilde).to_samples()
+    phys = reconstruct_physical(small_bundle, small_seed)
+    for field, samples in ((phys.K11, elam * (h11 + 0.5 * tau)), (phys.K12, elam * h12),
+                           (phys.K22, elam * (-h11 + 0.5 * tau)), (phys.tau_full, tau / elam)):
+        oracle = ScalarField.from_samples(g, samples)
+        assert np.max(np.abs(field.c - oracle.c)) <= 1e-12 * np.max(np.abs(oracle.c))
+
+
 def test_charges_pure_b(grid):
     _, _, tau_s = singular_tensors(SingularTensorParams(0.3, 0.0, 0.0), grid)
     b_hat, p_hat, q_hat = asymptotic_charges(tau_s, grid)

@@ -457,6 +457,24 @@ def test_fused_momentum_residual_matches_term_by_term_products(grid):
     _assert_close(momentum_residual(seed, alpha, lt, H, params), (r1, r2))
 
 
+def test_hamiltonian_residual_matches_term_by_term_products(grid):
+    from constraints2d.elliptic import laplacian
+    from constraints2d.lichnerowicz import hamiltonian_residual
+
+    seed, alpha, lt, H = _coupled_state(grid)
+    params = SingularTensorParams(seed.b, 0.02, -0.01)
+    udot = seed.udot
+    d1u, d2u = cartesian_gradient(seed.u)
+    Hb, Hrho, tau_s = singular_tensors(params, grid)
+    h11, h12 = Hb.h11 + Hrho.h11 + H.h11, Hb.h12 + Hrho.h12 + H.h12
+    tau_tot = tau_s + seed.tau_tilde
+    lap = laplacian(lt) - alpha * ScalarField.from_mode(grid, 0, "cos", grid.lap_chiln)
+    energy = multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u)
+    res = (lap + 0.5 * energy + multiply(h11, h11) + multiply(h12, h12)
+           - 0.25 * multiply(tau_tot, tau_tot))
+    _assert_close([hamiltonian_residual(seed, alpha, lt, H, params)], [res])
+
+
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
 def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
     # each correction equals a direct solve of its closed-form source at

@@ -278,6 +278,26 @@ def test_residual_linear_response(solver_grid, small_seed, small_bundle):
     assert rep0.hamiltonian_residual_norm < 1e-10
 
 
+def test_hamiltonian_residual_follows_the_fixed_point_tolerance(small_seed, small_bundle):
+    # the reported Hamiltonian norm measures the last Picard step: it drops
+    # with tol_fixed_point, and the direct assembly (singular squares
+    # cancelling on the samples) differs from the analytically cancelled one
+    # by far less than the norm itself
+    from constraints2d.elliptic import PoissonSolution
+    from constraints2d.lichnerowicz import hamiltonian_residual, hamiltonian_rhs
+    from constraints2d.momentum import SingularTensorParams
+
+    tight = solve_constraints(small_seed, SolverOptions(tol_fixed_point=1e-12))
+    norm = tight.residuals.hamiltonian_residual_norm
+    assert norm < 0.5 * small_bundle.residuals.hamiltonian_residual_norm
+    params = SingularTensorParams(small_seed.b, tight.p, tight.q)
+    direct = hamiltonian_residual(small_seed, tight.alpha, tight.lambda_tilde, tight.H_tilde,
+                                  params)
+    cancelled = (PoissonSolution(-tight.alpha, tight.lambda_tilde).reconstruct_laplacian()
+                 - hamiltonian_rhs(small_seed, tight.H_tilde, params))
+    assert _interior_h0_norm(direct - cancelled, small_seed.grid.delta + 2.0) < 1e-2 * norm
+
+
 def test_combined_norm_is_the_sobolev_norm(solver_grid):
     g = solver_grid
     r = rng()
