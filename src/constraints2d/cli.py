@@ -204,6 +204,11 @@ def config_options(cfg: RunConfig) -> SolverOptions:
 # commands
 # ----------------------------------------------------------------------------
 
+def _delta_near_edge(delta: float) -> bool:
+    """delta within 0.1 of an end of (-1, 0): the inversion constant degrades."""
+    return delta < -0.9 or delta > -0.1
+
+
 def _scalar_block(bundle, seed) -> dict:
     return {
         "alpha": bundle.alpha,
@@ -220,6 +225,9 @@ def _scalar_block(bundle, seed) -> dict:
         "hamiltonian_residual_norm": bundle.residuals.hamiltonian_residual_norm,
         "pointwise_max_momentum": bundle.residuals.pointwise_max_momentum,
         "pointwise_max_hamiltonian": bundle.residuals.pointwise_max_hamiltonian,
+        "warnings": [name for name, hit in (
+            ("alpha_nonpositive", bundle.alpha <= 0.0),  # a cone angle of 2 pi or more
+            ("delta_near_edge", _delta_near_edge(seed.grid.delta))) if hit],
     }
 
 
@@ -413,7 +421,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     attempt("divergence_identity_error", divergence_identities)
     attempt("charge_roundtrip_error", charges)
     attempt("rho_eta_selection_condition", selection)
-    if cfg.delta < -0.9 or cfg.delta > -0.1:
+    if _delta_near_edge(cfg.delta):
         print(f"warning: delta = {cfg.delta} near the end of (-1,0); "
               "the inversion constant degrades there", file=sys.stderr)
 

@@ -21,6 +21,7 @@ finite differences across it would dominate every error budget.
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -147,10 +148,13 @@ class Grid:
 
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
     """Raise DeltaOutOfRange if delta is not in (-1, 0) and InvalidResolution
-    if K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max is not
-    positive and finite."""
+    if K or N_r is not an integer (bools included), K < 4 (mode 3theta
+    unrepresentable), N_r < 16 or R_max is not positive and finite."""
     if not (-1.0 < delta < 0.0):
         raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta}")
+    for name, n in (("K", K), ("N_r", N_r)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise InvalidResolution(f"{name} must be an integer, got {n!r}")
     if K < 4:
         raise InvalidResolution(f"K >= 4 required (3theta content), got {K}")
     if N_r < 16:
@@ -187,7 +191,7 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
         w[-1] = 0.5
     w *= h
 
-    g = Grid(K=K, N_r=N_r, R_max=float(R_max), delta=float(delta),
+    g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
              h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
              chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w)
     for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln,
@@ -298,8 +302,13 @@ class ScalarField:
 
         The K+1 kept columns are copied, so the field does not hold the
         whole M/2+1-column spectrum alive."""
-        spec = np.fft.rfft(samples, axis=-1, norm="forward")
-        return ScalarField(grid, spec[:, :grid.K + 1].copy())
+        return ScalarField(grid, angular_modes(grid, samples).copy())
+
+
+def angular_modes(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Modes 0..K of the forward angular transform of (N_r, M) samples, as a
+    view into the whole rfft output."""
+    return np.fft.rfft(samples, axis=-1, norm="forward")[:, :grid.K + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,8 +535,9 @@ def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.
 class SeedData:
     """Given data (udot, u, tau_tilde, b) and, computed once on construction
     (never passed in), energy_density = udot^2 + |grad u|^2, momentum_density
-    = (udot d_1 u, udot d_2 u), grad_tau_tilde and the smallness measure
-    epsilon = int energy_density."""
+    = (udot d_1 u, udot d_2 u), the seed-only momentum source
+    momentum_source = -udot grad u + (1/2) grad tau_tilde and the smallness
+    measure epsilon = int energy_density."""
 
     udot: ScalarField
     u: ScalarField
@@ -535,7 +545,7 @@ class SeedData:
     b: float
     energy_density: ScalarField = field(init=False, repr=False)
     momentum_density: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
-    grad_tau_tilde: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
+    momentum_source: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
     epsilon: float = field(init=False)
 
     def __post_init__(self):
@@ -548,11 +558,12 @@ class SeedData:
         eps = integrate(energy)
         if not np.isfinite(eps) or eps < 0:
             raise ValueError(f"invalid smallness measure epsilon = {eps}")
+        density = (ScalarField.from_samples(g, V * G1), ScalarField.from_samples(g, V * G2))
+        dtau = cartesian_gradient(self.tau_tilde)
         derived = dict(
             energy_density=energy,
-            momentum_density=(ScalarField.from_samples(g, V * G1),
-                              ScalarField.from_samples(g, V * G2)),
-            grad_tau_tilde=cartesian_gradient(self.tau_tilde),
+            momentum_density=density,
+            momentum_source=tuple(0.5 * dt - m for dt, m in zip(dtau, density)),
             epsilon=float(eps))
         for name, value in derived.items():
             object.__setattr__(self, name, value)

@@ -14,7 +14,8 @@ exactly, and the right-hand side is assembled post-cancellation: only the
 cross terms with the decaying tensors and the tilde squares remain, all of
 which decay fast enough for the planar Poisson inversion.
 
-The residual, in contrast, is assembled directly from the full state
+The source reads the Picard step's one set of state samples.  The residual,
+in contrast, is assembled directly from the full state
 (momentum.full_state_samples), so the singular squares cancel on the
 samples; it mirrors momentum.momentum_residual.
 """
@@ -22,15 +23,13 @@ samples; it mirrors momentum.momentum_residual.
 from __future__ import annotations
 
 from .elliptic import PoissonSolution, poisson_solve
-from .errors import GridMismatch
-from .fields import ScalarField, SeedData, TracelessSymTensorField
-from .momentum import SingularTensorParams, full_state_samples, singular_factors
+from .fields import ScalarField, SeedData, angular_modes
+from .momentum import SingularTensorParams, singular_factors
 
 __all__ = ["hamiltonian_rhs", "hamiltonian_residual", "solve_lambda"]
 
 
-def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
-                    params: SingularTensorParams) -> ScalarField:
+def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> ScalarField:
     """Assemble the decaying source with the singular squares cancelled.
 
     rhs = -(1/2) udot^2 - (1/2)|grad u|^2
@@ -38,33 +37,32 @@ def hamiltonian_rhs(seed: SeedData, H_tilde: TracelessSymTensorField,
           + (1/2) tau_sing tautilde + (1/4) tautilde^2,
 
     the pure chi^2/r^2 squares having cancelled identically.  The products
-    are one pass on the angular samples (one transform per field and one
-    back); the energy density is the seed's.
+    are one pass on samples = momentum.state_samples(seed, Htilde), which it
+    only reads, and one transform back; the energy density is the seed's.
     """
     g = seed.grid
-    if H_tilde.grid is not g:
-        raise GridMismatch("state fields not on the seed grid")
     cr, u11, u12, ut = singular_factors(params, g)
-    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    T, A, B = samples
     S = (cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B))
          - (A * A + B * B) + 0.25 * T * T)
-    return ScalarField.from_samples(g, S) - 0.5 * seed.energy_density
+    return ScalarField(g, angular_modes(g, S) - 0.5 * seed.energy_density.c)
 
 
 def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                         H_tilde: TracelessSymTensorField,
-                         params: SingularTensorParams) -> ScalarField:
+                         full) -> ScalarField:
     """Delta lambda + (1/2) udot^2 + (1/2)|grad u|^2 + (1/2)|H|^2 - tau^2/4
     at the given state (lambda' = lambda), for lambda = -alpha chi ln r
-    + lambdatilde and the full H and tau.
+    + lambdatilde and the full H and tau given as
+    full = momentum.full_state_samples(seed, Htilde, params).
 
     Delta lambda is the discrete Laplacian of lambdatilde plus the closed
     form of the log part; |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 is one
-    in-place pass on the full-state samples.  At a converged state the result
-    vanishes to the fixed-point tolerance on the interior rows.
+    pass on the full-state samples, in place: it overwrites them.  At a
+    converged state the result vanishes to the fixed-point tolerance on the
+    interior rows.
     """
     g = seed.grid
-    A, B, T = full_state_samples(seed, H_tilde, params)
+    A, B, T = full
     A *= A
     B *= B
     A += B
@@ -72,7 +70,7 @@ def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField
     T *= T
     A -= T
     lap = PoissonSolution(-alpha, lambda_tilde).reconstruct_laplacian()
-    return lap + 0.5 * seed.energy_density + ScalarField.from_samples(g, A)
+    return ScalarField(g, lap.c + 0.5 * seed.energy_density.c + angular_modes(g, A))
 
 
 def solve_lambda(rhs: ScalarField) -> tuple[float, ScalarField]:

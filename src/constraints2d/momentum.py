@@ -35,7 +35,7 @@ from .fields import (
     ScalarField,
     SeedData,
     TracelessSymTensorField,
-    cartesian_gradient,
+    angular_modes,
     l2_weight,
 )
 
@@ -53,7 +53,10 @@ __all__ = [
     "correction_h2",
     "correction_h3",
     "assemble_momentum",
+    "gradient_half_spectra",
+    "state_samples",
     "full_state_samples",
+    "momentum_products",
     "momentum_residual",
     "selection_matrix",
     "solve_rho_eta",
@@ -151,28 +154,26 @@ def band_tensor(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorF
 
 def _div_Hb(b: float, grid: Grid):
     """Exact divergence of H_b: mode 1, coefficient -b(chi/2r^2 + chi'/2r)."""
-    return _complex_pair(grid, {1: -b * (0.5 * grid.chi / grid.r**2
-                                         + 0.5 * grid.dchi / grid.r)})
+    return {1: -b * (0.5 * grid.chi / grid.r**2 + 0.5 * grid.dchi / grid.r)}
 
 
 def _div_log_block(params: SingularTensorParams, grid: Grid):
     """Divergence of the full 1-theta log part c (chi ln r)', c = -(p+iq)/4."""
-    return _complex_pair(grid, {0: -0.25 * complex(params.p, params.q) * grid.lap_chiln})
+    return {0: -0.25 * complex(params.p, params.q) * grid.lap_chiln}
 
 
 def _div_S3(params: SingularTensorParams, grid: Grid):
     """Divergence of the 3-theta block: mode 2, -(p-iq)(chi'/4r + chi/2r^2)."""
     prof = grid.dchi / (4.0 * grid.r) + 0.5 * grid.chi / grid.r**2
-    return _complex_pair(grid, {2: -complex(params.p, -params.q) * prof})
+    return {2: -complex(params.p, -params.q) * prof}
 
 
 def singular_divergence_pair(params: SingularTensorParams, grid: Grid):
     """Exact divergence (f1, f2) of H_b + the extracted 1-theta log part +
-    the 3-theta block, all from closed forms."""
-    f1, f2 = _div_Hb(params.b, grid)
-    g1, g2 = _div_log_block(params, grid)
-    h1, h2 = _div_S3(params, grid)
-    return f1 + g1 + h1, f2 + g2 + h2
+    the 3-theta block, all from closed forms; the three sit at modes 1, 0
+    and 2 of one spectrum."""
+    return _complex_pair(grid, {**_div_Hb(params.b, grid), **_div_log_block(params, grid),
+                                **_div_S3(params, grid)})
 
 
 def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> float:
@@ -187,8 +188,8 @@ def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> fl
     with all radial derivatives exact, so the returned number is pure algebra
     plus rounding.
     """
-    hb1, hb2 = _div_Hb(params.b, grid)
-    s31, s32 = _div_S3(params, grid)
+    hb1, hb2 = _complex_pair(grid, _div_Hb(params.b, grid))
+    s31, s32 = _complex_pair(grid, _div_S3(params, grid))
     t1, t2 = tau_singular_gradient(params, grid)
     prof = grid.dchi / grid.r
     z = complex(params.p, params.q)
@@ -218,15 +219,27 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
 # ----------------------------------------------------------------------------
 # right-hand sides and solves
 #
-# Each source is one pass on the (N_r, M) angular samples: one irfft per
-# distinct state or seed field, the whole pointwise expression on the
-# samples, one rfft per output.  A sum of dealiased products equals the
-# dealiased sum, so this is the product-by-product assembly up to rounding.
+# Each source is one pass on the (N_r, M) angular samples, which a Picard
+# step takes once per field for both sources: the whole pointwise expression
+# on the samples, one rfft per output.  A sum of dealiased products equals
+# the dealiased sum, so this is the product-by-product assembly up to rounding.
 # ----------------------------------------------------------------------------
 
-def _gradient_samples(f: ScalarField):
-    """Samples of (d1 f, d2 f)."""
-    return tuple(d.to_samples() for d in cartesian_gradient(f))
+def gradient_half_spectra(f: ScalarField):
+    """Half-spectra (d1 f, d2 f): one raise_and_lower."""
+    return ops.gradient_coefficients(ops.workspace(f.grid), f.c)
+
+
+def _gradient_samples(grid: Grid, grad):
+    """Samples (L1, L2) of the half-spectra grad = (d1 f, d2 f)."""
+    return tuple(ScalarField(grid, d).to_samples() for d in grad)
+
+
+def state_samples(seed: SeedData, H_tilde: TracelessSymTensorField):
+    """Fresh (N_r, M) samples (T, A, B) of tautilde, Htilde_11, Htilde_12."""
+    if H_tilde.grid is not seed.grid:
+        raise GridMismatch("state fields not on the seed grid")
+    return tuple(f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
 
 
 def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
@@ -238,35 +251,52 @@ def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
     return L1 + prof * np.cos(th), L2 + prof * np.sin(th)
 
 
-def _state_source(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                  H_tilde: TracelessSymTensorField):
+def _h_dlambda(T, A, B, lam1, lam2):
+    """Samples of H_ij d_i lambda + (1/2) tau d_j lambda for H = (A, B) and
+    tau = T, overwriting the samples (lam1, lam2) of grad lambda: it runs next
+    to other live samples, so it allocates only its two outputs."""
+    P1, P2 = 0.5 * T, 0.5 * T
+    P1 += A
+    P1 *= lam1
+    P2 -= A
+    P2 *= lam2
+    lam1 *= B
+    lam2 *= B
+    P1 += lam2
+    P2 += lam1
+    return P1, P2
+
+
+def _state_source(seed: SeedData, alpha: float, grad, samples):
     """Samples (P1, P2) of the momentum source's terms that involve the state
-    but not (b, p, q), and the samples (L1, L2) of grad lambdatilde."""
+    but not (b, p, q), and the samples (L1, L2) of grad lambdatilde, from its
+    half-spectra grad and the state_samples."""
     g = seed.grid
-    if lambda_tilde.grid is not g or H_tilde.grid is not g:
-        raise GridMismatch("state fields not on the seed grid")
-    L1, L2 = _gradient_samples(lambda_tilde)
-    T, A, B = (f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
-    lam1, lam2 = _lambda_gradient(g, alpha, L1, L2)
-    P1 = -(0.5 * T + A) * lam1 - B * lam2
-    P2 = -(0.5 * T - A) * lam2 - B * lam1
-    return (P1, P2), (L1, L2)
+    L1, L2 = _gradient_samples(g, grad)
+    P1, P2 = _h_dlambda(*samples, *_lambda_gradient(g, alpha, L1, L2))
+    return (np.negative(P1, out=P1), np.negative(P2, out=P2)), (L1, L2)
 
 
-def _singular_source(grid: Grid, L1, L2, params: SingularTensorParams):
-    """Samples of the source terms linear in (b, p, q), from the samples
-    (L1, L2) of grad lambdatilde: (p, q) chi'/4r
-    - d_i lambdatilde (H_b + H_rho_eta)_ij - (1/2) tau_sing d_j lambdatilde."""
+def _add_singular_source(grid: Grid, L1, L2, params: SingularTensorParams, P1, P2):
+    """Add to the samples (P1, P2), in place, the samples of the source terms
+    linear in (b, p, q), from the samples (L1, L2) of grad lambdatilde:
+    (p, q) chi'/4r - d_i lambdatilde (H_b + H_rho_eta)_ij
+    - (1/2) tau_sing d_j lambdatilde.  One work array holds each term."""
     cr, u11, u12, ut = singular_factors(params, grid)
     quarter = (grid.dchi / (4.0 * grid.r))[:, None]
-    S1 = params.p * quarter - cr * (L1 * (u11 + 0.5 * ut) + L2 * u12)
-    S2 = params.q * quarter - cr * (L1 * u12 - L2 * (u11 - 0.5 * ut))
-    return S1, S2
+    S = L1 * (u11 + 0.5 * ut)
+    S += L2 * u12
+    S *= cr
+    P1 += np.subtract(params.p * quarter, S, out=S)
+    np.multiply(L1, u12, out=S)
+    S -= L2 * (u11 - 0.5 * ut)
+    S *= cr
+    P2 += np.subtract(params.q * quarter, S, out=S)
 
 
 def _singular_means(grid: Grid, L1, L2, params: SingularTensorParams):
-    """Angular means (mode-0 profiles) of _singular_source(grid, L1, L2,
-    params), with no sample array built: the mean of L u(theta) over the M
+    """Angular means (mode-0 profiles) of the terms _add_singular_source
+    adds, with no sample array built: the mean of L u(theta) over the M
     samples is L @ u / M."""
     cr, u11, u12, ut = singular_factors(params, grid)
     quarter = grid.dchi / (4.0 * grid.r)
@@ -274,12 +304,6 @@ def _singular_means(grid: Grid, L1, L2, params: SingularTensorParams):
     m1 = params.p * quarter - crm * (L1 @ (u11 + 0.5 * ut) + L2 @ u12)
     m2 = params.q * quarter - crm * (L1 @ u12 - L2 @ (u11 - 0.5 * ut))
     return m1, m2
-
-
-def _seed_source(seed: SeedData):
-    """The seed-only source terms -udot d_j u + (1/2) d_j tautilde."""
-    (m1, m2), (dt1, dt2) = seed.momentum_density, seed.grad_tau_tilde
-    return 0.5 * dt1 - m1, 0.5 * dt2 - m2
 
 
 def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
@@ -294,11 +318,11 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     The last three terms are linear in (b, p, q).
     """
     g = seed.grid
-    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde)
-    S1, S2 = _singular_source(g, *L, params)
-    f1, f2 = _seed_source(seed)
-    return (f1 + ScalarField.from_samples(g, P1 + S1),
-            f2 + ScalarField.from_samples(g, P2 + S2))
+    (P1, P2), L = _state_source(seed, alpha, gradient_half_spectra(lambda_tilde),
+                                state_samples(seed, H_tilde))
+    _add_singular_source(g, *L, params, P1, P2)
+    f1, f2 = seed.momentum_source
+    return f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2)
 
 
 def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
@@ -346,88 +370,92 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     return m_out, phi, K_tilde
 
 
-def _correction_source(grid: Grid, b: float, p: float, q: float):
-    """Reduced sources of the two corrections: (b chi'/r) e^{i theta} for the
-    H_b block and ((p - i q) chi'/2r) e^{2 i theta} for the 3-theta block.
+def _correction_modes(grid: Grid, b: float, p: float, q: float) -> dict:
+    """Profiles {m: w_m} of the corrections' reduced sources f1 + i f2 =
+    sum w_m e^{i m theta}: (b chi'/r) at m = 1 for the H_b block and
+    ((p - i q) chi'/2r) at m = 2 for the 3-theta block.
 
     Both are closed forms with no mode-0 part, hence integral-free: they add
     nothing to a solve's log coefficient, so their corrections decay.
     """
     prof = grid.dchi / grid.r
-    return _complex_pair(grid, {1: b * prof, 2: 0.5 * complex(p, -q) * prof})
+    return {1: b * prof, 2: 0.5 * complex(p, -q) * prof}
 
 
 def correction_h2(b: float, grid: Grid) -> TracelessSymTensorField:
     """Decaying correction that upgrades H_b to a solution of its block."""
-    return div_constraint_solve(*_correction_source(grid, b, 0.0, 0.0))[2]
+    return div_constraint_solve(*_complex_pair(grid, _correction_modes(grid, b, 0.0, 0.0)))[2]
 
 
 def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorField:
     """Decaying correction for the 3-theta block."""
-    return div_constraint_solve(*_correction_source(grid, 0.0, params.p, params.q))[2]
+    return div_constraint_solve(*_complex_pair(
+        grid, _correction_modes(grid, 0.0, params.p, params.q)))[2]
 
 
 def assemble_momentum(source, params: SingularTensorParams) -> MomentumOutput:
     """Full momentum solve for the source pair (f1, f2) that solve_rho_eta
-    assembled at params.  The solve is linear, so the corrections' sources
-    are added to (f1, f2) and one potential solve gives H1 + H2 + H3."""
+    assembled at params.  The solve is linear, so the corrections' profiles w
+    (modes m > 0 of f1 + i f2) go into the half-spectra, w/2 into f1's and
+    -i w/2 into f2's, and one potential solve gives H1 + H2 + H3."""
     f1, f2 = source
-    s1, s2 = _correction_source(f1.grid, params.b, params.p, params.q)
-    return MomentumOutput(*div_constraint_solve(f1 + s1, f2 + s2))
+    g = f1.grid
+    c1, c2 = f1.c.copy(), f2.c.copy()
+    for m, w in _correction_modes(g, params.b, params.p, params.q).items():
+        c1[:, m] += 0.5 * w
+        c2[:, m] -= 0.5j * w
+    return MomentumOutput(*div_constraint_solve(ScalarField(g, c1), ScalarField(g, c2)))
 
 
 # ----------------------------------------------------------------------------
 # residual of the full momentum equation
 # ----------------------------------------------------------------------------
 
-def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                      H_tilde: TracelessSymTensorField,
-                      params: SingularTensorParams):
+def momentum_residual(seed: SeedData, H_tilde: TracelessSymTensorField,
+                      params: SingularTensorParams, products):
     """Both components of d_i H_ij + H_ij d_i lambda + udot d_j u
-    - (1/2) d_j tau + (1/2) tau d_j lambda at the given state (H' = H).
+    - (1/2) d_j tau + (1/2) tau d_j lambda at the given state (H' = H), with
+    products = momentum_products(seed, alpha, lambdatilde, full) the
+    half-spectra of the terms in d lambda.
 
     Closed-form singular parts are differentiated analytically, the stored
     tilde tensor minus its band part discretely; at a converged state the
     result vanishes to factorization accuracy on the interior rows.
     """
     g = seed.grid
-    P1, P2 = _residual_products(seed, alpha, lambda_tilde, H_tilde, params)
+    P1, P2 = products
     div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
     s1, s2 = singular_divergence_pair(params, g)
     ts1, ts2 = tau_singular_gradient(params, g)
-    f1, f2 = _seed_source(seed)
-    r1 = div1 + s1 + P1 - f1 - 0.5 * ts1
-    r2 = div2 + s2 + P2 - f2 - 0.5 * ts2
-    return r1, r2
+    f1, f2 = seed.momentum_source
+    r1 = div1.c + s1.c + P1 - f1.c - 0.5 * ts1.c
+    r2 = div2.c + s2.c + P2 - f2.c - 0.5 * ts2.c
+    return ScalarField(g, r1), ScalarField(g, r2)
 
 
 def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
                        params: SingularTensorParams):
-    """Fresh (N_r, M) samples of the full h11, h12 and tau: the tilde fields
+    """Fresh (N_r, M) samples of the full h11, h12 and tau: the state_samples
     plus the closed-form singular parts H_b + H_rho_eta and tau_sing.  The
     caller owns the arrays and may update them in place."""
-    g = seed.grid
-    if H_tilde.grid is not g:
-        raise GridMismatch("state fields not on the seed grid")
-    cr, u11, u12, ut = singular_factors(params, g)
-    h11, h12, tau = (f.to_samples() for f in (H_tilde.h11, H_tilde.h12, seed.tau_tilde))
+    cr, u11, u12, ut = singular_factors(params, seed.grid)
+    tau, h11, h12 = state_samples(seed, H_tilde)
     h11 += cr * u11
     h12 += cr * u12
     tau += cr * ut
     return h11, h12, tau
 
 
-def _residual_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                       H_tilde: TracelessSymTensorField, params: SingularTensorParams):
-    """The fields H_ij d_i lambda + (1/2) tau d_j lambda of the full H and tau,
-    from one sample pass that updates its arrays in place: the residual runs
-    after a solve and would otherwise set its peak memory."""
+def momentum_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField, full):
+    """Half-spectra of H_ij d_i lambda + (1/2) tau d_j lambda, j = 1, 2, for
+    lambda = -alpha chi ln r + lambdatilde and the full H and tau given as
+    full = full_state_samples(seed, Htilde, params), which it only reads."""
     g = seed.grid
-    lam1, lam2 = _lambda_gradient(g, alpha, *_gradient_samples(lambda_tilde))
-    h11, h12, half_tau = full_state_samples(seed, H_tilde, params)
-    half_tau *= 0.5
-    return (ScalarField.from_samples(g, (h11 + half_tau) * lam1 + h12 * lam2),
-            ScalarField.from_samples(g, h12 * lam1 - (h11 - half_tau) * lam2))
+    h11, h12, tau = full
+    lam = _lambda_gradient(g, alpha, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
+    P1, P2 = _h_dlambda(tau, h11, h12, *lam)
+    del lam
+    return angular_modes(g, P1).copy(), angular_modes(g, P2).copy()
 
 
 SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused
@@ -448,12 +476,15 @@ def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
     It depends on the state only through grad lambdatilde; at lambdatilde = 0
     it is (1 + 4 c) I with c the log coefficient of chi'/4r.
     """
-    return _selection(lambda_tilde.grid, *_gradient_samples(lambda_tilde))
+    g = lambda_tilde.grid
+    return _selection(g, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
 
 
-def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
-                  H_tilde: TracelessSymTensorField):
-    """Fix (p, q) = (rho cos eta, rho sin eta) and assemble the source there.
+def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
+    """Fix (p, q) = (rho cos eta, rho sin eta) and assemble the source there,
+    for the state with lambda = -alpha chi ln r + lambdatilde, grad the
+    half-spectra (d1, d2) of lambdatilde and samples the
+    state_samples(seed, Htilde).
 
     The momentum source is affine in (p, q): f = f0 + p f_p + q f_q, with f0
     the full source at (b, 0, 0) and f_p, f_q its unit couplings.  So is its
@@ -463,22 +494,21 @@ def solve_rho_eta(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     terms' coefficients (of f_p, f_q and the b part of f0) come from their
     mean profiles; the singular terms at the selected (b, p, q) are then
     added to the samples of the other state terms once, and the sum is
-    transformed once.  Returns (p, q, (f1, f2)), the source at the selected
-    point.
+    transformed once and added to the seed's momentum_source.  Returns
+    (p, q, (f1, f2)), the source at the selected point.
     """
     g = seed.grid
-    (P1, P2), L = _state_source(seed, alpha, lambda_tilde, H_tilde)
+    (P1, P2), L = _state_source(seed, alpha, grad, samples)
     M = _selection(g, *L)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > SELECTION_COND_LIMIT:
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
-    f1, f2 = _seed_source(seed)
+    f1, f2 = seed.momentum_source
     b1, b2 = _singular_means(g, *L, SingularTensorParams(b=seed.b, p=0.0, q=0.0))
     c0 = log_coefficient(f1, f2) + _mean_log_coefficient(
         g, P1.mean(axis=1) + b1, P2.mean(axis=1) + b2)
     p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
-    S1, S2 = _singular_source(g, *L, SingularTensorParams(b=seed.b, p=p, q=q))
-    P1 += S1
-    P2 += S2
-    return p, q, (f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2))
+    _add_singular_source(g, *L, SingularTensorParams(b=seed.b, p=p, q=q), P1, P2)
+    return p, q, (ScalarField(g, f1.c + angular_modes(g, P1)),
+                  ScalarField(g, f2.c + angular_modes(g, P2)))

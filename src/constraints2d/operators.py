@@ -193,8 +193,9 @@ class OperatorWorkspace:
         reg = 0.5 * self.r1 * Y[j0, 0]
         Y[:, 0] = Y[:, -1] = 0.0
         Y[j0, 0] = reg
-        X = solver.solve(Y.view(np.float64).reshape(-1, 2))
-        return np.ascontiguousarray((X[:, 0] + 1j * X[:, 1]).reshape(Y.shape).T)
+        X = solver.solve(Y.view(np.float64).reshape(-1, 2))  # Fortran-ordered
+        # the rows of the C-ordered copy of X are (re, im) pairs: a complex view
+        return np.ascontiguousarray(np.ascontiguousarray(X).view(complex).reshape(Y.shape).T)
 
     # -- mode-0 flux matching -----------------------------------------------
     def farflux(self, vec: np.ndarray):

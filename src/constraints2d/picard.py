@@ -4,27 +4,30 @@ One step maps (alpha, lambdatilde, Htilde) to (alpha', lambdatilde', Htilde'):
 
   1. fix (rho, eta) from the momentum source, which is affine in
      (rho cos eta, rho sin eta), and assemble that source once,
-  2. solve the momentum constraint with it (Htilde'),
-  3. assemble the cancelled Hamiltonian source at the input state and solve
-     for (alpha', lambdatilde').
+  2. assemble the cancelled Hamiltonian source at the input state from the
+     same samples of tautilde and Htilde, freed before the solves,
+  3. solve the momentum constraint (Htilde') and for (alpha', lambdatilde').
 
 For small seed data the map contracts geometrically; the iteration starts
 from the zero state and stops when the combined norm
 |alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}} moves less
 than the relative tolerance.
 
-Each iterate is differentiated once.  Its norm terms are raw half-spectra:
-lambdatilde with its first and second Cartesian derivatives, h11 and h12
-with their first derivatives.  Their weighted L^2 norms give the iterate's
-combined norm, and the same norms of their differences from the previous
-iterate's terms give the step norm: the discrete derivatives are linear, so
-that is the norm of the difference up to rounding.  The zero start state
-has no terms to take; its step norm is the first iterate's norm.
+Each iterate is differentiated once, and IterState keeps its norm terms:
+raw half-spectra of lambdatilde with its first and second Cartesian
+derivatives, h11 and h12 with their first derivatives.  Their weighted L^2
+norms give the iterate's combined norm, and the same norms of their
+differences from the previous iterate's terms give the step norm: the
+discrete derivatives are linear, so that is the norm of the difference up to
+rounding.  Their (d1, d2) of lambdatilde is also the next step's source
+gradient.  The zero start state's terms are set to zero, not taken.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +48,9 @@ from .fields import (
     weighted_l2,
 )
 from .lichnerowicz import hamiltonian_residual, hamiltonian_rhs, solve_lambda
-from .momentum import SingularTensorParams, assemble_momentum, momentum_residual, solve_rho_eta
+from .momentum import (SingularTensorParams, assemble_momentum, full_state_samples,
+                       gradient_half_spectra, momentum_products, momentum_residual,
+                       solve_rho_eta, state_samples)
 
 __all__ = ["IterState", "SolverOptions", "ResidualReport", "SolutionBundle",
            "picard_step", "solve_constraints", "residuals", "combined_norm"]
@@ -53,13 +58,31 @@ __all__ = ["IterState", "SolverOptions", "ResidualReport", "SolutionBundle",
 
 @dataclass(frozen=True, eq=False)
 class IterState:
+    """One iterate (alpha, lambdatilde, Htilde) and, once taken, its norm terms."""
+
     alpha: float
     lambda_tilde: ScalarField
     H_tilde: TracelessSymTensorField
 
     @staticmethod
     def zero(grid) -> "IterState":
-        return IterState(0.0, ScalarField.zeros(grid), TracelessSymTensorField.zeros(grid))
+        state = IterState(0.0, ScalarField.zeros(grid), TracelessSymTensorField.zeros(grid))
+        z = state.lambda_tilde.c  # read-only zeros: every derivative of the zero state
+        object.__setattr__(state, "norm_terms", [z] * len(_TERM_WEIGHTS))
+        return state
+
+    @cached_property
+    def norm_terms(self) -> list[np.ndarray]:
+        """Half-spectra of lambdatilde, d1, d2, d11, d12, d22 of it, then of
+        h11 and h12 each with d1 and d2; taken on first use and kept: five
+        raise_and_lower calls."""
+        w = ops.workspace(self.lambda_tilde.grid)
+        d1, d2 = gradient_half_spectra(self.lambda_tilde)
+        terms = [self.lambda_tilde.c, d1, d2, *ops.gradient_coefficients(w, d1),
+                 ops.gradient_coefficients(w, d2)[1]]
+        for h in (self.H_tilde.h11, self.H_tilde.h12):
+            terms += [h.c, *ops.gradient_coefficients(w, h.c)]
+        return terms
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,8 @@ class SolverOptions:
         if not 0 < self.tol_fixed_point < np.inf:
             raise ValidationError(
                 f"tol_fixed_point must be finite and positive, got {self.tol_fixed_point}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValidationError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.epsilon_threshold > 0:
@@ -103,23 +128,8 @@ class SolutionBundle:
     residuals: ResidualReport | None = None
 
 
-# weight row (OperatorWorkspace.norm_weights) of each term of _norm_terms
+# weight row (OperatorWorkspace.norm_weights) of each of IterState.norm_terms
 _TERM_WEIGHTS = (0, 1, 1, 2, 2, 2, 1, 2, 2, 1, 2, 2)
-
-
-def _norm_terms(state: IterState) -> tuple[float, list[np.ndarray]]:
-    """alpha and the half-spectra whose weighted L^2 norms make up the rest
-    of the combined norm: lambdatilde with its first and second Cartesian
-    derivatives (d1, d2, d11, d12, d22), then h11 and h12 each with its
-    first derivatives.  One derivative pass, five raise_and_lower calls."""
-    lt = state.lambda_tilde
-    w = ops.workspace(lt.grid)
-    d1, d2 = ops.gradient_coefficients(w, lt.c)
-    terms = [lt.c, d1, d2, *ops.gradient_coefficients(w, d1),
-             ops.gradient_coefficients(w, d2)[1]]
-    for h in (state.H_tilde.h11, state.H_tilde.h12):
-        terms += [h.c, *ops.gradient_coefficients(w, h.c)]
-    return state.alpha, terms
 
 
 def _terms_norm(w: ops.OperatorWorkspace, alpha: float, terms) -> float:
@@ -127,26 +137,29 @@ def _terms_norm(w: ops.OperatorWorkspace, alpha: float, terms) -> float:
                             for c, j in zip(terms, _TERM_WEIGHTS))
 
 
-def _step_norm(w: ops.OperatorWorkspace, new, old) -> float:
-    """Combined norm of the difference of two states, from their _norm_terms.
+def _step_norm(w: ops.OperatorWorkspace, new: IterState, old: IterState) -> float:
+    """Combined norm of the difference of two states, from their norm_terms.
 
     The discrete derivatives are linear, so the difference of the terms is
     the terms of the difference up to rounding; no derivative is taken."""
-    (a1, t1), (a0, t0) = new, old
-    return _terms_norm(w, a1 - a0, (x - y for x, y in zip(t1, t0)))
+    return _terms_norm(w, new.alpha - old.alpha,
+                       (x - y for x, y in zip(new.norm_terms, old.norm_terms)))
 
 
 def combined_norm(state: IterState) -> float:
     """|alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}}."""
-    return _terms_norm(ops.workspace(state.lambda_tilde.grid), *_norm_terms(state))
+    return _terms_norm(ops.workspace(state.lambda_tilde.grid), state.alpha, state.norm_terms)
 
 
 def picard_step(state: IterState, seed: SeedData):
     """One application of the solution map; returns (next_state, p, q)."""
-    p, q, source = solve_rho_eta(seed, state.alpha, state.lambda_tilde, state.H_tilde)
+    samples = state_samples(seed, state.H_tilde)
+    p, q, source = solve_rho_eta(seed, state.alpha, state.norm_terms[1:3], samples)
     params = SingularTensorParams(b=seed.b, p=p, q=q)
+    rhs = hamiltonian_rhs(seed, samples, params)
+    del samples
     mom = assemble_momentum(source, params)
-    alpha_next, lt_next = solve_lambda(hamiltonian_rhs(seed, state.H_tilde, params))
+    alpha_next, lt_next = solve_lambda(rhs)
     return IterState(alpha_next, lt_next, mom.H_tilde), p, q
 
 
@@ -159,7 +172,6 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
 
     w = ops.workspace(seed.grid)
     state = IterState.zero(seed.grid)
-    terms = None  # _norm_terms(state); the zero start state needs none
     p = q = 0.0
     ratios: list[float] = []
     d_prev = None
@@ -171,9 +183,8 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
             nxt, p, q = picard_step(state, seed)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
-        nxt_terms = _norm_terms(nxt)
-        n = _terms_norm(w, *nxt_terms)
-        d = n if terms is None else _step_norm(w, nxt_terms, terms)
+        n = combined_norm(nxt)
+        d = _step_norm(w, nxt, state)
         if not np.isfinite(n) or not np.isfinite(d):
             raise DivergenceDetected("non-finite iterate norm")
         if first_norm is None:
@@ -184,11 +195,10 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         if d_prev is not None and d_prev > 1e-300:
             ratios.append(d / d_prev)
         d_prev = d
-        state, terms = nxt, nxt_terms
+        state = nxt
         if d <= opts.tol_fixed_point * max(1.0, n):
             converged = True
             break
-    terms = nxt_terms = None  # dropped: the residuals below set the peak memory
     if not converged:
         tail = ratios[-1] if ratios else float("inf")
         raise NoConvergence(
@@ -202,6 +212,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         iterations=iterations,
         contraction_ratios=ratios,
     )
+    state = nxt = None  # their norm terms are dropped: the residuals set the peak memory
     return replace(bundle, residuals=residuals(bundle, seed))
 
 
@@ -219,19 +230,26 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     The residual fields are momentum.momentum_residual and
     lichnerowicz.hamiltonian_residual: the same discrete operators the
     solvers inverted, with the closed-form singular profiles treated
-    analytically.  Norms are the weighted H^0_{delta+2} quadrature over the
-    interior collocation rows (the two boundary rows carry the boundary
-    conditions, not the PDE).  The Hamiltonian norm is of the order of the
-    last Picard step, so it follows tol_fixed_point; the rounding of the
-    singular squares cancelling on the samples lies far below it.
+    analytically.  The momentum products and the Hamiltonian squares read
+    one set of full-state samples, which the squares overwrite; the rest of
+    the momentum residual runs after they are freed.  Norms are the weighted
+    H^0_{delta+2} quadrature over the interior collocation rows (the two
+    boundary rows carry the boundary conditions, not the PDE).  The
+    Hamiltonian norm is of the order of the last Picard step, so it follows
+    tol_fixed_point; the rounding of the singular squares cancelling on the
+    samples lies far below it.
     """
     g = seed.grid
     if bundle.lambda_tilde.grid is not g:
         raise GridMismatch("bundle fields not on the seed grid")
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
-    args = (seed, bundle.alpha, bundle.lambda_tilde, bundle.H_tilde, params)
-    mom_norm, mom_max = _interior_norm_and_max(momentum_residual(*args), g.delta)
-    ham_norm, ham_max = _interior_norm_and_max((hamiltonian_residual(*args),), g.delta)
+    full = full_state_samples(seed, bundle.H_tilde, params)
+    products = momentum_products(seed, bundle.alpha, bundle.lambda_tilde, full)
+    ham_norm, ham_max = _interior_norm_and_max(
+        (hamiltonian_residual(seed, bundle.alpha, bundle.lambda_tilde, full),), g.delta)
+    del full
+    mom_norm, mom_max = _interior_norm_and_max(
+        momentum_residual(seed, bundle.H_tilde, params, products), g.delta)
     return ResidualReport(momentum_residual_norm=float(mom_norm),
                           hamiltonian_residual_norm=float(ham_norm),
                           pointwise_max_momentum=float(mom_max),

@@ -126,6 +126,30 @@ def test_solve_small_seed_and_determinism(tmp_path):
     assert np.all(np.isfinite(lt.a))
 
 
+def test_solution_warnings(tmp_path, monkeypatch):
+    # none on the demo data; delta near an end of (-1, 0) and alpha <= 0 (a
+    # cone angle of 2 pi or more) are recorded in solution.json
+    from dataclasses import replace
+
+    from constraints2d import cli
+
+    def warnings_of(cfg):
+        assert cmd_solve(cfg) == 0
+        return json.loads((tmp_path / "solution.json").read_text())["warnings"]
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")) as fh:
+        demo = replace(parse_config(fh.read()), output_dir=str(tmp_path))
+    assert warnings_of(demo) == []
+    cfg = parse_config(FULL.format(out=tmp_path))
+    assert warnings_of(replace(cfg, delta=-0.95)) == ["delta_near_edge"]
+    assert warnings_of(replace(cfg, delta=-0.05)) == ["delta_near_edge"]
+    solve = cli.solve_constraints
+    monkeypatch.setattr(cli, "solve_constraints",
+                        lambda seed, opts: replace(solve(seed, opts), alpha=0.0))
+    assert warnings_of(cfg) == ["alpha_nonpositive"]
+    assert warnings_of(replace(cfg, delta=-0.95)) == ["alpha_nonpositive", "delta_near_edge"]
+
+
 def test_solve_large_amplitude_exit2(tmp_path):
     text = FULL.format(out=tmp_path).replace("amp=0.1", "amp=10.0")
     cfg = parse_config(text)

@@ -56,6 +56,20 @@ def test_build_grid_resolution():
         build_grid(16, 8, 100.0, -0.5)
 
 
+@pytest.mark.parametrize("K, N_r", [(16.5, 512), (16, 512.5), (16.0, 512), (True, 512),
+                                    (16, True)])
+def test_build_grid_rejects_non_integer_resolution(K, N_r):
+    # a float K would give the fractional sample count M = 4K, a float N_r a
+    # raw TypeError in the node construction; bools are not resolutions
+    with pytest.raises(InvalidResolution, match="must be an integer"):
+        build_grid(K, N_r, 100.0, -0.5)
+
+
+def test_build_grid_takes_numpy_integers():
+    g = build_grid(np.int64(16), np.int64(64), 100.0, -0.5)
+    assert type(g.K) is int and type(g.N_r) is int and g.M == 64
+
+
 # ----------------------------------------------------------------------------
 # analytic sampling
 # ----------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from constraints2d.fields import (
 )
 from constraints2d.elliptic import _check_tail
 from constraints2d.lichnerowicz import hamiltonian_rhs, solve_lambda
-from constraints2d.momentum import SingularTensorParams
+from constraints2d.momentum import SingularTensorParams, state_samples
 
 from conftest import rng
 
@@ -22,9 +22,13 @@ def empty_seed(g):
     return make_seed(z, z, z, b=0.0)
 
 
+def rhs_at(seed, H, params):
+    return hamiltonian_rhs(seed, state_samples(seed, H), params)
+
+
 def test_rhs_everything_zero(grid):
     Z = TracelessSymTensorField.zeros(grid)
-    rhs = hamiltonian_rhs(empty_seed(grid), Z, SingularTensorParams(0, 0, 0))
+    rhs = rhs_at(empty_seed(grid), Z, SingularTensorParams(0, 0, 0))
     assert np.max(np.abs(rhs.a)) == 0.0
 
 
@@ -34,7 +38,7 @@ def test_rhs_singular_only_cancels(grid):
     r = rng()
     for _ in range(5):
         b, p, q = r.normal(size=3)
-        rhs = hamiltonian_rhs(empty_seed(grid), Z, SingularTensorParams(b, p, q))
+        rhs = rhs_at(empty_seed(grid), Z, SingularTensorParams(b, p, q))
         m = max(np.max(np.abs(rhs.a)), np.max(np.abs(rhs.b)))
         assert m <= 1e-13 * max(1.0, b * b + p * p + q * q)
 
@@ -44,7 +48,7 @@ def test_rhs_udot_only(grid):
     udot = sample_analytic([GaussianBump(amp=0.5, x0=0.3)], grid)
     zf = ScalarField.zeros(grid)
     seed = make_seed(udot, zf, zf, b=0.0)
-    rhs = hamiltonian_rhs(seed, Z, SingularTensorParams(0, 0, 0))
+    rhs = rhs_at(seed, Z, SingularTensorParams(0, 0, 0))
     expected = -0.5 * multiply(udot, udot)
     diff = rhs - expected
     assert max(np.max(np.abs(diff.a)), np.max(np.abs(diff.b))) < 1e-15
@@ -56,7 +60,7 @@ def test_rhs_tail_check(grid):
     udot = sample_analytic([GaussianBump(amp=0.5)], grid)
     zf = ScalarField.zeros(grid)
     seed = make_seed(udot, zf, zf, b=0.0)
-    _check_tail(hamiltonian_rhs(seed, Z, SingularTensorParams(0, 0, 0)))
+    _check_tail(rhs_at(seed, Z, SingularTensorParams(0, 0, 0)))
 
 
 def test_solve_lambda_zero(grid):
@@ -79,7 +83,7 @@ def test_solve_lambda_sign_and_leading_order(grid):
     udot = sample_analytic([GaussianBump(amp=0.2)], grid)
     zf = ScalarField.zeros(grid)
     seed = make_seed(udot, zf, zf, b=0.0)
-    rhs = hamiltonian_rhs(seed, Z, SingularTensorParams(0, 0, 0))
+    rhs = rhs_at(seed, Z, SingularTensorParams(0, 0, 0))
     alpha, lt = solve_lambda(rhs)
     expected = integrate(multiply(udot, udot)) / (4.0 * np.pi)
     assert alpha > 0.0
@@ -96,7 +100,7 @@ def test_lambda_tilde_tail_consistent(grid):
     tau = sample_analytic([GaussianBump(amp=0.05, w=2.0)], grid)
     zf = ScalarField.zeros(grid)
     seed = make_seed(udot, zf, tau, b=0.05)
-    rhs = hamiltonian_rhs(seed, Z, SingularTensorParams(seed.b, 0.02, 0.0))
+    rhs = rhs_at(seed, Z, SingularTensorParams(seed.b, 0.02, 0.0))
     _, lt = solve_lambda(rhs)
     i_half = np.searchsorted(grid.r, 0.5 * grid.R_max)
     lhs = abs(lt.a[0, -1])

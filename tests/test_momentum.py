@@ -22,14 +22,17 @@ from constraints2d.momentum import (
     correction_h3,
     div_constraint_solve,
     divergence_identity_residual,
+    full_state_samples,
+    gradient_half_spectra,
     log_coefficient,
-    _seed_source,
-    _singular_source,
+    _add_singular_source,
     _state_source,
+    momentum_products,
     momentum_rhs_f,
     selection_matrix,
     singular_tensors,
     solve_rho_eta,
+    state_samples,
 )
 from constraints2d.operators import divergence, zero_boundary_rows
 
@@ -43,6 +46,11 @@ def zero_state(g):
 def empty_seed(g):
     z = ScalarField.zeros(g)
     return make_seed(z, z, z, b=0.0)
+
+
+def rho_eta(seed, alpha, lt, H):
+    """solve_rho_eta at the state (alpha, lt, H)."""
+    return solve_rho_eta(seed, alpha, gradient_half_spectra(lt), state_samples(seed, H))
 
 
 # ----------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def test_fixed_point_identity(grid):
     u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
-    p, q, source = solve_rho_eta(seed, 0.0, z, Z)
+    p, q, source = rho_eta(seed, 0.0, z, Z)
     out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
     assert -4.0 * out.m * np.cos(out.phi) == pytest.approx(p, abs=1e-10)
     assert -4.0 * out.m * np.sin(out.phi) == pytest.approx(q, abs=1e-10)
@@ -265,7 +273,7 @@ def test_fixed_point_identity(grid):
 
 def test_solve_rho_eta_zero(grid):
     z, Z = zero_state(grid)
-    p, q, _ = solve_rho_eta(empty_seed(grid), 0.0, z, Z)
+    p, q, _ = rho_eta(empty_seed(grid), 0.0, z, Z)
     assert p == 0.0 and q == 0.0
 
 
@@ -276,7 +284,7 @@ def test_solve_rho_eta_leading_order(fine_grid):
     seed = make_seed(udot, u, ScalarField.zeros(g), b=0.0)
     z = ScalarField.zeros(g)
     Z = TracelessSymTensorField.zeros(g)
-    p, q, _ = solve_rho_eta(seed, 0.0, z, Z)
+    p, q, _ = rho_eta(seed, 0.0, z, Z)
     d1u, d2u = cartesian_gradient(u)
     assert p == pytest.approx(integrate(multiply(udot, d1u)) / np.pi, rel=2e-3)
     assert q == pytest.approx(integrate(multiply(udot, d2u)) / np.pi, rel=2e-3)
@@ -287,7 +295,7 @@ def test_output_far_field_removed(grid):
     u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
-    p, q, source = solve_rho_eta(seed, 0.0, z, Z)
+    p, q, source = rho_eta(seed, 0.0, z, Z)
     out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
     i_half = np.searchsorted(grid.r, 0.5 * grid.R_max)
     for k in (1, 3):
@@ -312,7 +320,7 @@ def test_solve_rho_eta_source_is_the_source_at_the_selection(grid):
     lt = random_low_mode_field(grid, r, scale=0.02)
     H = TracelessSymTensorField(random_low_mode_field(grid, r, scale=0.01),
                                 random_low_mode_field(grid, r, scale=0.01))
-    p, q, (f1, f2) = solve_rho_eta(seed, 0.01, lt, H)
+    p, q, (f1, f2) = rho_eta(seed, 0.01, lt, H)
     assert p != 0.0 and q != 0.0
     g1, g2 = momentum_rhs_f(seed, 0.01, lt, H, SingularTensorParams(seed.b, p, q))
     scale = max(np.max(np.abs(g1.c)), np.max(np.abs(g2.c)))
@@ -336,16 +344,21 @@ def test_selection_from_angular_means_matches_the_sample_built_one(grid):
         return log_coefficient(*(ScalarField.from_mode(grid, 0, "cos", S.mean(axis=1))
                                  for S in (S1, S2)))
 
-    (P1, P2), L = _state_source(seed, 0.01, lt, H)
-    cp, cq = (sample_log_coefficient(*_singular_source(grid, *L, SingularTensorParams(0.0, *pq)))
+    def singular_source(L, params):
+        S = np.zeros_like(L[0]), np.zeros_like(L[0])
+        _add_singular_source(grid, *L, params, *S)
+        return S
+
+    (P1, P2), L = _state_source(seed, 0.01, gradient_half_spectra(lt), state_samples(seed, H))
+    cp, cq = (sample_log_coefficient(*singular_source(L, SingularTensorParams(0.0, *pq)))
               for pq in ((1.0, 0.0), (0.0, 1.0)))
     M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
-    S1, S2 = _singular_source(grid, *L, SingularTensorParams(seed.b, 0.0, 0.0))
-    c0 = log_coefficient(*_seed_source(seed)) + sample_log_coefficient(P1 + S1, P2 + S2)
+    S1, S2 = singular_source(L, SingularTensorParams(seed.b, 0.0, 0.0))
+    c0 = log_coefficient(*seed.momentum_source) + sample_log_coefficient(P1 + S1, P2 + S2)
     pq = np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag]))
 
     assert np.max(np.abs(selection_matrix(lt) - M)) <= 1e-13 * np.max(np.abs(M))
-    p, q, _ = solve_rho_eta(seed, 0.01, lt, H)
+    p, q, _ = rho_eta(seed, 0.01, lt, H)
     assert np.max(np.abs(np.array([p, q]) - pq)) <= 1e-13 * np.max(np.abs(pq))
 
 
@@ -355,11 +368,13 @@ def test_seed_densities_match_fresh_products(grid):
     tau = sample_analytic([GaussianBump(amp=0.05, x0=0.2, w=1.5)], grid)
     seed = make_seed(udot, u, tau, b=0.1)
     d1u, d2u = cartesian_gradient(u)
+    dt1, dt2 = cartesian_gradient(tau)
     energy = multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u)
     fresh = [(seed.energy_density, energy),
              (seed.momentum_density[0], multiply(udot, d1u)),
-             (seed.momentum_density[1], multiply(udot, d2u))]
-    fresh += list(zip(seed.grad_tau_tilde, cartesian_gradient(tau)))
+             (seed.momentum_density[1], multiply(udot, d2u)),
+             (seed.momentum_source[0], 0.5 * dt1 - multiply(udot, d1u)),
+             (seed.momentum_source[1], 0.5 * dt2 - multiply(udot, d2u))]
     for stored, f in fresh:
         assert _max_abs_diff(stored, f) <= 1e-14 * np.max(np.abs(f.c))
     assert seed.epsilon == pytest.approx(integrate(energy), rel=1e-14)
@@ -401,7 +416,7 @@ def test_fused_sources_match_term_by_term_products(grid):
     from constraints2d.lichnerowicz import hamiltonian_rhs
 
     seed, alpha, lt, H = _coupled_state(grid)
-    p, q, source = solve_rho_eta(seed, alpha, lt, H)
+    p, q, source = rho_eta(seed, alpha, lt, H)
     params = SingularTensorParams(seed.b, p, q)
     udot, tau = seed.udot, seed.tau_tilde
     d1u, d2u = cartesian_gradient(seed.u)
@@ -427,7 +442,7 @@ def test_fused_sources_match_term_by_term_products(grid):
            - 2.0 * (multiply(hs11, H.h11) + multiply(hs12, H.h12))
            - (multiply(H.h11, H.h11) + multiply(H.h12, H.h12))
            + 0.5 * multiply(tau_s, tau) + 0.25 * multiply(tau, tau))
-    _assert_close([hamiltonian_rhs(seed, H, params)], [ham])
+    _assert_close([hamiltonian_rhs(seed, state_samples(seed, H), params)], [ham])
 
 
 def test_fused_momentum_residual_matches_term_by_term_products(grid):
@@ -454,7 +469,8 @@ def test_fused_momentum_residual_matches_term_by_term_products(grid):
           - 0.5 * (dt1 + ts1) + 0.5 * multiply(tau_tot, lam1))
     r2 = (div2 + s2 + multiply(h12, lam1) - multiply(h11, lam2) + multiply(udot, d2u)
           - 0.5 * (dt2 + ts2) + 0.5 * multiply(tau_tot, lam2))
-    _assert_close(momentum_residual(seed, alpha, lt, H, params), (r1, r2))
+    products = momentum_products(seed, alpha, lt, full_state_samples(seed, H, params))
+    _assert_close(momentum_residual(seed, H, params, products), (r1, r2))
 
 
 def test_hamiltonian_residual_matches_term_by_term_products(grid):
@@ -472,7 +488,8 @@ def test_hamiltonian_residual_matches_term_by_term_products(grid):
     energy = multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u)
     res = (lap + 0.5 * energy + multiply(h11, h11) + multiply(h12, h12)
            - 0.25 * multiply(tau_tot, tau_tot))
-    _assert_close([hamiltonian_residual(seed, alpha, lt, H, params)], [res])
+    _assert_close([hamiltonian_residual(seed, alpha, lt, full_state_samples(seed, H, params))],
+                  [res])
 
 
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
