@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,25 +69,35 @@ class RunConfig:
     u_bumps: tuple[GaussianBump, ...] = ()
     tau_bumps: tuple[GaussianBump, ...] = ()
     b: float = 0.0
-    tol_fixed_point: float = 1e-10
-    max_iter: int = 100
-    epsilon_threshold: float = 0.5
+    solver: SolverOptions = SolverOptions()
     output_dir: str = "out"
 
 
-_GRID_KEYS = {"K": int, "N_r": int, "R_max": float, "delta": float}
-_SOLVER_KEYS = {"tol_fixed_point": float, "max_iter": int, "epsilon_threshold": float}
+def _output_dir(text: str) -> str:
+    if not text:
+        raise ValueError("output dir must not be empty")
+    return text
+
+
+# [section] -> key -> (field, parser): the RunConfig field the key sets, or in
+# [solver] the SolverOptions field, parsed as the type of its default; a bump
+# key appends one bump to its tuple
+_KEYS = {
+    "grid": {"K": ("K", int), "N_r": ("N_r", int),
+             "R_max": ("R_max", float), "delta": ("delta", float)},
+    "seed": {"b": ("b", float), "udot": ("udot_bumps", parse_bump_line),
+             "u": ("u_bumps", parse_bump_line), "tau_tilde": ("tau_bumps", parse_bump_line)},
+    "solver": {f.name: (f.name, type(f.default)) for f in fields(SolverOptions)},
+    "output": {"dir": ("output_dir", _output_dir)},
+}
+_FORMAT = {float: lambda v: f"{v:.17g}", parse_bump_line: format_bump}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
     section = None
-    grid_kv: dict = {}
-    solver_kv: dict = {}
-    seed_kv: dict = {"b": 0.0}
-    bumps = {"udot": [], "u": [], "tau_tilde": []}
-    out_dir = "out"
-    seen_sections = set()
+    seen = set()
+    settings = {name: {} for name in _KEYS}  # section -> field -> value
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,72 +105,47 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("grid", "seed", "solver", "output"):
+            if section not in _KEYS:
                 raise ParseError(f"unknown section [{section}]", ln)
-            seen_sections.add(section)
+            seen.add(section)
             continue
         if "=" not in line:
             raise ParseError(f"expected key = value, got {line!r}", ln)
         key, val = (part.strip() for part in line.split("=", 1))
+        if section is None:
+            raise ParseError("key outside any section", ln)
+        if key not in _KEYS[section]:
+            raise ParseError(f"unknown {section} key {key!r}", ln)
+        name, parse = _KEYS[section][key]
         try:
-            if section == "grid":
-                if key not in _GRID_KEYS:
-                    raise ParseError(f"unknown grid key {key!r}", ln)
-                grid_kv[key] = _GRID_KEYS[key](val)
-            elif section == "seed":
-                if key == "b":
-                    seed_kv["b"] = float(val)
-                elif key in bumps:
-                    bumps[key].append(parse_bump_line(val))
-                else:
-                    raise ParseError(f"unknown seed key {key!r}", ln)
-            elif section == "solver":
-                if key not in _SOLVER_KEYS:
-                    raise ParseError(f"unknown solver key {key!r}", ln)
-                solver_kv[key] = _SOLVER_KEYS[key](val)
-            elif section == "output":
-                if key != "dir":
-                    raise ParseError(f"unknown output key {key!r}", ln)
-                out_dir = val
-            else:
-                raise ParseError("key outside any section", ln)
+            value = parse(val)
         except ValueError as exc:
             raise ParseError(str(exc), ln)
+        kv = settings[section]
+        kv[name] = kv.get(name, ()) + (value,) if parse is parse_bump_line else value
 
-    if "grid" not in seen_sections:
+    if "grid" not in seen:
         raise ParseError("missing [grid] section")
-    missing = set(_GRID_KEYS) - set(grid_kv)
+    missing = set(_KEYS["grid"]) - set(settings["grid"])
     if missing:
         raise ParseError(f"grid section missing keys: {sorted(missing)}")
-
-    cfg = RunConfig(
-        K=grid_kv["K"], N_r=grid_kv["N_r"], R_max=grid_kv["R_max"],
-        delta=grid_kv["delta"],
-        udot_bumps=tuple(bumps["udot"]), u_bumps=tuple(bumps["u"]),
-        tau_bumps=tuple(bumps["tau_tilde"]), b=seed_kv["b"],
-        output_dir=out_dir, **solver_kv)
     try:
-        validate_grid(cfg.K, cfg.N_r, cfg.R_max, cfg.delta)
+        validate_grid(**settings["grid"])
     except (DeltaOutOfRange, InvalidResolution) as exc:
         raise ValidationError(str(exc)) from exc
-    SolverOptions(**solver_kv)  # the one check of the solver settings
-    return cfg
+    return RunConfig(**settings["grid"], **settings["seed"], **settings["output"],
+                     solver=SolverOptions(**settings["solver"]))
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = ["[grid]",
-             f"K = {cfg.K}", f"N_r = {cfg.N_r}",
-             f"R_max = {cfg.R_max:.17g}", f"delta = {cfg.delta:.17g}",
-             "", "[seed]", f"b = {cfg.b:.17g}"]
-    for name, blist in (("udot", cfg.udot_bumps), ("u", cfg.u_bumps),
-                        ("tau_tilde", cfg.tau_bumps)):
-        for bump in blist:
-            lines.append(f"{name} = {format_bump(bump)}")
-    lines += ["", "[solver]",
-              f"tol_fixed_point = {cfg.tol_fixed_point:.17g}",
-              f"max_iter = {cfg.max_iter}",
-              f"epsilon_threshold = {cfg.epsilon_threshold:.17g}",
-              "", "[output]", f"dir = {cfg.output_dir}", ""]
+    lines = []
+    for section, keys in _KEYS.items():
+        lines.append(f"[{section}]")
+        for key, (name, parse) in keys.items():
+            value = getattr(cfg.solver if section == "solver" else cfg, name)
+            for v in value if parse is parse_bump_line else (value,):
+                lines.append(f"{key} = {_FORMAT.get(parse, str)(v)}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -187,17 +172,17 @@ def config_seed(cfg: RunConfig, grid: Grid, amplitude: float = 1.0):
 def config_options(cfg: RunConfig) -> SolverOptions:
     """The config's solver settings with the SOLVER_TOL and SOLVER_MAX_ITER
     environment overrides; raises ValidationError for a bad value."""
-    settings = {"tol_fixed_point": cfg.tol_fixed_point, "max_iter": cfg.max_iter,
-                "epsilon_threshold": cfg.epsilon_threshold}
-    for var, key, kind in (("SOLVER_TOL", "tol_fixed_point", float),
-                           ("SOLVER_MAX_ITER", "max_iter", int)):
+    opts = cfg.solver
+    for var, key in (("SOLVER_TOL", "tol_fixed_point"), ("SOLVER_MAX_ITER", "max_iter")):
         raw = os.environ.get(var)
         if raw:
+            kind = _KEYS["solver"][key][1]
             try:
-                settings[key] = kind(raw)
+                value = kind(raw)
             except ValueError:
                 raise ValidationError(f"{var} = {raw!r} is not a valid {kind.__name__}")
-    return SolverOptions(**settings)
+            opts = replace(opts, **{key: value})
+    return opts
 
 
 # ----------------------------------------------------------------------------
@@ -260,9 +245,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     amplitudes = list(amplitudes)
     if not amplitudes or not all(np.isfinite(a) and a >= 0 for a in amplitudes) or \
-            sorted(amplitudes) != amplitudes:
-        print("sweep needs a nonempty sorted list of finite nonnegative amplitudes",
-              file=sys.stderr)
+            any(a2 <= a1 for a1, a2 in zip(amplitudes, amplitudes[1:])):
+        print("sweep needs a nonempty strictly ascending list of finite nonnegative "
+              "amplitudes", file=sys.stderr)
         return 1
     opts = config_options(cfg)
     grid = config_grid(cfg)
@@ -450,7 +435,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="amplitude sweep with quadratic fits")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--amplitudes", required=True,
-                         help="comma-separated amplitudes, ascending")
+                         help="comma-separated amplitudes, strictly ascending")
     p_verify = sub.add_parser("verify", help="run the identity/oracle battery")
     p_verify.add_argument("config")
 
@@ -475,12 +460,10 @@ def main(argv=None) -> int:
                 print(f"bad amplitude list: {exc}", file=sys.stderr)
                 return 1
             return cmd_sweep(cfg, amplitudes)
-        if args.command == "verify":
-            return cmd_verify(cfg)
+        return cmd_verify(cfg)
     except (DeltaOutOfRange, InvalidResolution, UnresolvedSpec, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

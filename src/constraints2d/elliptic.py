@@ -31,7 +31,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import NonDecayingRHS
-from .fields import ScalarField, integrate
+from .fields import ScalarField, evaluate_field, integrate
 
 __all__ = ["PoissonSolution", "poisson_solve", "laplacian", "greens_convolution_oracle"]
 
@@ -133,7 +133,7 @@ def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
     fx = np.zeros(len(pts))
     inside = np.hypot(pts[:, 0], pts[:, 1]) < g.R_max - 4.0 * w_sub
     if np.any(inside):
-        fx[inside] = _eval_points(f, pts[inside])
+        fx[inside] = evaluate_field(f, pts[inside])
     out = []
     for (px, py), fval in zip(pts, fx):
         d2 = (px - yx) ** 2 + (py - yy) ** 2
@@ -143,8 +143,3 @@ def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
         out.append(float(val + fval * p_center))
     return out
 
-
-def _eval_points(f: ScalarField, pts: np.ndarray) -> np.ndarray:
-    from .fields import evaluate_field
-
-    return evaluate_field(f, [tuple(p) for p in pts])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -363,23 +363,26 @@ def parse_bump_line(text: str) -> GaussianBump:
     parts = text.split()
     if not parts or parts[0] != "gauss":
         raise ValueError(f"unknown bump kind in {text!r}")
+    params = fields(GaussianBump)
     kw = {}
     for p in parts[1:]:
         if "=" not in p:
             raise ValueError(f"malformed bump parameter {p!r}")
         key, val = p.split("=", 1)
-        if key not in ("amp", "x0", "y0", "w"):
+        if key not in {f.name for f in params}:
             raise ValueError(f"unknown bump parameter {key!r}")
         kw[key] = float(val)
         if not np.isfinite(kw[key]):
             raise ValueError(f"bump parameter {key} must be finite, got {val!r}")
-    if "amp" not in kw:
-        raise ValueError("bump needs amp=<value>")
+    for f in params:
+        if f.default is MISSING and f.name not in kw:
+            raise ValueError(f"bump needs {f.name}=<value>")
     return GaussianBump(**kw)
 
 
 def format_bump(b: GaussianBump) -> str:
-    return f"gauss amp={b.amp:.17g} x0={b.x0:.17g} y0={b.y0:.17g} w={b.w:.17g}"
+    return " ".join(["gauss", *(f"{f.name}={getattr(b, f.name):.17g}"
+                                for f in fields(GaussianBump))])
 
 
 def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
@@ -604,6 +607,8 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
             vals = np.array([float(v) for v in row[2:]])
             if vals.shape != (grid.N_r,):
                 raise ValueError("field CSV does not match the grid")
+            if not 0 <= k <= grid.K or (kind, k) == ("sin", 0):
+                raise ValueError(f"field CSV has no {kind} row at mode {k} for K = {grid.K}")
             if kind == "cos":
                 c[:, k] += vals if k == 0 else 0.5 * vals
             elif kind == "sin":

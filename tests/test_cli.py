@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from constraints2d.cli import (
     serialize_config,
 )
 from constraints2d.errors import ParseError, ValidationError
+from constraints2d.picard import SolverOptions
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 MINIMAL = """
 [grid]
@@ -70,8 +75,8 @@ dir = {out}
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.delta == -0.5
-    assert cfg.tol_fixed_point == 1e-10
-    assert cfg.max_iter == 100
+    assert cfg.solver.tol_fixed_point == 1e-10
+    assert cfg.solver.max_iter == 100
     assert cfg.b == 0.0
     assert len(cfg.udot_bumps) == 1 and cfg.u_bumps == ()
 
@@ -96,6 +101,37 @@ def test_parse_error_line_number():
 def test_round_trip():
     cfg = parse_config(FULL.format(out="somewhere"))
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", ["demo.cfg", "sweep.cfg"])
+def test_shipped_configs_round_trip(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        cfg = parse_config(fh.read())
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_solver_settings_are_solver_options():
+    # no [solver] section: the SolverOptions defaults; a RunConfig cannot
+    # be given solver settings that SolverOptions rejects
+    cfg = parse_config(MINIMAL)
+    assert cfg.solver == SolverOptions()
+    assert parse_config(FULL.format(out="x")).solver == SolverOptions(max_iter=60)
+    with pytest.raises(ValidationError, match="max_iter must be at least 1"):
+        replace(cfg.solver, max_iter=0)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[seed]", "[seeds]", "line 8: unknown section [seeds]"),
+    ("max_iter = 60", "max_iters = 60", "line 16: unknown solver key 'max_iters'"),
+    ("max_iter = 60", "max_iter = 6.5", "line 16: invalid literal for int()"),
+    ("b = 0.03", "c = 0.03", "line 9: unknown seed key 'c'"),
+    ("w=2.0", "w=2.0 r=1", "line 12: unknown bump parameter 'r'"),
+    ("dir = {out}", "dir =", "line 20: output dir must not be empty"),
+])
+def test_parse_error_messages(old, new, message):
+    with pytest.raises(ParseError) as exc:
+        parse_config(FULL.replace(old, new).format(out="x"))
+    assert str(exc.value).startswith(message)
 
 
 def test_solve_zero_amplitude(tmp_path):
@@ -236,8 +272,9 @@ dir = {out}
     FULL.replace("b = 0.03", "b = nan"),
     FULL.replace("b = 0.03", "b = inf"),
     FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
+    FULL.replace("dir = {out}", "dir ="),
 ], ids=["missing_grid_keys", "unresolved_bump", "R_max_nan", "R_max_inf",
-        "bump_amp_nan", "b_nan", "b_inf", "tol_inf"])
+        "bump_amp_nan", "b_nan", "b_inf", "tol_inf", "empty_output_dir"])
 def test_main_bad_config_exit1(tmp_path, capsys, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text.format(out=tmp_path / "out"))
@@ -245,7 +282,7 @@ def test_main_bad_config_exit1(tmp_path, capsys, text):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan"])
+@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1"])
 def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes):
     path = tmp_path / "run.cfg"
     path.write_text(FULL.format(out=tmp_path / "out"))

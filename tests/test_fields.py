@@ -18,8 +18,10 @@ from constraints2d.fields import (
     build_grid,
     cartesian_gradient,
     evaluate_field,
+    format_bump,
     integrate,
     multiply,
+    parse_bump_line,
     radial_l2_weighted,
     read_field_csv,
     sample_analytic,
@@ -365,3 +367,24 @@ def test_csv_round_trip(grid, tmp_path):
     f2 = read_field_csv(path, grid)
     assert np.array_equal(f.a, f2.a)
     assert np.array_equal(f.b, f2.b)
+
+
+@pytest.mark.parametrize("mode, kind", [(-1, "cos"), (0, "sin"), ("K+1", "cos")])
+def test_csv_reader_rejects_rows_outside_the_half_spectrum(grid, tmp_path, mode, kind):
+    # a negative mode would index from the end, a sin row at mode 0 would
+    # make the mean complex, and mode K+1 does not exist
+    k = grid.K + 1 if mode == "K+1" else mode
+    path = tmp_path / "field.csv"
+    path.write_text(f"{k},{kind}," + ",".join(["1.0"] * grid.N_r) + "\r\n")
+    with pytest.raises(ValueError, match=f"no {kind} row at mode {k}"):
+        read_field_csv(path, grid)
+
+
+def test_bump_line_round_trip():
+    bump = GaussianBump(amp=-0.25, x0=0.5, y0=-1.0 / 3.0, w=1.75)
+    assert parse_bump_line(format_bump(bump)) == bump
+    assert parse_bump_line("gauss amp=0.1") == GaussianBump(amp=0.1)
+    with pytest.raises(ValueError, match="unknown bump parameter 'r0'"):
+        parse_bump_line("gauss amp=0.1 r0=1.0")
+    with pytest.raises(ValueError, match="bump needs amp=<value>"):
+        parse_bump_line("gauss x0=1.0")
