@@ -5,11 +5,18 @@ angle over a mapped radial grid,
 
     f(r, theta) = sum_{k=-K..K} c_k(r) e^{i k theta},   c_{-k} = conj(c_k),
 
-stored as its rfft half-spectrum c_0..c_K (c_0 real).  In cos/sin terms
+stored as its half-spectrum c_0..c_K (c_0 real).  In cos/sin terms
 c_0 = a_0 and c_k = (a_k - i b_k)/2.  The radial nodes are uniform in
 s = ln(1 + r).  The mapping resolves both the unit-scale cutoff region and
 the far field with one uniform stencil; centered differences in s are second
 order.
+
+Sampling on the M = 4K angles and the transform back are each one real
+matrix product: the (N_r, 2(K+1)) float view of the half-spectrum, whose
+columns are the (Re c_k, Im c_k) pairs, times the grid's (2(K+1), M)
+inverse DFT matrix, and the samples times its (M, 2(K+1)) forward matrix,
+which computes only modes 0..K.  At these sizes a product is cheaper than
+an FFT.
 
 The module also owns the smooth cutoff chi (chi = 0 for r <= 1, chi = 1 for
 r >= 2) together with its exact first and second derivatives.  Every profile
@@ -117,7 +124,7 @@ class Grid:
     Radial nodes are uniform in s = ln(1+r): s_i = i*h, i = 1..N_r with
     h = ln(1+R_max)/N_r, so r_1 > 0 and r_{N_r} = R_max.  Angular content is
     truncated at mode K; nonlinear terms are dealiased on M = 4K sample
-    points.
+    points, reached through the DFT matrices built with the grid.
     """
 
     K: int
@@ -135,6 +142,9 @@ class Grid:
     dchiln: np.ndarray = field(repr=False, default=None)     # (chi ln r)'
     lap_chiln: np.ndarray = field(repr=False, default=None)  # Laplacian of chi ln r
     quad_w: np.ndarray = field(repr=False, default=None)     # weights in s on nodes 1..N
+    # real DFT matrices on the (re, im) float view of a half-spectrum
+    dft_inverse: np.ndarray = field(repr=False, default=None)  # (2(K+1), M)
+    dft_forward: np.ndarray = field(repr=False, default=None)  # (M, 2(K+1))
 
     @property
     def M(self) -> int:
@@ -191,11 +201,20 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
         w[-1] = 0.5
     w *= h
 
+    # rows 2k, 2k+1 of E: cos(k theta_j) and -sin(k theta_j), the weights of
+    # Re c_k and Im c_k in e^{i k theta_j}; the row of Im c_0 is zero
+    M = 4 * K
+    k = np.arange(K + 1)
+    phase = (2.0 * np.pi / M) * (np.outer(k, np.arange(M)) % M)
+    E = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(2 * K + 2, M)
+
     g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
              h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
-             chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w)
+             chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w,
+             dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
+             dft_forward=E.T / M)
     for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln,
-                g.lap_chiln, g.quad_w):
+                g.lap_chiln, g.quad_w, g.dft_inverse, g.dft_forward):
         arr.setflags(write=False)
     return g
 
@@ -291,24 +310,25 @@ class ScalarField:
 
     # -- sampling ---------------------------------------------------------
     def to_samples(self) -> np.ndarray:
-        """Values on the (N_r, M) collocation grid, theta_j = 2 pi j / M.
-
-        Exact for modes <= K < M/2; irfft zero-pads the spectrum to M."""
-        return np.fft.irfft(self.c, n=self.grid.M, axis=-1, norm="forward")
+        """Values on the (N_r, M) collocation grid, theta_j = 2 pi j / M: the
+        (re, im) view of the half-spectrum times the grid's inverse DFT
+        matrix.  Exact for modes <= K < M/2; Im c_0 is ignored."""
+        v = np.ascontiguousarray(self.c, dtype=complex).view(np.float64)
+        return v @ self.grid.dft_inverse
 
     @staticmethod
     def from_samples(grid: Grid, samples: np.ndarray) -> "ScalarField":
-        """Forward angular transform, truncated to K modes (dealiasing step).
-
-        The K+1 kept columns are copied, so the field does not hold the
-        whole M/2+1-column spectrum alive."""
-        return ScalarField(grid, angular_modes(grid, samples).copy())
+        """Forward angular transform, truncated to K modes (dealiasing step)."""
+        return ScalarField(grid, angular_modes(grid, samples))
 
 
 def angular_modes(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Modes 0..K of the forward angular transform of (N_r, M) samples, as a
-    view into the whole rfft output."""
-    return np.fft.rfft(samples, axis=-1, norm="forward")[:, :grid.K + 1]
+    """Modes 0..K of the forward angular transform of (N_r, M) samples: the
+    samples times the grid's forward DFT matrix, written into the (re, im)
+    view of a new complex array, which owns its memory."""
+    c = np.empty(samples.shape[:-1] + (grid.K + 1,), dtype=complex)
+    np.matmul(samples, grid.dft_forward, out=c.view(np.float64))
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,34 +605,57 @@ def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,
 # serialization: CSV rows `k, kind, r_1 .. r_N` with 17 significant digits
 # ----------------------------------------------------------------------------
 
+def _csv_rows(K: int) -> list[tuple[int, str]]:
+    """(k, kind) of each row of a field CSV, in file order."""
+    return [(k, "cos") for k in range(K + 1)] + [(k, "sin") for k in range(1, K + 1)]
+
+
 def write_field_csv(f: ScalarField, path) -> None:
     """Rows `k,kind,v_1,...,v_N` with every value as `%.17g` and
     csv.writer's CRLF line ends, formatted in one pass and written at once."""
-    K = f.grid.K
-    a, b = f.a.tolist(), f.b.tolist()
-    rows = [(k, "cos", a[k]) for k in range(K + 1)] + [(k, "sin", b[k]) for k in range(1, K + 1)]
+    coeffs = {"cos": f.a.tolist(), "sin": f.b.tolist()}
     line = "%d,%s" + ",%.17g" * f.grid.N_r + "\r\n"
-    text = "".join(line % (k, kind, *vals) for k, kind, vals in rows)
+    text = "".join(line % (k, kind, *coeffs[kind][k]) for k, kind in _csv_rows(f.grid.K))
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:
+    """The field of a write_field_csv file, whose rows may come in any order.
+
+    Raises ValueError naming the line for a row that is malformed, does not
+    match the grid, lies outside the half-spectrum or repeats an earlier
+    row, and naming the mode for a row that is missing; writing and reading
+    back gives the field bitwise."""
     c = np.zeros((grid.N_r, grid.K + 1), dtype=complex)
+    v = c.view(np.float64)  # columns 2k, 2k+1: Re c_k, Im c_k
+    expected = _csv_rows(grid.K)
+    lines = {}  # (k, kind) -> line number
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
-            k, kind = int(row[0]), row[1]
-            vals = np.array([float(v) for v in row[2:]])
+            ln = reader.line_num
+            try:
+                k, kind = int(row[0]), row[1]
+                vals = np.array([float(x) for x in row[2:]])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"line {ln}: malformed field CSV row ({exc})")
             if vals.shape != (grid.N_r,):
-                raise ValueError("field CSV does not match the grid")
-            if not 0 <= k <= grid.K or (kind, k) == ("sin", 0):
-                raise ValueError(f"field CSV has no {kind} row at mode {k} for K = {grid.K}")
-            if kind == "cos":
-                c[:, k] += vals if k == 0 else 0.5 * vals
-            elif kind == "sin":
-                c[:, k] -= 0.5j * vals
+                raise ValueError(f"line {ln}: field CSV does not match the grid")
+            if (k, kind) not in expected:
+                raise ValueError(f"line {ln}: field CSV has no {kind} row at mode {k} "
+                                 f"for K = {grid.K}")
+            if (k, kind) in lines:
+                raise ValueError(f"line {ln}: repeated {kind} row at mode {k} "
+                                 f"(first on line {lines[k, kind]})")
+            lines[k, kind] = ln
+            if kind == "sin":
+                v[:, 2 * k + 1] = -0.5 * vals
             else:
-                raise ValueError(f"unknown row kind {kind!r}")
+                v[:, 2 * k] = vals if k == 0 else 0.5 * vals
+    for k, kind in expected:
+        if (k, kind) not in lines:
+            raise ValueError(f"field CSV is missing its {kind} row at mode {k}")
     return ScalarField(grid, c)

@@ -221,8 +221,9 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
 #
 # Each source is one pass on the (N_r, M) angular samples, which a Picard
 # step takes once per field for both sources: the whole pointwise expression
-# on the samples, one rfft per output.  A sum of dealiased products equals
-# the dealiased sum, so this is the product-by-product assembly up to rounding.
+# on the samples, one forward transform per output.  A sum of dealiased
+# products equals the dealiased sum, so this is the product-by-product
+# assembly up to rounding.
 # ----------------------------------------------------------------------------
 
 def gradient_half_spectra(f: ScalarField):
@@ -455,7 +456,7 @@ def momentum_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField, f
     lam = _lambda_gradient(g, alpha, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
     P1, P2 = _h_dlambda(tau, h11, h12, *lam)
     del lam
-    return angular_modes(g, P1).copy(), angular_modes(g, P2).copy()
+    return angular_modes(g, P1), angular_modes(g, P2)
 
 
 SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused

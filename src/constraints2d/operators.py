@@ -6,7 +6,9 @@ operator identities used by the solvers hold at the matrix level:
 
   * the Cartesian gradient is assembled from the mode-raising operator
     A+ = d1 + i d2 and the mode-lowering operator A- = d1 - i d2, whose
-    per-mode radial factors are D+_m = Dr - m/r and D-_m = Dr + m/r;
+    per-mode radial factors are D+_m = Dr - m/r and D-_m = Dr + m/r.  Both
+    shifts come from one real product Dr v and one (m/r) v on the float
+    (re, im) view v of the mode array: sparse Dr never meets complex data;
   * the momentum potential solve inverts M_m = D-_{m+1} D+_m, which is the
     exact per-mode factorization of divergence(symmetrized gradient); the
     divergence of the assembled tensor therefore reproduces the right-hand
@@ -125,6 +127,15 @@ class OperatorWorkspace:
 
         self._lap = self._mom = None
         self._z: tuple[np.ndarray, float] | None = None
+        self._mode_rows: dict[int, np.ndarray] = {}
+
+    def mode_row(self, n: int) -> np.ndarray:
+        """Mode number m of each of the n columns of the (re, im) float view
+        of a mode array (see full_spectrum): each m twice."""
+        row = self._mode_rows.get(n)
+        if row is None:
+            row = self._mode_rows[n] = np.repeat(np.arange(self.K + 1 - n // 2, self.K + 1.0), 2)
+        return row
 
     def _factorize(self, B: np.ndarray, modes: np.ndarray):
         """splu of the block-diagonal system whose block b has the row bands
@@ -221,10 +232,6 @@ class OperatorWorkspace:
 # 0..K and the 2K+1 columns of a full spectrum are modes -K..K
 # ----------------------------------------------------------------------------
 
-def _mode_numbers(w: "OperatorWorkspace", C: np.ndarray) -> np.ndarray:
-    return np.arange(w.K + 1 - C.shape[1], w.K + 1)
-
-
 def full_spectrum(f1: ScalarField, f2: ScalarField) -> np.ndarray:
     """Modes -K..K of F = f1 + i f2 (no conjugate symmetry in general),
     from c_{-m} = conj(c_m) for the real f1 and f2."""
@@ -238,39 +245,33 @@ def real_pair(grid: Grid, Z: np.ndarray) -> tuple[ScalarField, ScalarField]:
     return ScalarField(grid, 0.5 * (pos + neg)), ScalarField(grid, -0.5j * (pos - neg))
 
 
-def _radial_parts(w: OperatorWorkspace, C: np.ndarray):
-    """(Dr C, (m/r) C) column by column: the two pieces of both mode shifts."""
-    return w.Dr @ C, C * (w.P[:, None] * _mode_numbers(w, C))
-
-
-def _raise(DC: np.ndarray, MC: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(DC)
-    out[:, 1:] = DC[:, :-1] - MC[:, :-1]
-    return out
-
-
-def _lower(DC: np.ndarray, MC: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(DC)
-    out[:, :-1] = DC[:, 1:] + MC[:, 1:]
-    return out
-
-
 def raise_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
     """(A+ C)_m = (Dr - (m-1)/r) C_{m-1}; content above mode K is dropped and
     the lowest mode, fed from outside the array, is left zero."""
-    return _raise(*_radial_parts(w, C))
+    return raise_and_lower(w, C)[0]
 
 
 def lower_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
     """(A- C)_m = (Dr + (m+1)/r) C_{m+1}; content below the lowest mode is
     dropped and mode K, fed from above K, is left zero."""
-    return _lower(*_radial_parts(w, C))
+    return raise_and_lower(w, C)[1]
 
 
 def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
-    """(raise_mode(w, C), lower_mode(w, C)) from one radial derivative of C."""
-    parts = _radial_parts(w, C)
-    return _raise(*parts), _lower(*parts)
+    """(raise_mode(w, C), lower_mode(w, C)) on the (re, im) float view v of C:
+    one Dr v and one (m/r) v, whose difference and sum are shifted by one
+    mode up and down.  The shifts run on the flattened rows, so each row's
+    edge mode first takes its neighbour row's value, then is zeroed."""
+    v = np.ascontiguousarray(C, dtype=complex).view(np.float64)
+    dv = (w.Dr @ v).reshape(-1)
+    mv = w.P[:, None] * w.mode_row(v.shape[1])
+    mv *= v
+    mv = mv.reshape(-1)
+    up, dn = np.empty(C.shape, dtype=complex), np.empty(C.shape, dtype=complex)
+    np.subtract(dv[:-2], mv[:-2], out=up.view(np.float64).reshape(-1)[2:])
+    np.add(dv[2:], mv[2:], out=dn.view(np.float64).reshape(-1)[:-2])
+    up[:, 0] = dn[:, -1] = 0.0
+    return up, dn
 
 
 def gradient_coefficients(w: OperatorWorkspace, c: np.ndarray):

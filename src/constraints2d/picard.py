@@ -75,7 +75,7 @@ class IterState:
     def norm_terms(self) -> list[np.ndarray]:
         """Half-spectra of lambdatilde, d1, d2, d11, d12, d22 of it, then of
         h11 and h12 each with d1 and d2; taken on first use and kept: five
-        raise_and_lower calls."""
+        gradient_coefficients calls."""
         w = ops.workspace(self.lambda_tilde.grid)
         d1, d2 = gradient_half_spectra(self.lambda_tilde)
         terms = [self.lambda_tilde.c, d1, d2, *ops.gradient_coefficients(w, d1),

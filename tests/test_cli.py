@@ -7,8 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constraints2d.cli import (
+    RunConfig,
     cmd_solve,
     cmd_sweep,
     cmd_verify,
@@ -17,6 +20,7 @@ from constraints2d.cli import (
     serialize_config,
 )
 from constraints2d.errors import ParseError, ValidationError
+from constraints2d.fields import GaussianBump
 from constraints2d.picard import SolverOptions
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -103,6 +107,26 @@ def test_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_BUMPS = st.lists(st.builds(GaussianBump, amp=_FINITE, x0=_FINITE, y0=_FINITE, w=_FINITE),
+                  max_size=3).map(tuple)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=st.builds(
+    RunConfig, K=st.integers(4, 64), N_r=st.integers(16, 4096), R_max=_POSITIVE,
+    delta=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+    udot_bumps=_BUMPS, u_bumps=_BUMPS, tau_bumps=_BUMPS, b=_FINITE,
+    solver=st.builds(SolverOptions, tol_fixed_point=_POSITIVE,
+                     max_iter=st.integers(1, 10**6), epsilon_threshold=_POSITIVE),
+    output_dir=st.text("abcXYZ019_-./", min_size=1)))
+def test_serialized_configs_parse_back(cfg):
+    # every value is written with 17 significant digits, and each bump key
+    # line appends one bump
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 @pytest.mark.parametrize("name", ["demo.cfg", "sweep.cfg"])
 def test_shipped_configs_round_trip(name):
     with open(os.path.join(CONFIGS, name)) as fh:
@@ -127,6 +151,7 @@ def test_solver_settings_are_solver_options():
     ("b = 0.03", "c = 0.03", "line 9: unknown seed key 'c'"),
     ("w=2.0", "w=2.0 r=1", "line 12: unknown bump parameter 'r'"),
     ("dir = {out}", "dir =", "line 20: output dir must not be empty"),
+    ("N_r = 192", "N_r = 192\nK = 16", "line 5: repeated grid key 'K'"),
 ])
 def test_parse_error_messages(old, new, message):
     with pytest.raises(ParseError) as exc:

@@ -1,9 +1,11 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from constraints2d.errors import (
     DeltaOutOfRange,
@@ -15,6 +17,7 @@ from constraints2d.errors import (
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
+    angular_modes,
     build_grid,
     cartesian_gradient,
     evaluate_field,
@@ -27,6 +30,14 @@ from constraints2d.fields import (
     sample_analytic,
     weighted_sobolev_norm,
     write_field_csv,
+)
+
+from constraints2d.operators import (
+    gradient_coefficients,
+    lower_mode,
+    raise_and_lower,
+    raise_mode,
+    workspace,
 )
 
 from conftest import random_low_mode_field, rng
@@ -147,6 +158,40 @@ def test_gradient_second_order():
     assert all(abs(o - 2.0) <= 0.3 for o in orders)
 
 
+def _complex_mode_shifts(w, C):
+    """Both mode shifts as complex column operations: Dr C and (m/r) C, then
+    their difference moved up one column and their sum down one."""
+    m = np.arange(w.K + 1 - C.shape[1], w.K + 1)
+    DC, MC = w.Dr @ C, C * (w.P[:, None] * m)
+    up, dn = np.zeros_like(DC), np.zeros_like(DC)
+    up[:, 1:] = DC[:, :-1] - MC[:, :-1]
+    dn[:, :-1] = DC[:, 1:] + MC[:, 1:]
+    return up, dn
+
+
+@pytest.mark.parametrize("ncols", ["K+1", "2K", "2K+1"])
+def test_mode_shifts_match_complex_column_operations(grid, ncols):
+    # half spectra (K+1 columns), the momentum potential (2K+1) and a
+    # strided 2K-column slice of it
+    w = workspace(grid)
+    r = rng()
+    shape = (grid.N_r, 2 * grid.K + 1)
+    Z = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    C = {"K+1": Z[:, grid.K:].copy(), "2K": Z[:, 1:], "2K+1": Z}[ncols]
+    up, dn = _complex_mode_shifts(w, C)
+    tol = 1e-15 * max(np.max(np.abs(up)), np.max(np.abs(dn)))
+    pairs = [(raise_mode(w, C), up), (lower_mode(w, C), dn), *zip(raise_and_lower(w, C), (up, dn))]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= tol
+    if ncols == "K+1":
+        # d1 = (up + dn)/2 and d2 = (up - dn)/2i, with up_0 = conj(dn_0)
+        up[:, 0] = np.conj(dn[:, 0])
+        d1, d2 = gradient_coefficients(w, C)
+        assert np.max(np.abs(d1 - 0.5 * (up + dn))) <= tol
+        assert np.max(np.abs(d2 + 0.5j * (up - dn))) <= tol
+
+
 # ----------------------------------------------------------------------------
 # multiply
 # ----------------------------------------------------------------------------
@@ -170,10 +215,25 @@ def test_multiply_zero(grid):
 
 
 def test_from_samples_owns_only_its_modes(grid):
-    # the field holds a copy of its K+1 columns, not a view that keeps the
-    # whole M/2+1-column spectrum alive
+    # the field holds its own K+1 columns, not a view that keeps a larger
+    # array alive
     f = ScalarField.from_samples(grid, random_low_mode_field(grid, rng()).to_samples())
     assert f.c.base is None
+
+
+@pytest.mark.parametrize("K, N_r", [(4, 16), (16, 512)])
+def test_angular_transforms_match_numpy_fft(K, N_r):
+    # random spectra and samples; Im c_0 is nonzero and must be ignored, as
+    # irfft ignores it
+    g = build_grid(K, N_r, 60.0, -0.5)
+    r = rng()
+    c = r.standard_normal((N_r, K + 1)) + 1j * r.standard_normal((N_r, K + 1))
+    assert np.all(c[:, 0].imag != 0.0)
+    ref = np.fft.irfft(c, n=g.M, axis=-1, norm="forward")
+    assert np.max(np.abs(ScalarField(g, c).to_samples() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    samples = r.standard_normal((N_r, g.M))
+    ref = np.fft.rfft(samples, axis=-1, norm="forward")[:, :K + 1]
+    assert np.max(np.abs(angular_modes(g, samples) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_multiply_matches_fine_grid_oracle(grid):
@@ -378,6 +438,47 @@ def test_csv_reader_rejects_rows_outside_the_half_spectrum(grid, tmp_path, mode,
     path.write_text(f"{k},{kind}," + ",".join(["1.0"] * grid.N_r) + "\r\n")
     with pytest.raises(ValueError, match=f"no {kind} row at mode {k}"):
         read_field_csv(path, grid)
+
+
+def _edited_csv(f, path, edit):
+    """Write f to path, then duplicate its `1,cos` row after it or drop its
+    `2,sin` row."""
+    write_field_csv(f, path)
+    lines = path.read_text().splitlines(keepends=True)
+    if edit == "duplicate":
+        lines.insert(2, lines[1])
+    else:
+        lines.remove(next(ln for ln in lines if ln.startswith("2,sin,")))
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("duplicate", "line 3: repeated cos row at mode 1 (first on line 2)"),
+    ("drop", "missing its sin row at mode 2"),
+])
+def test_csv_reader_rejects_repeated_and_missing_rows(grid, tmp_path, edit, message):
+    # a repeated row used to be added twice, and a missing one read as zero
+    path = tmp_path / "field.csv"
+    _edited_csv(random_low_mode_field(grid, rng()), path, edit)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_field_csv(path, grid)
+
+
+_CSV_GRID = build_grid(4, 16, 10.0, -0.5)
+_CSV_VALUES = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(re_c=hnp.arrays(float, (_CSV_GRID.N_r, _CSV_GRID.K + 1), elements=_CSV_VALUES),
+       im_c=hnp.arrays(float, (_CSV_GRID.N_r, _CSV_GRID.K), elements=_CSV_VALUES))
+def test_csv_round_trip_is_bitwise(tmp_path_factory, re_c, im_c):
+    # signed zeros and subnormals included; Im c_0 of a real field is +0
+    c = np.zeros((_CSV_GRID.N_r, _CSV_GRID.K + 1), dtype=complex)
+    c.real, c.imag[:, 1:] = re_c, im_c
+    f = ScalarField(_CSV_GRID, c)
+    path = tmp_path_factory.mktemp("csv") / "field.csv"
+    write_field_csv(f, path)
+    assert read_field_csv(path, _CSV_GRID).c.tobytes() == f.c.tobytes()
 
 
 def test_bump_line_round_trip():

@@ -79,6 +79,32 @@ def test_one_source_assembly_per_step(small_seed, monkeypatch):
     assert seed_gradients == []
 
 
+def _counted(original, counts, key):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+
+def _count_transforms(monkeypatch, counts):
+    """Count every angular transform in counts["transforms"]: the inverse
+    ScalarField.to_samples and the forward angular_modes, under each name a
+    solver module holds it by."""
+    import sys
+
+    from constraints2d import fields
+
+    monkeypatch.setattr(ScalarField, "to_samples",
+                        _counted(ScalarField.to_samples, counts, "transforms"))
+    original = fields.angular_modes
+    wrapper = _counted(original, counts, "transforms")
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("constraints2d"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
     # on a warm grid one step samples tautilde, h11, h12 and grad lambdatilde
     # once for both sources (5) and transforms each output once: the two
@@ -86,23 +112,13 @@ def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
     # corrections' closed-form sources are written as modes and need none
     from constraints2d import momentum
 
-    counts = {"fft": 0, "corrections": 0}
-
-    def counted(owner, name, key):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("rfft", "irfft"):
-        counted(np.fft, name, "fft")
+    counts = {"transforms": 0, "corrections": 0}
+    _count_transforms(monkeypatch, counts)
     for name in ("correction_h2", "correction_h3"):
-        counted(momentum, name, "corrections")
+        monkeypatch.setattr(momentum, name, _counted(getattr(momentum, name), counts, "corrections"))
     state = IterState(small_bundle.alpha, small_bundle.lambda_tilde, small_bundle.H_tilde)
     picard_step(state, small_seed)
-    assert counts["fft"] <= 8
+    assert 0 < counts["transforms"] <= 8
     assert counts["corrections"] == 0
 
 
@@ -410,23 +426,19 @@ def test_step_norm_is_the_sobolev_norm_of_the_difference(demo_seed):
 
 
 def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch):
-    # per iterate: one derivative pass for its norm terms (5 raise_and_lower
-    # calls), whose grad lambdatilde is also the next step's source gradient;
-    # the zero start state takes none; then grad lambdatilde once for the
-    # residual
+    # per iterate: one derivative pass for its norm terms (5
+    # gradient_coefficients calls), whose grad lambdatilde is also the next
+    # step's source gradient; the zero start state takes none; then grad
+    # lambdatilde once for the residual
     from constraints2d import operators
 
     solve_constraints(demo_seed)  # warm the grid
-    calls = []
-    raise_and_lower = operators.raise_and_lower
-
-    def counted(w, C):
-        calls.append(C.shape)
-        return raise_and_lower(w, C)
-    monkeypatch.setattr(operators, "raise_and_lower", counted)
+    counts = {"gradients": 0}
+    monkeypatch.setattr(operators, "gradient_coefficients",
+                        _counted(operators.gradient_coefficients, counts, "gradients"))
     bundle = solve_constraints(demo_seed)
     assert bundle.iterations == 6
-    assert len(calls) <= 6 * 5 + 1
+    assert 0 < counts["gradients"] <= 6 * 5 + 1
 
 
 def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
@@ -434,22 +446,13 @@ def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
     # the residual report; few ScalarField constructions, each of which
     # checks its coefficients for finiteness
     solve_constraints(demo_seed)  # warm the grid
-    counts = {"fft": 0, "fields": 0}
-
-    def counted(owner, name, key):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("rfft", "irfft"):
-        counted(np.fft, name, "fft")
-    counted(ScalarField, "__post_init__", "fields")
+    counts = {"transforms": 0, "fields": 0}
+    _count_transforms(monkeypatch, counts)
+    monkeypatch.setattr(ScalarField, "__post_init__",
+                        _counted(ScalarField.__post_init__, counts, "fields"))
     bundle = solve_constraints(demo_seed)
     assert bundle.iterations == 6
-    assert counts["fft"] <= 59
+    assert 0 < counts["transforms"] <= 59
     assert counts["fields"] <= 100
 
 
