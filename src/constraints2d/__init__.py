@@ -41,9 +41,7 @@ from .fields import (
 )
 from .elliptic import PoissonSolution, greens_convolution_oracle, laplacian, poisson_solve
 from .momentum import (
-    MomentumOutput,
     SingularTensorParams,
-    assemble_momentum,
     correction_h2,
     correction_h3,
     div_constraint_solve,

@@ -9,9 +9,9 @@ line adds a bump, while any other key may be set only once), e.g.
     udot = gauss amp=0.1 x0=0.0 y0=0.0 w=1.0
     u    = gauss amp=0.1 x0=0.5 y0=0.0 w=1.0
 
-Exit codes: 0 success, 1 configuration error, 2 failed solve (non-convergence
-or any other SolverError of the solve; diagnostics still written),
-3 verification failure.
+Exit codes: 0 success, 1 configuration error or an output directory that
+cannot be written, 2 failed solve (non-convergence or any other SolverError
+of the solve; diagnostics still written), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -473,6 +473,9 @@ def main(argv=None) -> int:
         return cmd_verify(cfg)
     except (DeltaOutOfRange, InvalidResolution, UnresolvedSpec, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

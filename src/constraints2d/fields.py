@@ -623,10 +623,10 @@ def write_field_csv(f: ScalarField, path) -> None:
 def read_field_csv(path, grid: Grid) -> ScalarField:
     """The field of a write_field_csv file, whose rows may come in any order.
 
-    Raises ValueError naming the line for a row that is malformed, does not
-    match the grid, lies outside the half-spectrum or repeats an earlier
-    row, and naming the mode for a row that is missing; writing and reading
-    back gives the field bitwise."""
+    Raises ValueError naming the line for a row that is malformed, holds a
+    nan or inf, does not match the grid, lies outside the half-spectrum or
+    repeats an earlier row, and naming the mode for a row that is missing;
+    writing and reading back gives the field bitwise."""
     c = np.zeros((grid.N_r, grid.K + 1), dtype=complex)
     v = c.view(np.float64)  # columns 2k, 2k+1: Re c_k, Im c_k
     expected = _csv_rows(grid.K)
@@ -644,6 +644,8 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
                 raise ValueError(f"line {ln}: malformed field CSV row ({exc})")
             if vals.shape != (grid.N_r,):
                 raise ValueError(f"line {ln}: field CSV does not match the grid")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"line {ln}: non-finite value in field CSV row")
             if (k, kind) not in expected:
                 raise ValueError(f"line {ln}: field CSV has no {kind} row at mode {k} "
                                  f"for K = {grid.K}")

@@ -4,8 +4,9 @@ The equation  d_i H'_ij + H_ij d_i lambda = -udot d_j u + (1/2) d_j tau
 - (1/2) tau d_j lambda  rests on the three-part split H' = H1 + H2 + H3:
 H2 and H3 carry the closed-form singular tensors, H1 the generic decaying
 source.  The reduced sources of H2 and H3 are compactly supported and
-integral-free, and the divergence solve is linear, so they enter as extra
-source terms of the one solve that gives H1 + H2 + H3.
+integral-free, and the divergence solve is linear, so solve_rho_eta writes
+their closed-form modes into the generic source it assembles, and one
+div_constraint_solve of that source gives H1 + H2 + H3.
 
 The solve of  d_i K_ij = f_j  runs through the complex potential
 W = Y1 + i Y2:  with zeta = K11 + i K12 = (d1 + i d2) W the divergence pair
@@ -41,7 +42,6 @@ from .fields import (
 
 __all__ = [
     "SingularTensorParams",
-    "MomentumOutput",
     "singular_tensors",
     "singular_factors",
     "band_tensor",
@@ -52,7 +52,6 @@ __all__ = [
     "div_constraint_solve",
     "correction_h2",
     "correction_h3",
-    "assemble_momentum",
     "gradient_half_spectra",
     "state_samples",
     "full_state_samples",
@@ -78,15 +77,6 @@ class SingularTensorParams:
     @property
     def eta(self) -> float:
         return float(np.arctan2(self.q, self.p) % (2.0 * np.pi)) if self.rho else 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumOutput:
-    """Far-field coefficients and the decaying tensor remainder."""
-
-    m: float
-    phi: float
-    H_tilde: TracelessSymTensorField
 
 
 def _complex_pair(grid: Grid, modes: dict) -> tuple[ScalarField, ScalarField]:
@@ -363,7 +353,7 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     W = np.zeros_like(Z)            # mode K would only feed mode K + 1
     W[:, :-1] = w.solve_modes(w.mom_solver(K), Z[:, :-1], K)
 
-    zeta = ops.raise_mode(w, W)
+    zeta = ops.raise_and_lower(w, W)[0]
     zeta[:, K + 1] += c * (g.dchi * np.log(g.r))  # band part of the log potential
     K_tilde = TracelessSymTensorField(*ops.real_pair(g, zeta))
     m_out = float(abs(c))
@@ -392,20 +382,6 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
     """Decaying correction for the 3-theta block."""
     return div_constraint_solve(*_complex_pair(
         grid, _correction_modes(grid, 0.0, params.p, params.q)))[2]
-
-
-def assemble_momentum(source, params: SingularTensorParams) -> MomentumOutput:
-    """Full momentum solve for the source pair (f1, f2) that solve_rho_eta
-    assembled at params.  The solve is linear, so the corrections' profiles w
-    (modes m > 0 of f1 + i f2) go into the half-spectra, w/2 into f1's and
-    -i w/2 into f2's, and one potential solve gives H1 + H2 + H3."""
-    f1, f2 = source
-    g = f1.grid
-    c1, c2 = f1.c.copy(), f2.c.copy()
-    for m, w in _correction_modes(g, params.b, params.p, params.q).items():
-        c1[:, m] += 0.5 * w
-        c2[:, m] -= 0.5j * w
-    return MomentumOutput(*div_constraint_solve(ScalarField(g, c1), ScalarField(g, c2)))
 
 
 # ----------------------------------------------------------------------------
@@ -495,8 +471,11 @@ def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
     terms' coefficients (of f_p, f_q and the b part of f0) come from their
     mean profiles; the singular terms at the selected (b, p, q) are then
     added to the samples of the other state terms once, and the sum is
-    transformed once and added to the seed's momentum_source.  Returns
-    (p, q, (f1, f2)), the source at the selected point.
+    transformed once and added to the seed's momentum_source.  The
+    corrections' profiles w (_correction_modes, modes m > 0 of f1 + i f2)
+    go into the half-spectra as w/2 into f1's and -i w/2 into f2's.
+    Returns (p, q, (f1, f2)): the whole source of the step's one
+    div_constraint_solve, which gives H1 + H2 + H3.
     """
     g = seed.grid
     (P1, P2), L = _state_source(seed, alpha, grad, samples)
@@ -511,5 +490,8 @@ def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
         g, P1.mean(axis=1) + b1, P2.mean(axis=1) + b2)
     p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
     _add_singular_source(g, *L, SingularTensorParams(b=seed.b, p=p, q=q), P1, P2)
-    return p, q, (ScalarField(g, f1.c + angular_modes(g, P1)),
-                  ScalarField(g, f2.c + angular_modes(g, P2)))
+    c1, c2 = f1.c + angular_modes(g, P1), f2.c + angular_modes(g, P2)
+    for m, w in _correction_modes(g, seed.b, p, q).items():
+        c1[:, m] += 0.5 * w
+        c2[:, m] -= 0.5j * w
+    return p, q, (ScalarField(g, c1), ScalarField(g, c2))

@@ -6,9 +6,11 @@ operator identities used by the solvers hold at the matrix level:
 
   * the Cartesian gradient is assembled from the mode-raising operator
     A+ = d1 + i d2 and the mode-lowering operator A- = d1 - i d2, whose
-    per-mode radial factors are D+_m = Dr - m/r and D-_m = Dr + m/r.  Both
-    shifts come from one real product Dr v and one (m/r) v on the float
-    (re, im) view v of the mode array: sparse Dr never meets complex data;
+    per-mode radial factors are D+_m = Dr - m/r and D-_m = Dr + m/r.  One
+    kernel, raise_and_lower, gives both shifts from one real product Dr v
+    and one (m/r) v on the float (re, im) view v of the mode array, so
+    sparse Dr never meets complex data; the gradient uses both halves, the
+    momentum potential's tensor its A+ half and the divergence its A- half;
   * the momentum potential solve inverts M_m = D-_{m+1} D+_m, which is the
     exact per-mode factorization of divergence(symmetrized gradient); the
     divergence of the assembled tensor therefore reproduces the right-hand
@@ -245,23 +247,16 @@ def real_pair(grid: Grid, Z: np.ndarray) -> tuple[ScalarField, ScalarField]:
     return ScalarField(grid, 0.5 * (pos + neg)), ScalarField(grid, -0.5j * (pos - neg))
 
 
-def raise_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
-    """(A+ C)_m = (Dr - (m-1)/r) C_{m-1}; content above mode K is dropped and
-    the lowest mode, fed from outside the array, is left zero."""
-    return raise_and_lower(w, C)[0]
-
-
-def lower_mode(w: OperatorWorkspace, C: np.ndarray) -> np.ndarray:
-    """(A- C)_m = (Dr + (m+1)/r) C_{m+1}; content below the lowest mode is
-    dropped and mode K, fed from above K, is left zero."""
-    return raise_and_lower(w, C)[1]
-
-
 def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
-    """(raise_mode(w, C), lower_mode(w, C)) on the (re, im) float view v of C:
-    one Dr v and one (m/r) v, whose difference and sum are shifted by one
-    mode up and down.  The shifts run on the flattened rows, so each row's
-    edge mode first takes its neighbour row's value, then is zeroed."""
+    """(A+ C, A- C) for the mode array C: (A+ C)_m = (Dr - (m-1)/r) C_{m-1}
+    and (A- C)_m = (Dr + (m+1)/r) C_{m+1}.  Content shifted past either end
+    is dropped, and the edge mode each shift would feed from outside the
+    array (the lowest of A+ C, mode K of A- C) is zero.
+
+    On the (re, im) float view v of C: one Dr v and one (m/r) v, whose
+    difference and sum are shifted by one mode up and down.  The shifts run
+    on the flattened rows, so each row's edge mode first takes its
+    neighbour row's value, then is zeroed."""
     v = np.ascontiguousarray(C, dtype=complex).view(np.float64)
     dv = (w.Dr @ v).reshape(-1)
     mv = w.P[:, None] * w.mode_row(v.shape[1])
@@ -291,7 +286,7 @@ def gradient_coefficients(w: OperatorWorkspace, c: np.ndarray):
 def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:
     """(d_i H_i1, d_i H_i2) via A- on zeta = H11 + i H12."""
     w = workspace(H.grid)
-    return real_pair(H.grid, lower_mode(w, full_spectrum(H.h11, H.h12)))
+    return real_pair(H.grid, raise_and_lower(w, full_spectrum(H.h11, H.h12))[1])
 
 
 def zero_boundary_rows(f: ScalarField) -> ScalarField:

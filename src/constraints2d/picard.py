@@ -48,7 +48,7 @@ from .fields import (
     weighted_l2,
 )
 from .lichnerowicz import hamiltonian_residual, hamiltonian_rhs, solve_lambda
-from .momentum import (SingularTensorParams, assemble_momentum, full_state_samples,
+from .momentum import (SingularTensorParams, div_constraint_solve, full_state_samples,
                        gradient_half_spectra, momentum_products, momentum_residual,
                        solve_rho_eta, state_samples)
 
@@ -155,12 +155,11 @@ def picard_step(state: IterState, seed: SeedData):
     """One application of the solution map; returns (next_state, p, q)."""
     samples = state_samples(seed, state.H_tilde)
     p, q, source = solve_rho_eta(seed, state.alpha, state.norm_terms[1:3], samples)
-    params = SingularTensorParams(b=seed.b, p=p, q=q)
-    rhs = hamiltonian_rhs(seed, samples, params)
+    rhs = hamiltonian_rhs(seed, samples, SingularTensorParams(b=seed.b, p=p, q=q))
     del samples
-    mom = assemble_momentum(source, params)
+    H_next = div_constraint_solve(*source)[2]
     alpha_next, lt_next = solve_lambda(rhs)
-    return IterState(alpha_next, lt_next, mom.H_tilde), p, q
+    return IterState(alpha_next, lt_next, H_next), p, q
 
 
 def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> SolutionBundle:
@@ -220,10 +219,6 @@ def _interior_h0_norm(f: ScalarField, gamma: float) -> float:
     return radial_l2_weighted(ops.zero_boundary_rows(f), gamma)
 
 
-def _interior_max(f: ScalarField) -> float:
-    return float(np.max(np.abs(ops.zero_boundary_rows(f).to_samples())))
-
-
 def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     """Norms of both constraint residuals at the bundle.
 
@@ -257,5 +252,8 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
 
 
 def _interior_norm_and_max(fields, delta: float) -> tuple[float, float]:
-    return (sum(_interior_h0_norm(f, delta + 2.0) for f in fields),
-            max(_interior_max(f) for f in fields))
+    """Sum of the H^0_{delta+2} norms and max of the samples of the fields,
+    each with its boundary rows zeroed once for both."""
+    inner = [ops.zero_boundary_rows(f) for f in fields]
+    return (sum(radial_l2_weighted(f, delta + 2.0) for f in inner),
+            max(float(np.max(np.abs(f.to_samples()))) for f in inner))

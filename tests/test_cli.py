@@ -327,6 +327,21 @@ def test_main_bad_env_override_exit1(tmp_path, monkeypatch, capsys, var, value):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+def test_unwritable_output_dir_exit1(tmp_path, capsys, command, where):
+    # an output directory that cannot be created used to end in a raw
+    # FileExistsError or NotADirectoryError traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "existing_file" else blocker / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=out))
+    argv = [command, str(path)] + (["--amplitudes", "0,0.1"] if command == "sweep" else [])
+    assert main(argv) == 1
+    assert "cannot write output:" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     import constraints2d
 

@@ -147,15 +147,16 @@ def _poisson_profiles(f):
 
 def _momentum_profiles(f, h, monkeypatch):
     """(solved potential profiles W_m, m = -K..K-1, their modes, mode 0's
-    source) of a momentum potential solve, caught where W enters raise_mode."""
+    source) of a momentum potential solve, caught where W enters
+    raise_and_lower."""
     g = f.grid
     caught = []
-    raise_mode = operators.raise_mode
+    raise_and_lower = operators.raise_and_lower
 
     def spy(w, W):
         caught.append(W.copy())
-        return raise_mode(w, W)
-    monkeypatch.setattr(operators, "raise_mode", spy)
+        return raise_and_lower(w, W)
+    monkeypatch.setattr(operators, "raise_and_lower", spy)
     div_constraint_solve(f, h)
     (W,) = caught
     Z = operators.full_spectrum(f, h)

@@ -32,13 +32,7 @@ from constraints2d.fields import (
     write_field_csv,
 )
 
-from constraints2d.operators import (
-    gradient_coefficients,
-    lower_mode,
-    raise_and_lower,
-    raise_mode,
-    workspace,
-)
+from constraints2d.operators import gradient_coefficients, raise_and_lower, workspace
 
 from conftest import random_low_mode_field, rng
 
@@ -180,8 +174,7 @@ def test_mode_shifts_match_complex_column_operations(grid, ncols):
     C = {"K+1": Z[:, grid.K:].copy(), "2K": Z[:, 1:], "2K+1": Z}[ncols]
     up, dn = _complex_mode_shifts(w, C)
     tol = 1e-15 * max(np.max(np.abs(up)), np.max(np.abs(dn)))
-    pairs = [(raise_mode(w, C), up), (lower_mode(w, C), dn), *zip(raise_and_lower(w, C), (up, dn))]
-    for got, ref in pairs:
+    for got, ref in zip(raise_and_lower(w, C), (up, dn)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= tol
     if ncols == "K+1":
@@ -461,6 +454,21 @@ def test_csv_reader_rejects_repeated_and_missing_rows(grid, tmp_path, edit, mess
     path = tmp_path / "field.csv"
     _edited_csv(random_low_mode_field(grid, rng()), path, edit)
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_field_csv(path, grid)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_reader_rejects_non_finite_values(grid, tmp_path, value):
+    # such a cell used to pass, and the field construction then failed on
+    # its non-finite coefficients without naming the line
+    path = tmp_path / "field.csv"
+    write_field_csv(random_low_mode_field(grid, rng()), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[5] = value
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="line 3: non-finite value"):
         read_field_csv(path, grid)
 
 

@@ -17,7 +17,8 @@ from constraints2d.fields import (
 )
 from constraints2d.momentum import (
     SingularTensorParams,
-    assemble_momentum,
+    _complex_pair,
+    _correction_modes,
     correction_h2,
     correction_h3,
     div_constraint_solve,
@@ -51,6 +52,19 @@ def empty_seed(g):
 def rho_eta(seed, alpha, lt, H):
     """solve_rho_eta at the state (alpha, lt, H)."""
     return solve_rho_eta(seed, alpha, gradient_half_spectra(lt), state_samples(seed, H))
+
+
+def correction_source(grid, params):
+    """The corrections' closed-form source pair at (b, p, q)."""
+    return _complex_pair(grid, _correction_modes(grid, params.b, params.p, params.q))
+
+
+def full_source(seed, alpha, lt, H, params):
+    """The generic source plus the corrections' source: the whole source of
+    the step's one potential solve, built term by term."""
+    f1, f2 = momentum_rhs_f(seed, alpha, lt, H, params)
+    s1, s2 = correction_source(seed.grid, params)
+    return f1 + s1, f2 + s2
 
 
 # ----------------------------------------------------------------------------
@@ -222,11 +236,10 @@ def test_h3_zero_mass(grid):
 
 def test_assemble_zero(grid):
     z, Z = zero_state(grid)
-    params = SingularTensorParams(0, 0, 0)
-    source = momentum_rhs_f(empty_seed(grid), 0.0, z, Z, params)
-    out = assemble_momentum(source, params)
-    assert out.m == 0.0 and out.phi == 0.0
-    assert np.max(np.abs(out.H_tilde.h11.a)) == 0.0
+    m, phi, H = div_constraint_solve(*full_source(empty_seed(grid), 0.0, z, Z,
+                                                  SingularTensorParams(0, 0, 0)))
+    assert m == 0.0 and phi == 0.0
+    assert np.max(np.abs(H.h11.a)) == 0.0
 
 
 def test_assemble_wave_data_only(grid):
@@ -235,13 +248,12 @@ def test_assemble_wave_data_only(grid):
     u = sample_analytic([GaussianBump(amp=0.4, x0=0.7, y0=0.1)], grid)
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.0)
     z, Z = zero_state(grid)
-    params = SingularTensorParams(0, 0, 0)
-    out = assemble_momentum(momentum_rhs_f(seed, 0.0, z, Z, params), params)
+    m, phi, _ = div_constraint_solve(*full_source(seed, 0.0, z, Z, SingularTensorParams(0, 0, 0)))
     d1u, d2u = cartesian_gradient(u)
     mx = -integrate(multiply(udot, d1u)) / (2 * np.pi)
     my = -integrate(multiply(udot, d2u)) / (2 * np.pi)
-    assert out.m * np.cos(out.phi) == pytest.approx(mx, abs=1e-12)
-    assert out.m * np.sin(out.phi) == pytest.approx(my, abs=1e-12)
+    assert m * np.cos(phi) == pytest.approx(mx, abs=1e-12)
+    assert m * np.sin(phi) == pytest.approx(my, abs=1e-12)
 
 
 def test_affine_probe_exactness(grid, small_seed=None):
@@ -266,9 +278,9 @@ def test_fixed_point_identity(grid):
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
     p, q, source = rho_eta(seed, 0.0, z, Z)
-    out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
-    assert -4.0 * out.m * np.cos(out.phi) == pytest.approx(p, abs=1e-10)
-    assert -4.0 * out.m * np.sin(out.phi) == pytest.approx(q, abs=1e-10)
+    m, phi, _ = div_constraint_solve(*source)
+    assert -4.0 * m * np.cos(phi) == pytest.approx(p, abs=1e-10)
+    assert -4.0 * m * np.sin(phi) == pytest.approx(q, abs=1e-10)
 
 
 def test_solve_rho_eta_zero(grid):
@@ -296,13 +308,12 @@ def test_output_far_field_removed(grid):
     seed = make_seed(udot, u, ScalarField.zeros(grid), b=0.05)
     z, Z = zero_state(grid)
     p, q, source = rho_eta(seed, 0.0, z, Z)
-    out = assemble_momentum(source, SingularTensorParams(seed.b, p, q))
+    m, _, H = div_constraint_solve(*source)
     i_half = np.searchsorted(grid.r, 0.5 * grid.R_max)
     for k in (1, 3):
-        amp_R = np.hypot(out.H_tilde.h11.a[k, -1], out.H_tilde.h11.b[k, -1]) * grid.R_max
-        amp_h = np.hypot(out.H_tilde.h11.a[k, i_half],
-                         out.H_tilde.h11.b[k, i_half]) * grid.r[i_half]
-        assert amp_R <= 0.05 * max(out.m, 1e-6) + amp_h
+        amp_R = np.hypot(H.h11.a[k, -1], H.h11.b[k, -1]) * grid.R_max
+        amp_h = np.hypot(H.h11.a[k, i_half], H.h11.b[k, i_half]) * grid.r[i_half]
+        assert amp_R <= 0.05 * max(m, 1e-6) + amp_h
 
 
 def _max_abs_diff(f, g):
@@ -310,8 +321,9 @@ def _max_abs_diff(f, g):
 
 
 def test_solve_rho_eta_source_is_the_source_at_the_selection(grid):
-    # the returned f0 + p f_p + q f_q is the full source at (b, p, q), also
-    # for a state whose lambdatilde and Htilde couple to the singular terms
+    # the returned f0 + p f_p + q f_q is the full source at (b, p, q) plus
+    # the corrections' source there, also for a state whose lambdatilde and
+    # Htilde couple to the singular terms
     r = rng()
     udot = sample_analytic([GaussianBump(amp=0.3)], grid)
     u = sample_analytic([GaussianBump(amp=0.3, x0=0.5, y0=-0.3)], grid)
@@ -322,7 +334,7 @@ def test_solve_rho_eta_source_is_the_source_at_the_selection(grid):
                                 random_low_mode_field(grid, r, scale=0.01))
     p, q, (f1, f2) = rho_eta(seed, 0.01, lt, H)
     assert p != 0.0 and q != 0.0
-    g1, g2 = momentum_rhs_f(seed, 0.01, lt, H, SingularTensorParams(seed.b, p, q))
+    g1, g2 = full_source(seed, 0.01, lt, H, SingularTensorParams(seed.b, p, q))
     scale = max(np.max(np.abs(g1.c)), np.max(np.abs(g2.c)))
     assert max(_max_abs_diff(f1, g1), _max_abs_diff(f2, g2)) <= 1e-12 * scale
 
@@ -435,8 +447,9 @@ def test_fused_sources_match_term_by_term_products(grid):
           - multiply(H.h12, lam1) + multiply(H.h11, lam2)
           + ScalarField.from_mode(grid, 0, "cos", q * quarter)
           - multiply(d1lt, hs12) + multiply(d2lt, hs11) - 0.5 * multiply(tau_s, d2lt))
-    _assert_close(source, (f1, f2))
     _assert_close(momentum_rhs_f(seed, alpha, lt, H, params), (f1, f2))
+    s1, s2 = correction_source(grid, params)
+    _assert_close(source, (f1 + s1, f2 + s2))
 
     ham = (-0.5 * (multiply(udot, udot) + multiply(d1u, d1u) + multiply(d2u, d2u))
            - 2.0 * (multiply(hs11, H.h11) + multiply(hs12, H.h12))
@@ -495,9 +508,10 @@ def test_hamiltonian_residual_matches_term_by_term_products(grid):
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
 def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
     # each correction equals a direct solve of its closed-form source at
-    # (b, p, q), and the one solve of assemble_momentum equals the generic
-    # solve plus both corrections: the corrections' sources have no mode-0
-    # part, so the far field (m, phi) is the generic solve's exactly
+    # (b, p, q), and the one solve of the generic source plus the
+    # corrections' source equals the generic solve plus both corrections:
+    # the corrections' sources have no mode-0 part, so the far field
+    # (m, phi) is the generic solve's exactly
     prof = grid.dchi / grid.r
     direct_h2 = div_constraint_solve(ScalarField.from_mode(grid, 1, "cos", b * prof),
                                      ScalarField.from_mode(grid, 1, "sin", b * prof))[2]
@@ -511,9 +525,10 @@ def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
     gen = rng()
     zero = ScalarField.zeros(grid)
     source = tuple(random_low_mode_field(grid, gen) for _ in range(2))
+    s1, s2 = correction_source(grid, SingularTensorParams(b, p, q))
     for f1, f2 in ((zero, zero), source):
-        out = assemble_momentum((f1, f2), SingularTensorParams(b, p, q))
+        m_all, phi_all, H_all = div_constraint_solve(f1 + s1, f2 + s2)
         m, phi, K1 = div_constraint_solve(f1, f2)
-        assert (out.m, out.phi) == (m, phi)
+        assert (m_all, phi_all) == (m, phi)
         H = K1 + K2 + K3
-        _assert_close((out.H_tilde.h11, out.H_tilde.h12), (H.h11, H.h12))
+        _assert_close((H_all.h11, H_all.h12), (H.h11, H.h12))

@@ -86,23 +86,28 @@ def _counted(original, counts, key):
     return wrapper
 
 
-def _count_transforms(monkeypatch, counts):
-    """Count every angular transform in counts["transforms"]: the inverse
-    ScalarField.to_samples and the forward angular_modes, under each name a
-    solver module holds it by."""
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace the function original under each name a solver module holds
+    it by."""
     import sys
 
-    from constraints2d import fields
-
-    monkeypatch.setattr(ScalarField, "to_samples",
-                        _counted(ScalarField.to_samples, counts, "transforms"))
-    original = fields.angular_modes
-    wrapper = _counted(original, counts, "transforms")
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("constraints2d"):
             for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _count_transforms(monkeypatch, counts):
+    """Count every angular transform in counts["transforms"]: the inverse
+    ScalarField.to_samples and the forward angular_modes, under each name a
+    solver module holds it by."""
+    from constraints2d import fields
+
+    monkeypatch.setattr(ScalarField, "to_samples",
+                        _counted(ScalarField.to_samples, counts, "transforms"))
+    _patch_everywhere(monkeypatch, fields.angular_modes,
+                      _counted(fields.angular_modes, counts, "transforms"))
 
 
 def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
@@ -142,7 +147,8 @@ def _rel_diff(f, g):
 
 def test_picard_step_matches_the_separate_assembly(grid):
     # the separate composition: each source transforms the state afresh, and
-    # the corrections' sources are fields added to (f1, f2) before the solve
+    # the corrections' sources are fields added to the generic momentum
+    # source (momentum_rhs_f) before the solve
     from constraints2d.lichnerowicz import solve_lambda
     from constraints2d.momentum import (
         SingularTensorParams,
@@ -150,20 +156,22 @@ def test_picard_step_matches_the_separate_assembly(grid):
         _correction_modes,
         div_constraint_solve,
         gradient_half_spectra,
+        momentum_rhs_f,
         singular_factors,
         solve_rho_eta,
         state_samples,
     )
 
     seed, state = _coupled_state(grid)
-    p, q, (f1, f2) = solve_rho_eta(seed, state.alpha, gradient_half_spectra(state.lambda_tilde),
-                                   state_samples(seed, state.H_tilde))
+    p, q, _ = solve_rho_eta(seed, state.alpha, gradient_half_spectra(state.lambda_tilde),
+                            state_samples(seed, state.H_tilde))
     assert p != 0.0 and q != 0.0
     params = SingularTensorParams(seed.b, p, q)
     cr, u11, u12, ut = singular_factors(params, grid)
     T, A, B = (f.to_samples() for f in (seed.tau_tilde, state.H_tilde.h11, state.H_tilde.h12))
     S = cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B)) - (A * A + B * B) + 0.25 * T * T
     alpha, lt = solve_lambda(ScalarField.from_samples(grid, S) - 0.5 * seed.energy_density)
+    f1, f2 = momentum_rhs_f(seed, state.alpha, state.lambda_tilde, state.H_tilde, params)
     s1, s2 = _complex_pair(grid, _correction_modes(grid, seed.b, p, q))
     H = div_constraint_solve(f1 + s1, f2 + s2)[2]
 
@@ -210,7 +218,8 @@ def test_residual_report_matches_separately_built_residuals(small_seed, small_bu
 
 def test_one_potential_solve_per_step_on_fresh_and_warm_grids(monkeypatch):
     # the corrections' sources join the generic source, so a step makes one
-    # momentum potential solve, and a fresh grid solves nothing extra
+    # momentum potential solve, and a fresh grid solves nothing extra; the
+    # solve is counted under every name a solver module holds it by
     from constraints2d import momentum
 
     solves = []
@@ -219,7 +228,7 @@ def test_one_potential_solve_per_step_on_fresh_and_warm_grids(monkeypatch):
     def counted(f1, f2):
         solves.append(f1.grid)
         return solve(f1, f2)
-    monkeypatch.setattr(momentum, "div_constraint_solve", counted)
+    _patch_everywhere(monkeypatch, solve, counted)
     g = build_grid(8, 64, 30.0, -0.5)
     seed = make_seed(sample_analytic([GaussianBump(amp=0.1)], g),
                      sample_analytic([GaussianBump(amp=0.1, x0=0.5)], g),
@@ -444,7 +453,9 @@ def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch
 def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
     # 8 transforms per step (test_picard_step_transform_budget) and 11 for
     # the residual report; few ScalarField constructions, each of which
-    # checks its coefficients for finiteness
+    # checks its coefficients for finiteness: solve_rho_eta builds the
+    # momentum source with the corrections in it (no second copy per step),
+    # and each residual field has its boundary rows zeroed once
     solve_constraints(demo_seed)  # warm the grid
     counts = {"transforms": 0, "fields": 0}
     _count_transforms(monkeypatch, counts)
@@ -453,15 +464,13 @@ def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
     bundle = solve_constraints(demo_seed)
     assert bundle.iterations == 6
     assert 0 < counts["transforms"] <= 59
-    assert counts["fields"] <= 100
+    assert counts["fields"] <= 72
 
 
 def test_warm_demo_solve_calls_each_layer_through_its_module_name(demo_seed, monkeypatch):
     # the benchmark times the layers by wrapping these names in every module
     # that holds them; each must still be called that way, once per
     # iteration (once per solve for the momentum residual)
-    import sys
-
     from constraints2d import elliptic, lichnerowicz, momentum, picard
 
     solve_constraints(demo_seed)  # warm the grid
@@ -471,15 +480,7 @@ def test_warm_demo_solve_calls_each_layer_through_its_module_name(demo_seed, mon
                          (picard, "momentum_residual")):
         original = getattr(module, name)
         calls[name] = 0
-
-        def wrapper(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("constraints2d"):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, wrapper)
+        _patch_everywhere(monkeypatch, original, _counted(original, calls, name))
     bundle = solve_constraints(demo_seed)
     n = bundle.iterations
     assert calls == {"solve_rho_eta": n, "hamiltonian_rhs": n, "div_constraint_solve": n,
