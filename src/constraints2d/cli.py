@@ -51,6 +51,7 @@ from .geometry import asymptotic_charges, cone_angle
 from .momentum import (
     SELECTION_COND_LIMIT,
     SingularTensorParams,
+    selection_condition,
     selection_matrix,
     singular_tensors,
 )
@@ -344,6 +345,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                            "tolerance": 0.0, "passed": False})
 
     grid = config_grid(cfg)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     r = grid.r
 
     def poisson_zero_mass():
@@ -406,7 +408,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed = config_seed(cfg, grid)
         state, _, _ = picard_step(IterState.zero(grid), seed)
         record("rho_eta_selection_condition",
-               np.linalg.cond(selection_matrix(state.lambda_tilde)), SELECTION_COND_LIMIT)
+               selection_condition(selection_matrix(state.lambda_tilde)), SELECTION_COND_LIMIT)
 
     attempt("poisson_zero_mass_error", poisson_zero_mass)
     attempt("poisson_log_coefficient_error", poisson_log_coeff)
@@ -420,7 +422,6 @@ def cmd_verify(cfg: RunConfig) -> int:
               "inversion constant degrades there (delta enters only the stopping "
               "norm and the residual weights, not the computed answer)", file=sys.stderr)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "verify.json"), "w") as fh:
         json.dump(checks, fh, indent=2, sort_keys=True)
     n_fail = sum(not c["passed"] for c in checks)

@@ -145,6 +145,8 @@ class Grid:
     # real DFT matrices on the (re, im) float view of a half-spectrum
     dft_inverse: np.ndarray = field(repr=False, default=None)  # (2(K+1), M)
     dft_forward: np.ndarray = field(repr=False, default=None)  # (M, 2(K+1))
+    # [j, i]: row i of (u11, u12, ut) of momentum.singular_factors at (b, p, q) = e_j
+    singular_rows: np.ndarray = field(repr=False, default=None)  # (3, 3, M)
 
     @property
     def M(self) -> int:
@@ -207,14 +209,19 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
     k = np.arange(K + 1)
     phase = (2.0 * np.pi / M) * (np.outer(k, np.arange(M)) % M)
     E = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(2 * K + 2, M)
+    th = 2.0 * np.pi * np.arange(M) / M
+    c1, s1, c2, s2, c3, s3 = (f(m * th) for m in (1, 2, 3) for f in (np.cos, np.sin))
+    rows = np.array([[-0.5 * c2, -0.5 * s2, np.ones(M)],
+                     [-0.25 * (c1 + c3), -0.25 * (s1 + s3), c1],
+                     [-0.25 * (s3 - s1), -0.25 * (c1 - c3), s1]])
 
     g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
              h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
              chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w,
              dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
-             dft_forward=E.T / M)
+             dft_forward=E.T / M, singular_rows=rows)
     for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln,
-                g.lap_chiln, g.quad_w, g.dft_inverse, g.dft_forward):
+                g.lap_chiln, g.quad_w, g.dft_inverse, g.dft_forward, rows):
         arr.setflags(write=False)
     return g
 

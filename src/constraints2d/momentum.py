@@ -58,6 +58,7 @@ __all__ = [
     "momentum_products",
     "momentum_residual",
     "selection_matrix",
+    "selection_condition",
     "solve_rho_eta",
 ]
 
@@ -116,14 +117,11 @@ def singular_factors(params: SingularTensorParams, grid: Grid):
     Returns (cr, u11, u12, ut): H_b + H_rho_eta = cr (u11, u12) and the
     singular mean curvature is cr ut, with cr = chi/r as an (N_r, 1) column
     and u11, u12, ut as (M,) rows.  They enter the sample-space passes by
-    broadcasting; no (N_r, M) array of them is kept.
+    broadcasting; no (N_r, M) array of them is kept.  The rows combine the
+    grid's singular_rows, those of b, p and q = 1, with no trigonometry.
     """
-    b, p, q = params.b, params.p, params.q
-    th = grid.theta
-    c1, s1, c2, s2, c3, s3 = (f(m * th) for m in (1, 2, 3) for f in (np.cos, np.sin))
-    u11 = -0.5 * b * c2 - 0.25 * (p * (c1 + c3) + q * (s3 - s1))
-    u12 = -0.5 * b * s2 - 0.25 * (p * (s1 + s3) + q * (c1 - c3))
-    ut = b + p * c1 + q * s1
+    R = grid.singular_rows
+    u11, u12, ut = params.b * R[0] + params.p * R[1] + params.q * R[2]
     return (grid.chi / grid.r)[:, None], u11, u12, ut
 
 
@@ -236,10 +234,9 @@ def state_samples(seed: SeedData, H_tilde: TracelessSymTensorField):
 def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
     """Samples of grad lambda for lambda = -alpha chi ln r + lambdatilde,
     from the samples (L1, L2) of grad lambdatilde; the singular part is the
-    exact (chi ln r)' times (cos theta, sin theta)."""
+    exact (chi ln r)' times (cos theta, sin theta), the ut rows of p and q."""
     prof = -alpha * grid.dchiln[:, None]
-    th = grid.theta
-    return L1 + prof * np.cos(th), L2 + prof * np.sin(th)
+    return L1 + prof * grid.singular_rows[1, 2], L2 + prof * grid.singular_rows[2, 2]
 
 
 def _h_dlambda(T, A, B, lam1, lam2):
@@ -285,18 +282,6 @@ def _add_singular_source(grid: Grid, L1, L2, params: SingularTensorParams, P1, P
     P2 += np.subtract(params.q * quarter, S, out=S)
 
 
-def _singular_means(grid: Grid, L1, L2, params: SingularTensorParams):
-    """Angular means (mode-0 profiles) of the terms _add_singular_source
-    adds, with no sample array built: the mean of L u(theta) over the M
-    samples is L @ u / M."""
-    cr, u11, u12, ut = singular_factors(params, grid)
-    quarter = grid.dchi / (4.0 * grid.r)
-    crm = cr[:, 0] / grid.M
-    m1 = params.p * quarter - crm * (L1 @ (u11 + 0.5 * ut) + L2 @ u12)
-    m2 = params.q * quarter - crm * (L1 @ u12 - L2 @ (u11 - 0.5 * ut))
-    return m1, m2
-
-
 def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
                    H_tilde: TracelessSymTensorField, params: SingularTensorParams):
     """Source pair of the generic (H1) divergence problem.
@@ -322,14 +307,8 @@ def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
     Pure quadrature, c = (1/2pi)(int f1 + i int f2): the exact coefficient of
     chi ln r in the potential pair, free of far-field fitting noise.
     """
-    return _mean_log_coefficient(f1.grid, f1.c[:, 0].real, f2.c[:, 0].real)
-
-
-def _mean_log_coefficient(grid: Grid, m1, m2) -> complex:
-    """log_coefficient of any fields whose mode-0 profiles are (m1, m2), by
-    the quadrature row of fields.integrate."""
-    w = l2_weight(grid, 0.0)
-    return complex(w @ m1, w @ m2) / (2.0 * np.pi)
+    w = l2_weight(f1.grid, 0.0)
+    return complex(w @ f1.c[:, 0].real, w @ f2.c[:, 0].real) / (2.0 * np.pi)
 
 
 def div_constraint_solve(f1: ScalarField, f2: ScalarField):
@@ -438,13 +417,38 @@ def momentum_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField, f
 SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused
 
 
-def _selection(grid: Grid, L1, L2) -> np.ndarray:
-    """The (rho, eta) selection matrix I + 4 (Re, Im) of the log coefficients
-    of the unit couplings f_p and f_q, from the samples (L1, L2) of
-    grad lambdatilde."""
-    cp, cq = (_mean_log_coefficient(grid, *_singular_means(
-        grid, L1, L2, SingularTensorParams(b=0.0, p=p, q=q))) for p, q in ((1.0, 0.0), (0.0, 1.0)))
-    return np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
+def _couplings(grid: Grid, L1, L2):
+    """(M, c_b): the (rho, eta) selection matrix I + 4 (Re, Im) of the log
+    coefficients c_p, c_q of the unit couplings f_p, f_q, and c_b of the b
+    coupling, from the samples (L1, L2) of grad lambdatilde.  Those are the
+    quadrature of the angular means of the terms _add_singular_source adds,
+    the mean of L u(theta) being L @ u / M: with the rows u that multiply L1
+    in f1 and f2 at b, p, q = 1 as the columns of U1, those of L2 of U2,
+    and w the quadrature row times -chi/(M r), their parts in L are
+    w (L1 U1 + L2 U2), taken as (w L1) U1 + (w L2) U2."""
+    u11, u12, ut = grid.singular_rows.transpose(1, 0, 2)  # rows of b, p, q each
+    U1 = np.concatenate([u11 + 0.5 * ut, u12]).T
+    U2 = np.concatenate([u12, 0.5 * ut - u11]).T
+    w = l2_weight(grid, 0.0)
+    wc = w * grid.chi / (-grid.M * grid.r)
+    y = (wc @ L1) @ U1 + (wc @ L2) @ U2
+    y[[1, 5]] += w @ (grid.dchi / (4.0 * grid.r))  # p's chi'/4r in f1, q's in f2
+    c_b, c_p, c_q = (y[:3] + 1j * y[3:]) / (2.0 * np.pi)
+    M = np.array([[1.0 + 4.0 * c_p.real, 4.0 * c_q.real],
+                  [4.0 * c_p.imag, 1.0 + 4.0 * c_q.imag]])
+    return M, c_b
+
+
+def selection_condition(M: np.ndarray) -> float:
+    """2-norm condition number of the 2x2 matrix M = [[a, b], [c, d]], inf
+    if singular: sigma_max^2 / |det M|, as sigma_max sigma_min = |det M|,
+    with sigma_max = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2.  It is
+    (S + sqrt(S^2 - 4 det^2)) / (2 |det|), S = ||M||_F^2, without the
+    cancellation under the root."""
+    (a, b), (c, d) = M
+    det = abs(a * d - b * c)
+    smax = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    return float(smax * smax / det) if det else np.inf
 
 
 def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
@@ -454,7 +458,7 @@ def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
     it is (1 + 4 c) I with c the log coefficient of chi'/4r.
     """
     g = lambda_tilde.grid
-    return _selection(g, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
+    return _couplings(g, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))[0]
 
 
 def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
@@ -467,28 +471,30 @@ def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
     the full source at (b, 0, 0) and f_p, f_q its unit couplings.  So is its
     log coefficient c = m e^{i phi}, and the fixed point
     (p, q) = -4 (m cos phi, m sin phi) is the solution of a 2x2 linear
-    system.  A log coefficient needs only angular means, so the singular
-    terms' coefficients (of f_p, f_q and the b part of f0) come from their
-    mean profiles; the singular terms at the selected (b, p, q) are then
-    added to the samples of the other state terms once, and the sum is
-    transformed once and added to the seed's momentum_source.  The
-    corrections' profiles w (_correction_modes, modes m > 0 of f1 + i f2)
-    go into the half-spectra as w/2 into f1's and -i w/2 into f2's.
+    system, solved by Cramer's rule.  The singular terms' coefficients (of
+    f_p, f_q and the b part of f0) come from _couplings; the singular terms
+    at the selected (b, p, q) are then added to the samples of the other
+    state terms once, and the sum is transformed once and added to the
+    seed's momentum_source.  The corrections' profiles w (_correction_modes,
+    modes m > 0 of f1 + i f2) go into the half-spectra as w/2 into f1's and
+    -i w/2 into f2's.
     Returns (p, q, (f1, f2)): the whole source of the step's one
     div_constraint_solve, which gives H1 + H2 + H3.
     """
     g = seed.grid
     (P1, P2), L = _state_source(seed, alpha, grad, samples)
-    M = _selection(g, *L)
-    cond = np.linalg.cond(M)
+    M, c_b = _couplings(g, *L)
+    cond = selection_condition(M)
     if not np.isfinite(cond) or cond > SELECTION_COND_LIMIT:
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
     f1, f2 = seed.momentum_source
-    b1, b2 = _singular_means(g, *L, SingularTensorParams(b=seed.b, p=0.0, q=0.0))
-    c0 = log_coefficient(f1, f2) + _mean_log_coefficient(
-        g, P1.mean(axis=1) + b1, P2.mean(axis=1) + b2)
-    p, q = (float(x) for x in np.linalg.solve(M, -4.0 * np.array([c0.real, c0.imag])))
+    wm = l2_weight(g, 0.0) / (2.0 * np.pi * g.M)  # log coefficient of the angular mean
+    c0 = log_coefficient(f1, f2) + seed.b * c_b + complex((wm @ P1).sum(), (wm @ P2).sum())
+    (m11, m12), (m21, m22) = M
+    det = m11 * m22 - m12 * m21
+    p = float(-4.0 * (c0.real * m22 - m12 * c0.imag) / det)
+    q = float(-4.0 * (m11 * c0.imag - m21 * c0.real) / det)
     _add_singular_source(g, *L, SingularTensorParams(b=seed.b, p=p, q=q), P1, P2)
     c1, c2 = f1.c + angular_modes(g, P1), f2.c + angular_modes(g, P2)
     for m, w in _correction_modes(g, seed.b, p, q).items():

@@ -202,13 +202,14 @@ class OperatorWorkspace:
         The boundary rows are homogeneous except mode 0's regularity value
         v'(r_1) = (r_1/2) f(r_1).
         """
-        Y = np.array(F.T, dtype=complex, order="C")   # block b is Y[b]
-        reg = 0.5 * self.r1 * Y[j0, 0]
-        Y[:, 0] = Y[:, -1] = 0.0
-        Y[j0, 0] = reg
-        X = solver.solve(Y.view(np.float64).reshape(-1, 2))  # Fortran-ordered
-        # the rows of the C-ordered copy of X are (re, im) pairs: a complex view
-        return np.ascontiguousarray(np.ascontiguousarray(X).view(complex).reshape(Y.shape).T)
+        Y = np.array([F.real.T, F.imag.T])  # block b of the (re, im) columns is Y[:, b]
+        reg = 0.5 * self.r1 * Y[:, j0, 0]
+        Y[:, :, 0] = Y[:, :, -1] = 0.0
+        Y[:, j0, 0] = reg
+        X = solver.solve(Y.reshape(2, -1).T)  # Fortran-ordered, as SuperLU takes and returns it
+        out = np.empty(F.shape, dtype=complex)
+        out.real, out.imag = (X[:, j].reshape(Y.shape[1:]).T for j in (0, 1))
+        return out
 
     # -- mode-0 flux matching -----------------------------------------------
     def farflux(self, vec: np.ndarray):

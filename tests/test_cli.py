@@ -342,6 +342,22 @@ def test_unwritable_output_dir_exit1(tmp_path, capsys, command, where):
     assert "cannot write output:" in capsys.readouterr().err
 
 
+def test_verify_fails_on_an_unwritable_output_dir_before_any_check(tmp_path, monkeypatch, capsys):
+    # the directory is created before the battery, so an unwritable one
+    # fails at once instead of after every check has run
+    from constraints2d import cli
+
+    def never(*args, **kwargs):
+        pytest.fail("a check ran before the output directory was created")
+    monkeypatch.setattr(cli, "poisson_solve", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=blocker / "out"))
+    assert main(["verify", str(path)]) == 1
+    assert "cannot write output:" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     import constraints2d
 

@@ -15,7 +15,9 @@ from constraints2d.fields import (
     multiply,
     sample_analytic,
 )
+from constraints2d.errors import NearSingularSelection
 from constraints2d.momentum import (
+    SELECTION_COND_LIMIT,
     SingularTensorParams,
     _complex_pair,
     _correction_modes,
@@ -30,6 +32,7 @@ from constraints2d.momentum import (
     _state_source,
     momentum_products,
     momentum_rhs_f,
+    selection_condition,
     selection_matrix,
     singular_tensors,
     solve_rho_eta,
@@ -372,6 +375,44 @@ def test_selection_from_angular_means_matches_the_sample_built_one(grid):
     assert np.max(np.abs(selection_matrix(lt) - M)) <= 1e-13 * np.max(np.abs(M))
     p, q, _ = rho_eta(seed, 0.01, lt, H)
     assert np.max(np.abs(np.array([p, q]) - pq)) <= 1e-13 * np.max(np.abs(pq))
+
+
+def test_selection_condition_matches_the_svd_condition_number():
+    # the closed form against LAPACK's SVD: on random matrices, and on
+    # near-singular upper-triangular ones, whose bidiagonal reduction is
+    # exact, so that the SVD's smallest singular value is accurate too
+    r = np.random.default_rng(11)
+    for M in r.normal(size=(200, 2, 2)):
+        assert selection_condition(M) == pytest.approx(np.linalg.cond(M), rel=1e-12)
+    for target in 10.0 ** np.arange(2, 11):
+        a, b = r.normal(size=2)
+        M = np.array([[a, b], [0.0, (a * a + b * b) / (target * a)]])
+        cond = selection_condition(M)
+        assert 0.5 * target < cond < 2.0 * target
+        assert cond == pytest.approx(np.linalg.cond(M), rel=1e-12)
+    for M in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]):
+        assert selection_condition(np.array(M)) == np.inf
+
+
+def test_solve_rho_eta_refuses_a_near_singular_selection(grid):
+    # a mode-2 lambdatilde s l moves the selection matrix, about 2 I at
+    # lambdatilde = 0, along diag(-d, d): where its first entry vanishes the
+    # matrix the step would solve is past the limit and is refused
+    udot = sample_analytic([GaussianBump(amp=0.3)], grid)
+    seed = make_seed(udot, udot, ScalarField.zeros(grid), b=0.1)
+    H = TracelessSymTensorField.zeros(grid)
+    lt = ScalarField.from_mode(grid, 2, "cos", grid.r**2 * np.exp(-0.1 * grid.r**2))
+    M0 = selection_matrix(ScalarField.zeros(grid))
+    D = selection_matrix(lt) - M0
+    assert abs(D[0, 1]) + abs(D[1, 0]) < 1e-12 * abs(D[0, 0])
+    s = -M0[0, 0] / D[0, 0]
+    assert selection_condition(selection_matrix(s * lt)) > SELECTION_COND_LIMIT
+    with pytest.raises(NearSingularSelection, match="condition number"):
+        rho_eta(seed, 0.0, s * lt, H)
+    # halfway there, the same data are accepted
+    assert selection_condition(selection_matrix(0.5 * s * lt)) < 10.0
+    p, q, _ = rho_eta(seed, 0.0, 0.5 * s * lt, H)
+    assert np.isfinite(p) and np.isfinite(q)
 
 
 def test_seed_densities_match_fresh_products(grid):

@@ -494,3 +494,58 @@ def test_solver_options_reject_non_integer_max_iter(max_iter):
     with pytest.raises(ValidationError, match="max_iter must be an integer"):
         SolverOptions(max_iter=max_iter)
     assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
+
+
+_SOLVE_ON_GRID_B = """
+import gc, hashlib, sys
+import numpy as np
+from constraints2d.fields import GaussianBump, build_grid, make_seed, sample_analytic
+from constraints2d.picard import IterState, picard_step, solve_constraints
+
+def seed_on(grid):
+    udot = sample_analytic([GaussianBump(amp=0.15)], grid)
+    u = sample_analytic([GaussianBump(amp=0.15, x0=0.6, y0=0.2)], grid)
+    tau = sample_analytic([GaussianBump(amp=0.03, w=2.0)], grid)
+    return make_seed(udot, u, tau, b=0.04)
+
+def grid_a():
+    return build_grid(8, 64, 30.0, -0.5)
+
+def grid_b():
+    return build_grid(16, 128, 60.0, -0.5)
+
+if sys.argv[1] == "after_a":
+    # one Picard step on each of A, B, A, ..., each grid dropped before the
+    # next is built, so that grids take the ids of dropped ones
+    for make in (grid_a, grid_b) * 10 + (grid_a,):
+        grid = make()
+        picard_step(IterState.zero(grid), seed_on(grid))
+        del grid
+        gc.collect()
+b = solve_constraints(seed_on(grid_b()))
+h = hashlib.sha256()
+for f in (b.lambda_tilde, b.H_tilde.h11, b.H_tilde.h12):
+    h.update(np.ascontiguousarray(f.c).tobytes())
+print(h.hexdigest(), b.alpha.hex(), b.p.hex(), b.q.hex(), b.iterations)
+"""
+
+
+def test_solve_on_a_grid_does_not_depend_on_a_dropped_grid():
+    # per-grid data (DFT matrices, singular rows, factorizations) live on the
+    # grid or its weakly keyed workspace: a solve on grid B after grids A and
+    # B were built, used and dropped in turn, which frees their ids for reuse,
+    # is bitwise the solve in a process that never built A
+    import os
+    import subprocess
+    import sys
+
+    import constraints2d
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    runs = [subprocess.run([sys.executable, "-c", _SOLVE_ON_GRID_B, arg], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for arg in ("after_a", "fresh")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
