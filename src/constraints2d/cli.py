@@ -17,6 +17,7 @@ of the solve; diagnostics still written), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -226,29 +227,36 @@ def _scalar_block(bundle, seed) -> dict:
     }
 
 
+# the field files of a successful solve, in the output directory as <name>.csv
+_FIELD_CSVS = ("lambda_tilde", "H_tilde_11", "H_tilde_12", "tau_breve")
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     opts = config_options(cfg)
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "solution.json")
+    csvs = [os.path.join(cfg.output_dir, f"{name}.csv") for name in _FIELD_CSVS]
     try:
         bundle = solve_constraints(seed, opts)
     except SolverError as exc:
         with open(out, "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc),
                        "epsilon": seed.epsilon}, fh, indent=2, sort_keys=True)
+        for path in csvs:  # an earlier run's fields must not pass for this run's
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
 
     with open(out, "w") as fh:
         json.dump(_scalar_block(bundle, seed), fh, indent=2, sort_keys=True)
-    write_field_csv(bundle.lambda_tilde, os.path.join(cfg.output_dir, "lambda_tilde.csv"))
-    write_field_csv(bundle.H_tilde.h11, os.path.join(cfg.output_dir, "H_tilde_11.csv"))
-    write_field_csv(bundle.H_tilde.h12, os.path.join(cfg.output_dir, "H_tilde_12.csv"))
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
-    _, _, tau_s = singular_tensors(params, grid)
-    write_field_csv(tau_s + seed.tau_tilde, os.path.join(cfg.output_dir, "tau_breve.csv"))
+    tau_breve = singular_tensors(params, grid)[2] + seed.tau_tilde
+    for f, path in zip((bundle.lambda_tilde, bundle.H_tilde.h11, bundle.H_tilde.h12,
+                        tau_breve), csvs):
+        write_field_csv(f, path)
     return 0
 
 
@@ -332,7 +340,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks = []
 
     def record(name, value, tol):
-        checks.append({"name": name, "value": float(value),
+        # a non-finite value is written as null: verify.json stays strict JSON
+        value = float(value)
+        checks.append({"name": name, "value": value if np.isfinite(value) else None,
                        "tolerance": float(tol), "passed": bool(value <= tol)})
 
     def attempt(name, fn):
@@ -341,10 +351,11 @@ def cmd_verify(cfg: RunConfig) -> int:
             fn()
         except SolverError as exc:
             print(f"check {name} raised: {exc}", file=sys.stderr)
-            checks.append({"name": name, "value": float("inf"),
-                           "tolerance": 0.0, "passed": False})
+            checks.append({"name": name, "value": None, "tolerance": 0.0,
+                           "passed": False, "raised": type(exc).__name__})
 
     grid = config_grid(cfg)
+    seed = config_seed(cfg, grid)  # a seed the grid cannot resolve is a config error
     os.makedirs(cfg.output_dir, exist_ok=True)
     r = grid.r
 
@@ -405,7 +416,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     def selection():
         # the matrix the second Picard step solves, at the first iterate
-        seed = config_seed(cfg, grid)
         state, _, _ = picard_step(IterState.zero(grid), seed)
         record("rho_eta_selection_condition",
                selection_condition(selection_matrix(state.lambda_tilde)), SELECTION_COND_LIMIT)
@@ -427,7 +437,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     n_fail = sum(not c["passed"] for c in checks)
     for c in checks:
         tag = "pass" if c["passed"] else "FAIL"
-        print(f"[{tag}] {c['name']}: {c['value']:.3e} (tol {c['tolerance']:.3e})")
+        value = (f"raised {c['raised']}" if "raised" in c
+                 else "non-finite" if c["value"] is None else f"{c['value']:.3e}")
+        print(f"[{tag}] {c['name']}: {value} (tol {c['tolerance']:.3e})")
     return 0 if n_fail == 0 else 3
 
 

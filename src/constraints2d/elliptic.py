@@ -51,7 +51,7 @@ class PoissonSolution:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Mode-diagonal discrete Laplacian (the matrices poisson_solve inverts)."""
-    w = ops.workspace(f.grid)
+    w = f.grid.workspace
     k2 = np.arange(f.grid.K + 1) ** 2
     return ScalarField(f.grid, w.lap_base @ f.c - k2 * (w.P2[:, None] * f.c))
 
@@ -85,7 +85,7 @@ def poisson_solve(f: ScalarField) -> PoissonSolution:
     """
     g = f.grid
     _check_tail(f)
-    w = ops.workspace(g)
+    w = g.workspace
 
     c_quad = integrate(f) / (2.0 * np.pi)
 

@@ -16,7 +16,8 @@ matrix product: the (N_r, 2(K+1)) float view of the half-spectrum, whose
 columns are the (Re c_k, Im c_k) pairs, times the grid's (2(K+1), M)
 inverse DFT matrix, and the samples times its (M, 2(K+1)) forward matrix,
 which computes only modes 0..K.  At these sizes a product is cheaper than
-an FFT.
+an FFT.  Each grid also owns its operators.OperatorWorkspace (the radial
+matrices and block factorizations), as the cached property Grid.workspace.
 
 The module also owns the smooth cutoff chi (chi = 0 for r <= 1, chi = 1 for
 r >= 2) together with its exact first and second derivatives.  Every profile
@@ -31,6 +32,7 @@ import csv
 import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,6 +158,14 @@ class Grid:
     @property
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.M) / self.M
+
+    def _make_operators(self):
+        """Grid.workspace: built on first use and freed with the grid."""
+        from .operators import OperatorWorkspace
+
+        return OperatorWorkspace(self)
+
+    workspace = cached_property(_make_operators)
 
 
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
@@ -469,7 +479,7 @@ def cartesian_gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """
     from . import operators as ops
 
-    d1, d2 = ops.gradient_coefficients(ops.workspace(f.grid), f.c)
+    d1, d2 = ops.gradient_coefficients(f.grid.workspace, f.c)
     return ScalarField(f.grid, d1), ScalarField(f.grid, d2)
 
 

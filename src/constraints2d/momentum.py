@@ -216,7 +216,7 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
 
 def gradient_half_spectra(f: ScalarField):
     """Half-spectra (d1 f, d2 f): one raise_and_lower."""
-    return ops.gradient_coefficients(ops.workspace(f.grid), f.c)
+    return ops.gradient_coefficients(f.grid.workspace, f.c)
 
 
 def _gradient_samples(grid: Grid, grad):
@@ -323,7 +323,7 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     g = f1.grid
     _check_tail(f1)
     _check_tail(f2)
-    w = ops.workspace(g)
+    w = g.workspace
     K = g.K
 
     c = log_coefficient(f1, f2)

@@ -28,13 +28,12 @@ the interior rows where the PDE rows were imposed.
 Factorizations: each operator family (L_k for k = 0..K, M_m for
 m = -K..K-1) is one block-diagonal system, built directly from the band
 arrays of its modes with the boundary rows written in, and factored once
-per grid.  A solve handles every mode of the family in one call, with the
-real and imaginary parts as two right-hand-side columns.
+per grid in the workspace the grid owns (Grid.workspace).  A solve handles
+every mode of the family in one call, with the real and imaginary parts as
+two right-hand-side columns.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,19 +41,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import SingularSystem
 from .fields import Grid, ScalarField, TracelessSymTensorField, l2_weight
-
-# The key is the only reference to a grid here: a workspace must not hold its
-# grid, or the grid (and with it the workspace) would never be collected.
-_workspaces: "weakref.WeakKeyDictionary[Grid, OperatorWorkspace]" = weakref.WeakKeyDictionary()
-
-
-def workspace(grid: Grid) -> "OperatorWorkspace":
-    ws = _workspaces.get(grid)
-    if ws is None:
-        ws = OperatorWorkspace(grid)
-        _workspaces[grid] = ws
-    return ws
-
 
 def _stencil_matrix(n: int, interior, edge, mirror: float) -> sp.csr_matrix:
     """Banded matrix: the 3-point ``interior`` stencil on rows 1..n-2, the
@@ -98,7 +84,8 @@ def _bands(A: sp.spmatrix) -> np.ndarray:
 
 
 class OperatorWorkspace:
-    """Per-grid matrices and the cached block factorization of each family."""
+    """Per-grid matrices and the cached block factorization of each family;
+    Grid.workspace builds it, and it holds no reference back to the grid."""
 
     def __init__(self, grid: Grid):
         n, h, r = grid.N_r, grid.h, grid.r
@@ -129,15 +116,9 @@ class OperatorWorkspace:
 
         self._lap = self._mom = None
         self._z: tuple[np.ndarray, float] | None = None
-        self._mode_rows: dict[int, np.ndarray] = {}
-
-    def mode_row(self, n: int) -> np.ndarray:
-        """Mode number m of each of the n columns of the (re, im) float view
-        of a mode array (see full_spectrum): each m twice."""
-        row = self._mode_rows.get(n)
-        if row is None:
-            row = self._mode_rows[n] = np.repeat(np.arange(self.K + 1 - n // 2, self.K + 1.0), 2)
-        return row
+        # mode m of each column of the (re, im) view of a full spectrum, -K..K
+        # each twice; every mode array ends at mode K, so its row is the tail
+        self.column_modes = np.repeat(np.arange(-self.K, self.K + 1.0), 2)
 
     def _factorize(self, B: np.ndarray, modes: np.ndarray):
         """splu of the block-diagonal system whose block b has the row bands
@@ -260,7 +241,7 @@ def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
     neighbour row's value, then is zeroed."""
     v = np.ascontiguousarray(C, dtype=complex).view(np.float64)
     dv = (w.Dr @ v).reshape(-1)
-    mv = w.P[:, None] * w.mode_row(v.shape[1])
+    mv = w.P[:, None] * w.column_modes[-v.shape[1]:]
     mv *= v
     mv = mv.reshape(-1)
     up, dn = np.empty(C.shape, dtype=complex), np.empty(C.shape, dtype=complex)
@@ -286,8 +267,7 @@ def gradient_coefficients(w: OperatorWorkspace, c: np.ndarray):
 
 def divergence(H: TracelessSymTensorField) -> tuple[ScalarField, ScalarField]:
     """(d_i H_i1, d_i H_i2) via A- on zeta = H11 + i H12."""
-    w = workspace(H.grid)
-    return real_pair(H.grid, raise_and_lower(w, full_spectrum(H.h11, H.h12))[1])
+    return real_pair(H.grid, raise_and_lower(H.grid.workspace, full_spectrum(H.h11, H.h12))[1])
 
 
 def zero_boundary_rows(f: ScalarField) -> ScalarField:

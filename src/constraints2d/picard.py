@@ -76,7 +76,7 @@ class IterState:
         """Half-spectra of lambdatilde, d1, d2, d11, d12, d22 of it, then of
         h11 and h12 each with d1 and d2; taken on first use and kept: five
         gradient_coefficients calls."""
-        w = ops.workspace(self.lambda_tilde.grid)
+        w = self.lambda_tilde.grid.workspace
         d1, d2 = gradient_half_spectra(self.lambda_tilde)
         terms = [self.lambda_tilde.c, d1, d2, *ops.gradient_coefficients(w, d1),
                  ops.gradient_coefficients(w, d2)[1]]
@@ -148,7 +148,7 @@ def _step_norm(w: ops.OperatorWorkspace, new: IterState, old: IterState) -> floa
 
 def combined_norm(state: IterState) -> float:
     """|alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}}."""
-    return _terms_norm(ops.workspace(state.lambda_tilde.grid), state.alpha, state.norm_terms)
+    return _terms_norm(state.lambda_tilde.grid.workspace, state.alpha, state.norm_terms)
 
 
 def picard_step(state: IterState, seed: SeedData):
@@ -169,7 +169,6 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         raise EpsilonTooLarge(
             f"epsilon = {seed.epsilon:.3g} exceeds threshold {opts.epsilon_threshold}")
 
-    w = ops.workspace(seed.grid)
     state = IterState.zero(seed.grid)
     p = q = 0.0
     ratios: list[float] = []
@@ -183,7 +182,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
         n = combined_norm(nxt)
-        d = _step_norm(w, nxt, state)
+        d = _step_norm(seed.grid.workspace, nxt, state)
         if not np.isfinite(n) or not np.isfinite(d):
             raise DivergenceDetected("non-finite iterate norm")
         if first_norm is None:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 from dataclasses import replace
 
@@ -289,21 +290,30 @@ dir = {out}
 """
 
 
-@pytest.mark.parametrize("text", [
-    "[grid]\nK = 8\n", UNRESOLVED,
-    FULL.replace("R_max = 60.0", "R_max = nan"),
-    FULL.replace("R_max = 60.0", "R_max = inf"),
-    FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
-    FULL.replace("b = 0.03", "b = nan"),
-    FULL.replace("b = 0.03", "b = inf"),
-    FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
-    FULL.replace("dir = {out}", "dir ="),
-], ids=["missing_grid_keys", "unresolved_bump", "R_max_nan", "R_max_inf",
-        "bump_amp_nan", "b_nan", "b_inf", "tol_inf", "empty_output_dir"])
-def test_main_bad_config_exit1(tmp_path, capsys, text):
+BAD_CONFIGS = {
+    "missing_grid_keys": "[grid]\nK = 8\n",
+    "unresolved_bump": UNRESOLVED,
+    "R_max_nan": FULL.replace("R_max = 60.0", "R_max = nan"),
+    "R_max_inf": FULL.replace("R_max = 60.0", "R_max = inf"),
+    "bump_amp_nan": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
+    "b_nan": FULL.replace("b = 0.03", "b = nan"),
+    "b_inf": FULL.replace("b = 0.03", "b = inf"),
+    "tol_inf": FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
+    "empty_output_dir": FULL.replace("dir = {out}", "dir ="),
+}
+
+
+# every command rejects a bad config the same way, before any work; the
+# solve cases carry the bare config name
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, text, id=name if command == ["solve"] else f"{command[0]}-{name}")
+    for command in (["solve"], ["verify"], ["sweep", "--amplitudes", "0.1"])
+    for name, text in BAD_CONFIGS.items()
+])
+def test_main_bad_config_exit1(tmp_path, capsys, command, text):
     path = tmp_path / "bad.cfg"
     path.write_text(text.format(out=tmp_path / "out"))
-    assert main(["solve", str(path)]) == 1
+    assert main([command[0], str(path), *command[1:]]) == 1
     assert "config error:" in capsys.readouterr().err
 
 
@@ -379,17 +389,24 @@ def test_main_solve(tmp_path):
 @pytest.mark.parametrize("error", ["NearSingularSelection", "NonDecayingRHS", "SingularSystem"])
 def test_solver_error_in_solve_and_sweep_exits_2(tmp_path, monkeypatch, capsys, error):
     # any SolverError of the solve is a failed solve (exit 2 with the error
-    # record, a NaN sweep row), not a traceback
+    # record, a NaN sweep row), not a traceback; a failed solve removes the
+    # field CSVs an earlier run left in its output directory
     from constraints2d import errors, picard
+
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out"))
+    csvs = [tmp_path / "out" / f"{name}.csv"
+            for name in ("lambda_tilde", "H_tilde_11", "H_tilde_12", "tau_breve")]
+    assert main(["solve", str(path)]) == 0
+    assert all(csv.exists() for csv in csvs)
 
     def failing(*args, **kwargs):
         raise getattr(errors, error)("injected")
     monkeypatch.setattr(picard, "solve_rho_eta", failing)
-    path = tmp_path / "run.cfg"
-    path.write_text(FULL.format(out=tmp_path / "out"))
     assert main(["solve", str(path)]) == 2
     data = json.loads((tmp_path / "out" / "solution.json").read_text())
     assert data["error"] == error and data["message"] == "injected"
+    assert not any(csv.exists() for csv in csvs)
     assert "solve failed: injected" in capsys.readouterr().err
 
     assert main(["sweep", str(path), "--amplitudes", "0,1"]) == 2
@@ -399,6 +416,27 @@ def test_solver_error_in_solve_and_sweep_exits_2(tmp_path, monkeypatch, capsys, 
     assert rows[1][1:4] == ["nan", "nan", "nan"] and rows[1][6] == "-1"
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 parsers do."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_json_is_strict_when_a_check_raises(tmp_path, monkeypatch, capsys):
+    from constraints2d import cli, errors
+
+    def failing(*args, **kwargs):
+        raise errors.SingularSystem("injected")
+    monkeypatch.setattr(cli, "asymptotic_charges", failing)
+    assert cmd_verify(parse_config(FULL.format(out=tmp_path))) == 3
+    checks = {c["name"]: c for c in _strict_json((tmp_path / "verify.json").read_text())}
+    raised = checks["charge_roundtrip_error"]
+    assert raised["value"] is None and not raised["passed"]
+    assert all(c["passed"] for name, c in checks.items() if name != "charge_roundtrip_error")
+    assert "[FAIL] charge_roundtrip_error: raised SingularSystem" in capsys.readouterr().out
+
+
 def test_verify_records_selection_condition(tmp_path):
     cfg = parse_config(FULL.format(out=tmp_path))
     assert cmd_verify(cfg) == 0
@@ -406,3 +444,38 @@ def test_verify_records_selection_condition(tmp_path):
     sel = checks["rho_eta_selection_condition"]
     assert sel["tolerance"] == 1e8
     assert 1.0 <= sel["value"] < 1.1   # near (1 + 4c) I for these small data
+
+
+# edge-of-range inputs: every value either end of what the grid, seed and
+# solver accept, the bumps unresolvable, far out or strong
+_EDGE_BUMPS = st.builds(
+    "gauss amp={} x0={} y0={} w={}".format,
+    st.sampled_from([0.0, 10.0]), st.sampled_from([0.0, 95.0, 500.0]),
+    st.sampled_from([0.0, 95.0, 500.0]), st.sampled_from([0.01, 30.0]))
+
+
+@st.composite
+def _edge_config_text(draw):
+    lines = ["[grid]",
+             f"K = {draw(st.integers(1, 8))}",
+             f"N_r = {draw(st.sampled_from([8, 16, 17, 64]))}",
+             f"R_max = {draw(st.sampled_from([1.0, 2.0, 5.0, 30.0, 1e6]))}",
+             f"delta = {draw(st.sampled_from([-1e-12, -0.05, -0.95]))}",
+             "[seed]",
+             f"b = {draw(st.sampled_from([0.0, 50.0]))}"]
+    for key in ("udot", "u", "tau_tilde"):
+        lines += [f"{key} = {bump}" for bump in draw(st.lists(_EDGE_BUMPS, max_size=2))]
+    return "\n".join(lines + ["[solver]", "max_iter = 3", "[output]", "dir = {out}", ""])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_edge_config_text())
+def test_main_on_edge_configs_returns_a_documented_exit_code(text):
+    # 0 success, 1 config error, 2 failed solve, 3 failed check; never a
+    # traceback
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text.format(out=os.path.join(out, "out")))
+        for command in ("solve", "verify"):
+            assert main([command, path]) in (0, 1, 2, 3)

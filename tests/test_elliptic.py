@@ -95,14 +95,21 @@ def test_tail_decays(grid):
 
 
 def test_workspace_lives_exactly_as_long_as_its_grid():
-    g = build_grid(8, 64, 30.0, -0.5)
-    poisson_solve(zero_mass_rhs(g))  # builds the workspace and its factorizations
-    grid_ref = weakref.ref(g)
-    ws_ref = weakref.ref(operators.workspace(g))
-    del g
-    gc.collect()
-    assert grid_ref() is None
-    assert ws_ref() is None
+    # with the cyclic collector off only reference counting frees them, which
+    # it can only if the workspace holds no reference back to its grid
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = build_grid(8, 64, 30.0, -0.5)
+        poisson_solve(zero_mass_rhs(g))  # builds the workspace and its factorizations
+        grid_ref = weakref.ref(g)
+        ws_ref = weakref.ref(g.workspace)
+        del g
+        assert grid_ref() is None
+        assert ws_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_one_factorization_per_family_and_one_solve_call_per_solve(monkeypatch):

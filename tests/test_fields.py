@@ -32,7 +32,7 @@ from constraints2d.fields import (
     write_field_csv,
 )
 
-from constraints2d.operators import gradient_coefficients, raise_and_lower, workspace
+from constraints2d.operators import gradient_coefficients, raise_and_lower
 
 from conftest import random_low_mode_field, rng
 
@@ -167,7 +167,7 @@ def _complex_mode_shifts(w, C):
 def test_mode_shifts_match_complex_column_operations(grid, ncols):
     # half spectra (K+1 columns), the momentum potential (2K+1) and a
     # strided 2K-column slice of it
-    w = workspace(grid)
+    w = grid.workspace
     r = rng()
     shape = (grid.N_r, 2 * grid.K + 1)
     Z = r.standard_normal(shape) + 1j * r.standard_normal(shape)

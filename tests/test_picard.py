@@ -16,7 +16,7 @@ from constraints2d.fields import (
     tensor_sobolev_norm,
     weighted_sobolev_norm,
 )
-from constraints2d.operators import workspace, zero_boundary_rows
+from constraints2d.operators import zero_boundary_rows
 from constraints2d.picard import (
     IterState,
     SolverOptions,
@@ -294,7 +294,7 @@ def test_contraction_of_nearby_states(solver_grid, small_seed):
                    s0.H_tilde + delta.H_tilde)
     f0, _, _ = picard_step(s0, small_seed)
     f1, _, _ = picard_step(s1, small_seed)
-    w = workspace(g)
+    w = g.workspace
     num = _step_norm(w, f1, f0)
     den = _step_norm(w, s1, s0)
     assert num <= 0.5 * den
@@ -423,7 +423,7 @@ def test_step_norm_is_the_sobolev_norm_of_the_difference(demo_seed):
     # differentiating the difference; the rounding of the terms is relative
     # to the iterate, so near convergence the bound is that floor
     g = demo_seed.grid
-    w = workspace(g)
+    w = g.workspace
     state = IterState.zero(g)
     for _ in range(6):
         nxt, _, _ = picard_step(state, demo_seed)
@@ -532,7 +532,7 @@ print(h.hexdigest(), b.alpha.hex(), b.p.hex(), b.q.hex(), b.iterations)
 
 def test_solve_on_a_grid_does_not_depend_on_a_dropped_grid():
     # per-grid data (DFT matrices, singular rows, factorizations) live on the
-    # grid or its weakly keyed workspace: a solve on grid B after grids A and
+    # grid or the workspace it owns: a solve on grid B after grids A and
     # B were built, used and dropped in turn, which frees their ids for reuse,
     # is bitwise the solve in a process that never built A
     import os
