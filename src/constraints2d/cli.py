@@ -122,7 +122,7 @@ def parse_config(text: str) -> RunConfig:
         name, parse = _KEYS[section][key]
         try:
             value = parse(val)
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ParseError(str(exc), ln)
         kv = settings[section]
         if parse is parse_bump_line:
@@ -223,7 +223,8 @@ def _scalar_block(bundle, seed) -> dict:
         "pointwise_max_hamiltonian": bundle.residuals.pointwise_max_hamiltonian,
         "warnings": [name for name, hit in (
             ("alpha_nonpositive", bundle.alpha <= 0.0),  # a cone angle of 2 pi or more
-            ("delta_near_edge", _delta_near_edge(seed.grid.delta))) if hit],
+            ("delta_near_edge", _delta_near_edge(seed.grid.delta)),
+            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor)) if hit],
     }
 
 
@@ -317,11 +318,6 @@ def _sweep_summary(rows, e_unit, i1, i2) -> dict:
         "alpha_coeff_expected": e_unit / (4.0 * np.pi),
         "p_coeff_expected": i1 / np.pi,
         "q_coeff_expected": i2 / np.pi,
-        # the combinations that appear when the 1/(2 pi) is absorbed into the
-        # Green function instead; convention artifacts, for comparison only
-        "alpha_coeff_alt_normalization": 0.5 * e_unit,
-        "p_coeff_alt_normalization": 4.0 / (1.0 + 2.0 * np.pi) * i1,
-        "q_coeff_alt_normalization": 4.0 / (1.0 + 2.0 * np.pi) * i2,
     }
     if len(ok) >= 2:
         (a1, al1, p1, q1), (a2, al2, p2, q2) = ok[0], ok[1]

@@ -387,12 +387,18 @@ class TracelessSymTensorField:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """amp * exp(-|x - (x0,y0)|^2 / w^2)."""
+    """amp * exp(-|x - (x0,y0)|^2 / w^2); amp, x0 and y0 finite, w finite and
+    positive (ValidationError)."""
 
     amp: float
     x0: float = 0.0
     y0: float = 0.0
     w: float = 1.0
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite([self.amp, self.x0, self.y0, self.w])) and self.w > 0):
+            raise ValidationError(
+                f"bump needs finite amp, x0, y0 and a finite w > 0, got {format_bump(self)}")
 
 
 def parse_bump_line(text: str) -> GaussianBump:
@@ -409,8 +415,6 @@ def parse_bump_line(text: str) -> GaussianBump:
         if key not in {f.name for f in params}:
             raise ValueError(f"unknown bump parameter {key!r}")
         kw[key] = float(val)
-        if not np.isfinite(kw[key]):
-            raise ValueError(f"bump parameter {key} must be finite, got {val!r}")
     for f in params:
         if f.default is MISSING and f.name not in kw:
             raise ValueError(f"bump needs {f.name}=<value>")
@@ -540,12 +544,6 @@ def weighted_sobolev_norm(f: ScalarField, m: int, delta: float) -> float:
         for gfield in (d11, d12, d22):
             total += radial_l2_weighted(gfield, delta + 2.0)
     return total
-
-
-def tensor_sobolev_norm(H: TracelessSymTensorField, m: int, delta: float) -> float:
-    """Componentwise weighted Sobolev norm of a traceless symmetric tensor."""
-    return (weighted_sobolev_norm(H.h11, m, delta)
-            + weighted_sobolev_norm(H.h12, m, delta))
 
 
 def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.ndarray:

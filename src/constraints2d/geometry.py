@@ -17,8 +17,7 @@ from .fields import Grid, ScalarField, SeedData
 from .momentum import SingularTensorParams, full_state_samples
 from .picard import SolutionBundle
 
-__all__ = ["PhysicalData", "cone_angle", "reconstruct_physical",
-           "asymptotic_charges", "write_physical_data"]
+__all__ = ["PhysicalData", "cone_angle", "reconstruct_physical", "asymptotic_charges"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,29 +73,6 @@ def reconstruct_physical(bundle: SolutionBundle, seed: SeedData) -> PhysicalData
         K22=ScalarField.from_samples(g, K22),
         tau_full=ScalarField.from_samples(g, tau / elam),
     )
-
-
-def write_physical_data(phys: PhysicalData, directory) -> None:
-    """Serialize the reconstruction: field CSVs plus a scalar summary block."""
-    import json
-    import os
-
-    from .fields import write_field_csv
-
-    os.makedirs(directory, exist_ok=True)
-    for name, fld in (("conformal_exponent", phys.conformal_exponent),
-                      ("metric_factor", phys.metric_factor),
-                      ("K11", phys.K11), ("K12", phys.K12), ("K22", phys.K22),
-                      ("tau_full", phys.tau_full)):
-        write_field_csv(fld, os.path.join(directory, f"{name}.csv"))
-    mf = phys.metric_factor.to_samples()
-    summary = {
-        "metric_factor_min": float(np.min(mf)),
-        "metric_factor_max": float(np.max(mf)),
-        "tau_full_max_abs": float(np.max(np.abs(phys.tau_full.to_samples()))),
-    }
-    with open(os.path.join(directory, "physical_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
 
 
 def asymptotic_charges(tau_rescaled: ScalarField, grid: Grid):

@@ -37,8 +37,8 @@ def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> Sc
           + (1/2) tau_sing tautilde + (1/4) tautilde^2,
 
     the pure chi^2/r^2 squares having cancelled identically.  The products
-    are one pass on samples = momentum.state_samples(seed, Htilde), which it
-    only reads, and one transform back; the energy density is the seed's.
+    are one pass on samples = momentum.state_samples(seed, Htilde) and one
+    transform back; the energy density is the seed's.
     """
     g = seed.grid
     cr, u11, u12, ut = singular_factors(params, g)
@@ -57,20 +57,15 @@ def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField
 
     Delta lambda is the discrete Laplacian of lambdatilde plus the closed
     form of the log part; |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 is one
-    pass on the full-state samples, in place: it overwrites them.  At a
-    converged state the result vanishes to the fixed-point tolerance on the
-    interior rows.
+    pass on the full-state samples.  At a converged state the result
+    vanishes to the fixed-point tolerance on the interior rows.
     """
     g = seed.grid
     A, B, T = full
-    A *= A
-    B *= B
-    A += B
-    T *= 0.5
-    T *= T
-    A -= T
+    half_tau = 0.5 * T
+    S = A * A + B * B - half_tau * half_tau
     lap = PoissonSolution(-alpha, lambda_tilde).reconstruct_laplacian()
-    return ScalarField(g, lap.c + 0.5 * seed.energy_density.c + angular_modes(g, A))
+    return ScalarField(g, lap.c + 0.5 * seed.energy_density.c + angular_modes(g, S))
 
 
 def solve_lambda(rhs: ScalarField) -> tuple[float, ScalarField]:

@@ -55,7 +55,6 @@ __all__ = [
     "gradient_half_spectra",
     "state_samples",
     "full_state_samples",
-    "momentum_products",
     "momentum_residual",
     "selection_matrix",
     "selection_condition",
@@ -367,19 +366,39 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
 # residual of the full momentum equation
 # ----------------------------------------------------------------------------
 
-def momentum_residual(seed: SeedData, H_tilde: TracelessSymTensorField,
-                      params: SingularTensorParams, products):
-    """Both components of d_i H_ij + H_ij d_i lambda + udot d_j u
-    - (1/2) d_j tau + (1/2) tau d_j lambda at the given state (H' = H), with
-    products = momentum_products(seed, alpha, lambdatilde, full) the
-    half-spectra of the terms in d lambda.
+def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
+                       params: SingularTensorParams):
+    """Read-only (N_r, M) samples of the full h11, h12 and tau: the
+    state_samples plus the closed-form singular parts H_b + H_rho_eta and
+    tau_sing."""
+    cr, u11, u12, ut = singular_factors(params, seed.grid)
+    tau, h11, h12 = state_samples(seed, H_tilde)
+    h11 += cr * u11
+    h12 += cr * u12
+    tau += cr * ut
+    for x in (h11, h12, tau):
+        x.setflags(write=False)
+    return h11, h12, tau
 
-    Closed-form singular parts are differentiated analytically, the stored
-    tilde tensor minus its band part discretely; at a converged state the
-    result vanishes to factorization accuracy on the interior rows.
+
+def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
+                      H_tilde: TracelessSymTensorField, params: SingularTensorParams,
+                      full):
+    """Both components of d_i H_ij + H_ij d_i lambda + udot d_j u
+    - (1/2) d_j tau + (1/2) tau d_j lambda at the given state (H' = H), for
+    lambda = -alpha chi ln r + lambdatilde and the full H and tau given as
+    full = full_state_samples(seed, Htilde, params).
+
+    The terms in d lambda are one pass on the samples; closed-form singular
+    parts are differentiated analytically, the stored tilde tensor minus its
+    band part discretely.  At a converged state the result vanishes to
+    factorization accuracy on the interior rows.
     """
     g = seed.grid
-    P1, P2 = products
+    h11, h12, tau = full
+    lam = _lambda_gradient(g, alpha, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
+    P1, P2 = (angular_modes(g, P) for P in _h_dlambda(tau, h11, h12, *lam))
+    del lam
     div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
     s1, s2 = singular_divergence_pair(params, g)
     ts1, ts2 = tau_singular_gradient(params, g)
@@ -387,31 +406,6 @@ def momentum_residual(seed: SeedData, H_tilde: TracelessSymTensorField,
     r1 = div1.c + s1.c + P1 - f1.c - 0.5 * ts1.c
     r2 = div2.c + s2.c + P2 - f2.c - 0.5 * ts2.c
     return ScalarField(g, r1), ScalarField(g, r2)
-
-
-def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
-                       params: SingularTensorParams):
-    """Fresh (N_r, M) samples of the full h11, h12 and tau: the state_samples
-    plus the closed-form singular parts H_b + H_rho_eta and tau_sing.  The
-    caller owns the arrays and may update them in place."""
-    cr, u11, u12, ut = singular_factors(params, seed.grid)
-    tau, h11, h12 = state_samples(seed, H_tilde)
-    h11 += cr * u11
-    h12 += cr * u12
-    tau += cr * ut
-    return h11, h12, tau
-
-
-def momentum_products(seed: SeedData, alpha: float, lambda_tilde: ScalarField, full):
-    """Half-spectra of H_ij d_i lambda + (1/2) tau d_j lambda, j = 1, 2, for
-    lambda = -alpha chi ln r + lambdatilde and the full H and tau given as
-    full = full_state_samples(seed, Htilde, params), which it only reads."""
-    g = seed.grid
-    h11, h12, tau = full
-    lam = _lambda_gradient(g, alpha, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
-    P1, P2 = _h_dlambda(tau, h11, h12, *lam)
-    del lam
-    return angular_modes(g, P1), angular_modes(g, P2)
 
 
 SELECTION_COND_LIMIT = 1e8  # beyond it the (rho, eta) selection is refused

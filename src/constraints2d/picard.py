@@ -11,7 +11,8 @@ One step maps (alpha, lambdatilde, Htilde) to (alpha', lambdatilde', Htilde'):
 For small seed data the map contracts geometrically; the iteration starts
 from the zero state and stops when the combined norm
 |alpha| + ||lambdatilde||_{H^2_delta} + ||Htilde||_{H^1_{delta+1}} moves less
-than the relative tolerance.
+than the relative tolerance, or at the rounding floor of that norm
+(solve_constraints).
 
 Each iterate is differentiated once, and IterState keeps its norm terms:
 raw half-spectra of lambdatilde with its first and second Cartesian
@@ -44,13 +45,12 @@ from .fields import (
     SeedData,
     TracelessSymTensorField,
     multiply,  # noqa: F401  unused; the benchmark's tracing test wraps picard.multiply
-    radial_l2_weighted,
     weighted_l2,
 )
 from .lichnerowicz import hamiltonian_residual, hamiltonian_rhs, solve_lambda
 from .momentum import (SingularTensorParams, div_constraint_solve, full_state_samples,
-                       gradient_half_spectra, momentum_products, momentum_residual,
-                       solve_rho_eta, state_samples)
+                       gradient_half_spectra, momentum_residual, solve_rho_eta,
+                       state_samples)
 
 __all__ = ["IterState", "SolverOptions", "ResidualReport", "SolutionBundle",
            "picard_step", "solve_constraints", "residuals", "combined_norm"]
@@ -126,6 +126,7 @@ class SolutionBundle:
     iterations: int
     contraction_ratios: list[float] = field(default_factory=list)
     residuals: ResidualReport | None = None
+    converged_at_rounding_floor: bool = False
 
 
 # weight row (OperatorWorkspace.norm_weights) of each of IterState.norm_terms
@@ -163,7 +164,17 @@ def picard_step(state: IterState, seed: SeedData):
 
 
 def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> SolutionBundle:
-    """Iterate the map from the zero state until the combined norm settles."""
+    """Iterate the map from the zero state until the combined norm settles.
+
+    The step norm d is compared with the iterate's combined norm n.  The
+    iteration stops when d <= tol_fixed_point * max(1, n), or at the rounding
+    floor: when a step grows (ratio > 1) while d is already below
+    sqrt(tol_fixed_point) * max(1, n).  A contracting map's steps do not grow
+    that close to its fixed point, so there the steps only stir the rounding
+    noise of the weighted far field; the previous iterate, with its p and q,
+    is returned, and the bundle says converged_at_rounding_floor.
+    iterations counts the steps taken, the growing one included.
+    """
     opts = opts or SolverOptions()
     if seed.epsilon > opts.epsilon_threshold:
         raise EpsilonTooLarge(
@@ -175,10 +186,10 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     d_prev = None
     first_norm = None
     iterations = 0
-    converged = False
+    converged = floor = False
     for iterations in range(1, opts.max_iter + 1):
         try:
-            nxt, p, q = picard_step(state, seed)
+            nxt, p_next, q_next = picard_step(state, seed)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
         n = combined_norm(nxt)
@@ -192,8 +203,11 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
                 f"combined norm {n:.3g} exceeds 10x the first iterate {first_norm:.3g}")
         if d_prev is not None and d_prev > 1e-300:
             ratios.append(d / d_prev)
+        if d_prev is not None and d > d_prev and d < opts.tol_fixed_point ** 0.5 * max(1.0, n):
+            floor = converged = True  # keep state, p and q
+            break
         d_prev = d
-        state = nxt
+        state, p, q = nxt, p_next, q_next
         if d <= opts.tol_fixed_point * max(1.0, n):
             converged = True
             break
@@ -209,13 +223,10 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         H_tilde=state.H_tilde,
         iterations=iterations,
         contraction_ratios=ratios,
+        converged_at_rounding_floor=floor,
     )
     state = nxt = None  # their norm terms are dropped: the residuals set the peak memory
     return replace(bundle, residuals=residuals(bundle, seed))
-
-
-def _interior_h0_norm(f: ScalarField, gamma: float) -> float:
-    return radial_l2_weighted(ops.zero_boundary_rows(f), gamma)
 
 
 def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
@@ -224,11 +235,9 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     The residual fields are momentum.momentum_residual and
     lichnerowicz.hamiltonian_residual: the same discrete operators the
     solvers inverted, with the closed-form singular profiles treated
-    analytically.  The momentum products and the Hamiltonian squares read
-    one set of full-state samples, which the squares overwrite; the rest of
-    the momentum residual runs after they are freed.  Norms are the weighted
-    H^0_{delta+2} quadrature over the interior collocation rows (the two
-    boundary rows carry the boundary conditions, not the PDE).  The
+    analytically.  Both read one set of full-state samples.  Norms are the
+    weighted H^0_{delta+2} quadrature over the interior collocation rows (the
+    two boundary rows carry the boundary conditions, not the PDE).  The
     Hamiltonian norm is of the order of the last Picard step, so it follows
     tol_fixed_point; the rounding of the singular squares cancelling on the
     samples lies far below it.
@@ -238,21 +247,20 @@ def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
         raise GridMismatch("bundle fields not on the seed grid")
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
     full = full_state_samples(seed, bundle.H_tilde, params)
-    products = momentum_products(seed, bundle.alpha, bundle.lambda_tilde, full)
+    mom_norm, mom_max = _interior_norm_and_max(momentum_residual(
+        seed, bundle.alpha, bundle.lambda_tilde, bundle.H_tilde, params, full))
     ham_norm, ham_max = _interior_norm_and_max(
-        (hamiltonian_residual(seed, bundle.alpha, bundle.lambda_tilde, full),), g.delta)
-    del full
-    mom_norm, mom_max = _interior_norm_and_max(
-        momentum_residual(seed, bundle.H_tilde, params, products), g.delta)
+        (hamiltonian_residual(seed, bundle.alpha, bundle.lambda_tilde, full),))
     return ResidualReport(momentum_residual_norm=float(mom_norm),
                           hamiltonian_residual_norm=float(ham_norm),
                           pointwise_max_momentum=float(mom_max),
                           pointwise_max_hamiltonian=float(ham_max))
 
 
-def _interior_norm_and_max(fields, delta: float) -> tuple[float, float]:
+def _interior_norm_and_max(fields) -> tuple[float, float]:
     """Sum of the H^0_{delta+2} norms and max of the samples of the fields,
     each with its boundary rows zeroed once for both."""
     inner = [ops.zero_boundary_rows(f) for f in fields]
-    return (sum(radial_l2_weighted(f, delta + 2.0) for f in inner),
+    weight = inner[0].grid.workspace.norm_weights[2]  # (1+r^2)^{delta+2}
+    return (sum(weighted_l2(f.c, weight) for f in inner),
             max(float(np.max(np.abs(f.to_samples()))) for f in inner))

@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from constraints2d.errors import (
     InvalidResolution,
     UnresolvedSpec,
     UnsupportedOrder,
+    ValidationError,
 )
 from constraints2d.fields import (
     GaussianBump,
@@ -487,6 +489,18 @@ def test_csv_round_trip_is_bitwise(tmp_path_factory, re_c, im_c):
     path = tmp_path_factory.mktemp("csv") / "field.csv"
     write_field_csv(f, path)
     assert read_field_csv(path, _CSV_GRID).c.tobytes() == f.c.tobytes()
+
+
+@pytest.mark.parametrize("kw", [
+    {"amp": np.nan}, {"amp": np.inf}, {"amp": 1.0, "x0": np.inf}, {"amp": 1.0, "y0": np.nan},
+    {"amp": 1.0, "w": np.inf}, {"amp": 1.0, "w": np.nan}, {"amp": 1.0, "w": 0.0},
+    {"amp": 1.0, "w": -1.0},
+])
+def test_bump_rejects_non_finite_values_and_non_positive_width(kw):
+    with pytest.raises(ValidationError, match="bump needs finite amp, x0, y0 and a finite w > 0"):
+        GaussianBump(**kw)
+    with pytest.raises(ValidationError):
+        replace(GaussianBump(amp=1.0), **kw)
 
 
 def test_bump_line_round_trip():

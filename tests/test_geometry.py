@@ -102,21 +102,6 @@ def test_charges_rotated_dipole(grid):
     assert q_hat == pytest.approx(rho * np.sin(eta), abs=1e-10)
 
 
-def test_physical_data_serialization(small_seed, small_bundle, tmp_path):
-    import json
-
-    from constraints2d.fields import read_field_csv
-    from constraints2d.geometry import write_physical_data
-
-    phys = reconstruct_physical(small_bundle, small_seed)
-    write_physical_data(phys, tmp_path)
-    g = small_seed.grid
-    mf = read_field_csv(tmp_path / "metric_factor.csv", g)
-    assert np.array_equal(mf.a, phys.metric_factor.a)
-    summary = json.loads((tmp_path / "physical_summary.json").read_text())
-    assert summary["metric_factor_min"] > 0
-
-
 @settings(max_examples=20, deadline=None)
 @given(b=st.floats(-1, 1), rho=st.floats(0, 1), eta=st.floats(0, 2 * np.pi))
 def test_charge_round_trip(b, rho, eta):

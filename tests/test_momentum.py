@@ -30,7 +30,7 @@ from constraints2d.momentum import (
     log_coefficient,
     _add_singular_source,
     _state_source,
-    momentum_products,
+    momentum_residual,
     momentum_rhs_f,
     selection_condition,
     selection_matrix,
@@ -502,7 +502,6 @@ def test_fused_sources_match_term_by_term_products(grid):
 def test_fused_momentum_residual_matches_term_by_term_products(grid):
     from constraints2d.momentum import (
         band_tensor,
-        momentum_residual,
         singular_divergence_pair,
         tau_singular_gradient,
     )
@@ -523,8 +522,8 @@ def test_fused_momentum_residual_matches_term_by_term_products(grid):
           - 0.5 * (dt1 + ts1) + 0.5 * multiply(tau_tot, lam1))
     r2 = (div2 + s2 + multiply(h12, lam1) - multiply(h11, lam2) + multiply(udot, d2u)
           - 0.5 * (dt2 + ts2) + 0.5 * multiply(tau_tot, lam2))
-    products = momentum_products(seed, alpha, lt, full_state_samples(seed, H, params))
-    _assert_close(momentum_residual(seed, H, params, products), (r1, r2))
+    _assert_close(momentum_residual(seed, alpha, lt, H, params,
+                                    full_state_samples(seed, H, params)), (r1, r2))
 
 
 def test_hamiltonian_residual_matches_term_by_term_products(grid):
@@ -544,6 +543,23 @@ def test_hamiltonian_residual_matches_term_by_term_products(grid):
            - 0.25 * multiply(tau_tot, tau_tot))
     _assert_close([hamiltonian_residual(seed, alpha, lt, full_state_samples(seed, H, params))],
                   [res])
+
+
+def test_full_state_samples_are_read_only_and_both_residuals_leave_them_unchanged(grid):
+    from constraints2d.lichnerowicz import hamiltonian_residual
+
+    seed, alpha, lt, H = _coupled_state(grid)
+    params = SingularTensorParams(seed.b, 0.02, -0.01)
+    full = full_state_samples(seed, H, params)
+    before = [x.copy() for x in full]
+    momentum_residual(seed, alpha, lt, H, params, full)
+    hamiltonian_residual(seed, alpha, lt, full)
+    for x, x0 in zip(full, before):
+        assert np.array_equal(x, x0)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            x *= 2.0
 
 
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])

@@ -12,15 +12,14 @@ from constraints2d.fields import (
     TracelessSymTensorField,
     build_grid,
     make_seed,
+    radial_l2_weighted,
     sample_analytic,
-    tensor_sobolev_norm,
     weighted_sobolev_norm,
 )
 from constraints2d.operators import zero_boundary_rows
 from constraints2d.picard import (
     IterState,
     SolverOptions,
-    _interior_h0_norm,
     _step_norm,
     combined_norm,
     picard_step,
@@ -43,7 +42,8 @@ def sobolev_norm(state: IterState) -> float:
     """The combined norm from the field-level Sobolev norms (the oracle)."""
     g = state.lambda_tilde.grid
     return (abs(state.alpha) + weighted_sobolev_norm(state.lambda_tilde, 2, g.delta)
-            + tensor_sobolev_norm(state.H_tilde, 1, g.delta + 1.0))
+            + weighted_sobolev_norm(state.H_tilde.h11, 1, g.delta + 1.0)
+            + weighted_sobolev_norm(state.H_tilde.h12, 1, g.delta + 1.0))
 
 
 def test_one_source_assembly_per_step(small_seed, monkeypatch):
@@ -183,17 +183,13 @@ def test_picard_step_matches_the_separate_assembly(grid):
 
 
 def test_residual_report_matches_separately_built_residuals(small_seed, small_bundle):
-    # the report shares one full-state sample set between the two residuals;
-    # built separately, each from its own samples, they give the same norms
+    # the report shares one read-only full-state sample set between the two
+    # residuals; built separately, each from its own samples, they give the
+    # same norms
     from dataclasses import replace
 
     from constraints2d.lichnerowicz import hamiltonian_residual
-    from constraints2d.momentum import (
-        SingularTensorParams,
-        full_state_samples,
-        momentum_products,
-        momentum_residual,
-    )
+    from constraints2d.momentum import SingularTensorParams, full_state_samples, momentum_residual
 
     g = small_seed.grid
     pert = replace(small_bundle, residuals=None,
@@ -201,15 +197,15 @@ def test_residual_report_matches_separately_built_residuals(small_seed, small_bu
                    + 1e-3 * sample_analytic([GaussianBump(amp=1.0)], g))
     for b in (small_bundle, pert):
         params = SingularTensorParams(small_seed.b, b.p, b.q)
-        full = full_state_samples(small_seed, b.H_tilde, params)
-        mom = momentum_residual(small_seed, b.H_tilde, params,
-                                momentum_products(small_seed, b.alpha, b.lambda_tilde, full))
+        mom = momentum_residual(small_seed, b.alpha, b.lambda_tilde, b.H_tilde, params,
+                                full_state_samples(small_seed, b.H_tilde, params))
         ham = hamiltonian_residual(small_seed, b.alpha, b.lambda_tilde,
                                    full_state_samples(small_seed, b.H_tilde, params))
         rep = residuals(b, small_seed)
         gamma = g.delta + 2.0
-        assert rep.momentum_residual_norm == sum(_interior_h0_norm(f, gamma) for f in mom)
-        assert rep.hamiltonian_residual_norm == _interior_h0_norm(ham, gamma)
+        assert rep.momentum_residual_norm == sum(
+            radial_l2_weighted(zero_boundary_rows(f), gamma) for f in mom)
+        assert rep.hamiltonian_residual_norm == radial_l2_weighted(zero_boundary_rows(ham), gamma)
         assert rep.pointwise_max_momentum == max(
             float(np.max(np.abs(zero_boundary_rows(f).to_samples()))) for f in mom)
         assert rep.pointwise_max_hamiltonian == float(
@@ -343,6 +339,38 @@ def test_no_convergence_max_iter(solver_grid, small_seed):
         solve_constraints(small_seed, SolverOptions(max_iter=2, tol_fixed_point=1e-14))
 
 
+def test_stop_at_the_rounding_floor(tmp_path):
+    # on configs/far.cfg (demo seed, K = 8, R_max = 1e6, N_r = 4096) the
+    # relative step falls to about 1.8e-10 at step 9 and grows at step 10,
+    # above tol_fixed_point = 1e-10 but far below its square root: the solve
+    # stops there, returns step 9's iterate and says so; plain Picard would
+    # stop at step 11 by chance, its alpha within rounding of step 9's
+    import json
+    from dataclasses import replace
+
+    cfg = cli.parse_config((DEMO_CFG.parent / "far.cfg").read_text())
+    assert cli.cmd_solve(replace(cfg, output_dir=str(tmp_path))) == 0
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert sol["warnings"] == ["converged_at_rounding_floor"]
+    assert sol["iterations"] <= 10
+    assert sol["contraction_ratios"][-1] > 1.0
+
+    # plain Picard, step by step: the solve returned the step before the last
+    seed = cli.config_seed(cfg, cli.config_grid(cfg))
+    tol = cfg.solver.tol_fixed_point
+    state, steps = IterState.zero(seed.grid), []
+    for _ in range(30):
+        nxt, p, q = picard_step(state, seed)
+        steps.append((nxt.alpha, p, q))
+        done = _step_norm(seed.grid.workspace, nxt, state) <= tol * max(1.0, combined_norm(nxt))
+        state = nxt
+        if done:
+            break
+    assert done
+    assert (sol["alpha"], sol["p"], sol["q"]) == steps[sol["iterations"] - 2]
+    assert sol["alpha"] == pytest.approx(state.alpha, rel=1e-13, abs=0.0)
+
+
 def test_bundle_scalars_converge_under_refinement():
     # the fixed-point scalars approach grid-independent values as N_r doubles
     from constraints2d.fields import build_grid
@@ -381,7 +409,7 @@ def test_residual_linear_response(solver_grid, small_seed, small_bundle):
                    residuals=None)
     rep0 = residuals(small_bundle, small_seed)
     rep1 = residuals(pert, small_seed)
-    expected = _interior_h0_norm(laplacian(delta), g.delta + 2.0)
+    expected = radial_l2_weighted(zero_boundary_rows(laplacian(delta)), g.delta + 2.0)
     # rep0's hamiltonian residual is ~1e-13, so the perturbed norm must equal
     # the norm of Delta(delta) almost exactly
     assert rep1.hamiltonian_residual_norm == pytest.approx(expected, rel=1e-6)
@@ -405,7 +433,8 @@ def test_hamiltonian_residual_follows_the_fixed_point_tolerance(small_seed, smal
                                   full_state_samples(small_seed, tight.H_tilde, params))
     cancelled = (PoissonSolution(-tight.alpha, tight.lambda_tilde).reconstruct_laplacian()
                  - hamiltonian_rhs(small_seed, state_samples(small_seed, tight.H_tilde), params))
-    assert _interior_h0_norm(direct - cancelled, small_seed.grid.delta + 2.0) < 1e-2 * norm
+    assert radial_l2_weighted(zero_boundary_rows(direct - cancelled),
+                              small_seed.grid.delta + 2.0) < 1e-2 * norm
 
 
 def test_combined_norm_is_the_sobolev_norm(solver_grid):
