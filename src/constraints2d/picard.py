@@ -21,7 +21,8 @@ norms give the iterate's combined norm, and the same norms of their
 differences from the previous iterate's terms give the step norm: the
 discrete derivatives are linear, so that is the norm of the difference up to
 rounding.  Their (d1, d2) of lambdatilde is also the next step's source
-gradient.  The zero start state's terms are set to zero, not taken.
+gradient.  The zero start state's terms are set to zero, not taken, and
+the first step norm is the first iterate's combined norm.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
         n = combined_norm(nxt)
-        d = _step_norm(seed.grid.workspace, nxt, state)
+        # from the zero start state the step is the iterate: bitwise its norm
+        d = n if iterations == 1 else _step_norm(seed.grid.workspace, nxt, state)
         if not np.isfinite(n) or not np.isfinite(d):
             raise DivergenceDetected("non-finite iterate norm")
         if first_norm is None:

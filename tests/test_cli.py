@@ -373,6 +373,54 @@ def test_verify_fails_on_an_unwritable_output_dir_before_any_check(tmp_path, mon
     assert "cannot write output:" in capsys.readouterr().err
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_solve_writes_the_same_bytes_with_and_without_fork(tmp_path, monkeypatch):
+    # where os.fork exists a child formats half of the field CSVs; the files
+    # are those the parent alone writes, also when os.fork fails
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def failing_fork():
+        raise OSError("no fork")
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        demo = parse_config(fh.read())
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "forked"))) == 0
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "fork_failed"))) == 0
+    monkeypatch.delattr(os, "fork")
+    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "single"))) == 0
+    for run in ("forked", "fork_failed"):
+        for name in ("solution.json", "lambda_tilde.csv", "H_tilde_11.csv", "H_tilde_12.csv",
+                     "tau_breve.csv"):
+            assert (tmp_path / run / name).read_bytes() == \
+                (tmp_path / "single" / name).read_bytes(), (run, name)
+
+
+@pytest.mark.parametrize("name", ["tau_breve", "lambda_tilde"])  # child's, parent's
+def test_solve_reports_a_field_csv_it_cannot_write_and_leaves_no_child(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / f"{name}.csv").mkdir(parents=True)
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        text = fh.read().replace("dir = out/demo", f"dir = {out}")
+    path = tmp_path / "demo.cfg"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot write output:" in err and f"{name}.csv" in err
+    _assert_no_child_left()
+
+
 def test_module_entry_point_runs_without_runpy_warning():
     import constraints2d
 

@@ -463,6 +463,27 @@ def test_step_norm_is_the_sobolev_norm_of_the_difference(demo_seed):
         state = nxt
 
 
+def test_the_first_step_norm_is_the_combined_norm(demo_seed, monkeypatch):
+    # from the zero start state the step is the iterate, so the solve takes
+    # its combined norm as the step norm instead of differencing zeros: one
+    # _step_norm call fewer, and bitwise the values of the differencing solve
+    from constraints2d import picard
+
+    g = demo_seed.grid
+    first, _, _ = picard_step(IterState.zero(g), demo_seed)
+    assert _step_norm(g.workspace, first, IterState.zero(g)) == combined_norm(first)
+    counts = {"step_norms": 0}
+    monkeypatch.setattr(picard, "_step_norm", _counted(_step_norm, counts, "step_norms"))
+    bundle = solve_constraints(demo_seed)
+    assert counts["step_norms"] == bundle.iterations - 1
+    # float.hex of the values when every step norm was differenced
+    assert [bundle.alpha.hex(), bundle.p.hex(), bundle.q.hex()] == [
+        "0x1.d0cc00a4f5337p-9", "0x1.166ccb3e270abp-9", "0x1.4e1c2717620cbp-10"]
+    assert [x.hex() for x in bundle.contraction_ratios] == [
+        "0x1.e9cca4e39c249p-7", "0x1.c61c444800178p-8", "0x1.168e1f598ef12p-7",
+        "0x1.3f557fed748b8p-7", "0x1.1f5f1419cfcc4p-7"]
+
+
 def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch):
     # per iterate: one derivative pass for its norm terms (5
     # gradient_coefficients calls), whose grad lambdatilde is also the next
