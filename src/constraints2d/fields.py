@@ -59,6 +59,7 @@ __all__ = [
     "cartesian_gradient",
     "multiply",
     "integrate",
+    "log_coefficient",
     "weighted_sobolev_norm",
     "evaluate_field",
     "write_field_csv",
@@ -144,6 +145,7 @@ class Grid:
     dchiln: np.ndarray = field(repr=False, default=None)     # (chi ln r)'
     lap_chiln: np.ndarray = field(repr=False, default=None)  # Laplacian of chi ln r
     quad_w: np.ndarray = field(repr=False, default=None)     # weights in s on nodes 1..N
+    plane_row: np.ndarray = field(repr=False, default=None)  # l2_weight(grid, 0)
     # real DFT matrices on the (re, im) float view of a half-spectrum
     dft_inverse: np.ndarray = field(repr=False, default=None)  # (2(K+1), M)
     dft_forward: np.ndarray = field(repr=False, default=None)  # (M, 2(K+1))
@@ -168,12 +170,17 @@ class Grid:
     workspace = cached_property(_make_operators)
 
 
+def _is_real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Real)
+
+
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
-    """Raise DeltaOutOfRange if delta is not in (-1, 0) and InvalidResolution
-    if K or N_r is not an integer (bools included), K < 4 (mode 3theta
-    unrepresentable), N_r < 16 or R_max is not positive and finite."""
-    if not (-1.0 < delta < 0.0):
-        raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta}")
+    """Raise DeltaOutOfRange if delta is not a real number (bools included)
+    in (-1, 0) and InvalidResolution if K or N_r is not an integer (bools
+    included), K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max is not
+    a positive and finite real number (bools included)."""
+    if not (_is_real(delta) and -1.0 < delta < 0.0):
+        raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta!r}")
     for name, n in (("K", K), ("N_r", N_r)):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise InvalidResolution(f"{name} must be an integer, got {n!r}")
@@ -181,8 +188,8 @@ def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
         raise InvalidResolution(f"K >= 4 required (3theta content), got {K}")
     if N_r < 16:
         raise InvalidResolution(f"N_r >= 16 required, got {N_r}")
-    if not (np.isfinite(R_max) and R_max > 0):
-        raise InvalidResolution(f"R_max must be positive and finite, got {R_max}")
+    if not (_is_real(R_max) and np.isfinite(R_max) and R_max > 0):
+        raise InvalidResolution(f"R_max must be positive and finite, got {R_max!r}")
 
 
 def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
@@ -212,6 +219,8 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
         w[:] = 1.0
         w[-1] = 0.5
     w *= h
+    # the plane integral's row l2_weight(grid, 0), whose (1+r^2)^0 factor is 1
+    plane = 2.0 * np.pi * w * r * (1.0 + r)
 
     # rows 2k, 2k+1 of E: cos(k theta_j) and -sin(k theta_j), the weights of
     # Re c_k and Im c_k in e^{i k theta_j}; the row of Im c_0 is zero
@@ -227,11 +236,11 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
 
     g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
              h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
-             chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w,
+             chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w, plane_row=plane,
              dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
              dft_forward=E.T / M, singular_rows=rows)
     for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln,
-                g.lap_chiln, g.quad_w, g.dft_inverse, g.dft_forward, rows):
+                g.lap_chiln, g.quad_w, plane, g.dft_inverse, g.dft_forward, rows):
         arr.setflags(write=False)
     return g
 
@@ -263,7 +272,10 @@ class ScalarField:
     def __post_init__(self):
         if self.c.shape != (self.grid.N_r, self.grid.K + 1):
             raise ValueError("coefficient array shape mismatch")
-        if not np.all(np.isfinite(self.c)):
+        c = self.c
+        if c.dtype == np.complex128 and c.flags.c_contiguous:
+            c = c.view(np.float64)  # finite iff both parts are: half the work
+        if not np.all(np.isfinite(c)):
             raise ValueError("non-finite field coefficients")
         self.c.setflags(write=False)
 
@@ -497,10 +509,21 @@ def integrate(f: ScalarField) -> float:
     """Plane integral of f; only mode 0 contributes.
 
     int f dx = 2 pi int a_0(r) r dr, computed in s = ln(1+r) with composite
-    Simpson weights (the s = 0 endpoint carries integrand 0): the quadrature
-    row l2_weight(grid, 0).
+    Simpson weights (the s = 0 endpoint carries integrand 0): the grid's
+    quadrature row plane_row = l2_weight(grid, 0).
     """
-    return float(l2_weight(f.grid, 0.0) @ f.c[:, 0].real)
+    return float(f.grid.plane_row @ f.c[:, 0].real)
+
+
+def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
+    """Complex log coefficient c = m e^{i phi} of the potential solve of the
+    source (f1, f2).
+
+    Pure quadrature, c = (1/2pi)(int f1 + i int f2): the exact coefficient of
+    chi ln r in the potential pair, free of far-field fitting noise.
+    """
+    w = f1.grid.plane_row
+    return complex(w @ f1.c[:, 0].real, w @ f2.c[:, 0].real) / (2.0 * np.pi)
 
 
 def radial_l2_weighted(f: ScalarField, gamma: float) -> float:
@@ -574,8 +597,10 @@ class SeedData:
     """Given data (udot, u, tau_tilde, b) and, computed once on construction
     (never passed in), energy_density = udot^2 + |grad u|^2, momentum_density
     = (udot d_1 u, udot d_2 u), the seed-only momentum source
-    momentum_source = -udot grad u + (1/2) grad tau_tilde and the smallness
-    measure epsilon = int energy_density."""
+    momentum_source = -udot grad u + (1/2) grad tau_tilde with its
+    log_coefficient source_log_coefficient, the read-only (N_r, M) samples
+    tau_samples of tau_tilde and the smallness measure
+    epsilon = int energy_density."""
 
     udot: ScalarField
     u: ScalarField
@@ -584,6 +609,8 @@ class SeedData:
     energy_density: ScalarField = field(init=False, repr=False)
     momentum_density: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
     momentum_source: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
+    source_log_coefficient: complex = field(init=False, repr=False)
+    tau_samples: np.ndarray = field(init=False, repr=False)
     epsilon: float = field(init=False)
 
     def __post_init__(self):
@@ -598,10 +625,15 @@ class SeedData:
             raise ValueError(f"invalid smallness measure epsilon = {eps}")
         density = (ScalarField.from_samples(g, V * G1), ScalarField.from_samples(g, V * G2))
         dtau = cartesian_gradient(self.tau_tilde)
+        source = tuple(0.5 * dt - m for dt, m in zip(dtau, density))
+        tau_samples = self.tau_tilde.to_samples()
+        tau_samples.setflags(write=False)
         derived = dict(
             energy_density=energy,
             momentum_density=density,
-            momentum_source=tuple(0.5 * dt - m for dt, m in zip(dtau, density)),
+            momentum_source=source,
+            source_log_coefficient=log_coefficient(*source),
+            tau_samples=tau_samples,
             epsilon=float(eps))
         for name, value in derived.items():
             object.__setattr__(self, name, value)

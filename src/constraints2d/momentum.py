@@ -37,7 +37,7 @@ from .fields import (
     SeedData,
     TracelessSymTensorField,
     angular_modes,
-    l2_weight,
+    log_coefficient,
 )
 
 __all__ = [
@@ -224,10 +224,11 @@ def _gradient_samples(grid: Grid, grad):
 
 
 def state_samples(seed: SeedData, H_tilde: TracelessSymTensorField):
-    """Fresh (N_r, M) samples (T, A, B) of tautilde, Htilde_11, Htilde_12."""
+    """(N_r, M) samples (T, A, B) of tautilde, Htilde_11, Htilde_12: T is the
+    seed's read-only tau_samples, A and B are fresh."""
     if H_tilde.grid is not seed.grid:
         raise GridMismatch("state fields not on the seed grid")
-    return tuple(f.to_samples() for f in (seed.tau_tilde, H_tilde.h11, H_tilde.h12))
+    return (seed.tau_samples, H_tilde.h11.to_samples(), H_tilde.h12.to_samples())
 
 
 def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
@@ -300,16 +301,6 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     return f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2)
 
 
-def log_coefficient(f1: ScalarField, f2: ScalarField) -> complex:
-    """Complex log coefficient c = m e^{i phi} of the potential solve.
-
-    Pure quadrature, c = (1/2pi)(int f1 + i int f2): the exact coefficient of
-    chi ln r in the potential pair, free of far-field fitting noise.
-    """
-    w = l2_weight(f1.grid, 0.0)
-    return complex(w @ f1.c[:, 0].real, w @ f2.c[:, 0].real) / (2.0 * np.pi)
-
-
 def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     """Solve d_i K_ij = f_j in the decaying class.
 
@@ -372,10 +363,10 @@ def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
     state_samples plus the closed-form singular parts H_b + H_rho_eta and
     tau_sing."""
     cr, u11, u12, ut = singular_factors(params, seed.grid)
-    tau, h11, h12 = state_samples(seed, H_tilde)
+    T, h11, h12 = state_samples(seed, H_tilde)
     h11 += cr * u11
     h12 += cr * u12
-    tau += cr * ut
+    tau = T + cr * ut
     for x in (h11, h12, tau):
         x.setflags(write=False)
     return h11, h12, tau
@@ -423,7 +414,7 @@ def _couplings(grid: Grid, L1, L2):
     u11, u12, ut = grid.singular_rows.transpose(1, 0, 2)  # rows of b, p, q each
     U1 = np.concatenate([u11 + 0.5 * ut, u12]).T
     U2 = np.concatenate([u12, 0.5 * ut - u11]).T
-    w = l2_weight(grid, 0.0)
+    w = grid.plane_row
     wc = w * grid.chi / (-grid.M * grid.r)
     y = (wc @ L1) @ U1 + (wc @ L2) @ U2
     y[[1, 5]] += w @ (grid.dchi / (4.0 * grid.r))  # p's chi'/4r in f1, q's in f2
@@ -483,8 +474,8 @@ def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):
         raise NearSingularSelection(
             f"(rho, eta) selection matrix has condition number {cond:.3g}")
     f1, f2 = seed.momentum_source
-    wm = l2_weight(g, 0.0) / (2.0 * np.pi * g.M)  # log coefficient of the angular mean
-    c0 = log_coefficient(f1, f2) + seed.b * c_b + complex((wm @ P1).sum(), (wm @ P2).sum())
+    wm = g.plane_row / (2.0 * np.pi * g.M)  # log coefficient of the angular mean
+    c0 = seed.source_log_coefficient + seed.b * c_b + complex((wm @ P1).sum(), (wm @ P2).sum())
     (m11, m12), (m21, m22) = M
     det = m11 * m22 - m12 * m21
     p = float(-4.0 * (c0.real * m22 - m12 * c0.imag) / det)

@@ -116,9 +116,10 @@ class OperatorWorkspace:
 
         self._lap = self._mom = None
         self._z: tuple[np.ndarray, float] | None = None
-        # mode m of each column of the (re, im) view of a full spectrum, -K..K
-        # each twice; every mode array ends at mode K, so its row is the tail
-        self.column_modes = np.repeat(np.arange(-self.K, self.K + 1.0), 2)
+        # m/r for the mode m of each column of the (re, im) view of a full
+        # spectrum, -K..K each twice; every mode array ends at mode K, so its
+        # columns are the last ones
+        self.m_over_r = self.P[:, None] * np.repeat(np.arange(-self.K, self.K + 1.0), 2)
 
     def _factorize(self, B: np.ndarray, modes: np.ndarray):
         """splu of the block-diagonal system whose block b has the row bands
@@ -241,9 +242,7 @@ def raise_and_lower(w: OperatorWorkspace, C: np.ndarray):
     neighbour row's value, then is zeroed."""
     v = np.ascontiguousarray(C, dtype=complex).view(np.float64)
     dv = (w.Dr @ v).reshape(-1)
-    mv = w.P[:, None] * w.column_modes[-v.shape[1]:]
-    mv *= v
-    mv = mv.reshape(-1)
+    mv = (w.m_over_r[:, -v.shape[1]:] * v).reshape(-1)
     up, dn = np.empty(C.shape, dtype=complex), np.empty(C.shape, dtype=complex)
     np.subtract(dv[:-2], mv[:-2], out=up.view(np.float64).reshape(-1)[2:])
     np.add(dv[2:], mv[2:], out=dn.view(np.float64).reshape(-1)[:-2])

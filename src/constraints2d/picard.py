@@ -22,7 +22,9 @@ differences from the previous iterate's terms give the step norm: the
 discrete derivatives are linear, so that is the norm of the difference up to
 rounding.  Their (d1, d2) of lambdatilde is also the next step's source
 gradient.  The zero start state's terms are set to zero, not taken, and
-the first step norm is the first iterate's combined norm.
+the first step norm is the first iterate's combined norm; later iterates'
+combined norms are taken only when a stopping test needs one
+(solve_constraints).
 """
 
 from __future__ import annotations
@@ -164,6 +166,16 @@ def picard_step(state: IterState, seed: SeedData):
     return IterState(alpha_next, lt_next, H_next), p, q
 
 
+def _stopping_tests(n: float, d: float, growing: bool, first_norm: float,
+                    tol: float) -> tuple[bool, bool, bool]:
+    """(diverged, at the rounding floor, converged) for the step norm d and
+    the iterate's combined norm n; each test is monotone in n."""
+    scale = max(1.0, n)
+    return (first_norm > 0 and n > 10.0 * first_norm,
+            growing and d < tol ** 0.5 * scale,
+            d <= tol * scale)
+
+
 def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> SolutionBundle:
     """Iterate the map from the zero state until the combined norm settles.
 
@@ -174,7 +186,14 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     that close to its fixed point, so there the steps only stir the rounding
     noise of the weighted far field; the previous iterate, with its p and q,
     is returned, and the bundle says converged_at_rounding_floor.
-    iterations counts the steps taken, the growing one included.
+    iterations counts the steps taken, the growing one included.  The
+    iteration diverges when n exceeds 10 times the first iterate's norm.
+
+    n is taken only when the tests need it.  The combined norm is a sum of
+    seminorms of the norm terms, so n_k lies within D_k = d_2 + ... + d_k of
+    the first iterate's n_1; with a relative slack of 1e-12 for the rounding
+    of the sums, the tests are decided on that interval's ends, and only a
+    test whose ends disagree needs combined_norm.
     """
     opts = opts or SolverOptions()
     if seed.epsilon > opts.epsilon_threshold:
@@ -185,7 +204,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     p = q = 0.0
     ratios: list[float] = []
     d_prev = None
-    first_norm = None
+    first_norm = reach = 0.0  # n_1 and D_k
     iterations = 0
     converged = floor = False
     for iterations in range(1, opts.max_iter + 1):
@@ -193,24 +212,37 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
             nxt, p_next, q_next = picard_step(state, seed)
         except (ValueError, FloatingPointError) as exc:
             raise DivergenceDetected(f"iterate left the admissible set: {exc}")
-        n = combined_norm(nxt)
-        # from the zero start state the step is the iterate: bitwise its norm
-        d = n if iterations == 1 else _step_norm(seed.grid.workspace, nxt, state)
-        if not np.isfinite(n) or not np.isfinite(d):
+        if iterations == 1:
+            # from the zero start state the step is the iterate: bitwise its norm
+            d = first_norm = combined_norm(nxt)
+            bounds = (d, d)
+        else:
+            d = _step_norm(seed.grid.workspace, nxt, state)
+            reach += d
+            slack = 1e-12 * (first_norm + reach)
+            bounds = (first_norm - reach - slack, first_norm + reach + slack)
+        if not np.isfinite(d):
             raise DivergenceDetected("non-finite iterate norm")
-        if first_norm is None:
-            first_norm = n
-        elif first_norm > 0 and n > 10.0 * first_norm:
-            raise DivergenceDetected(
-                f"combined norm {n:.3g} exceeds 10x the first iterate {first_norm:.3g}")
+        growing = d_prev is not None and d > d_prev
+        tests, hi = (_stopping_tests(n, d, growing, first_norm, opts.tol_fixed_point)
+                     for n in bounds)
+        if tests != hi:
+            n = combined_norm(nxt)
+            if not np.isfinite(n):
+                raise DivergenceDetected("non-finite iterate norm")
+            tests = _stopping_tests(n, d, growing, first_norm, opts.tol_fixed_point)
+        diverged, at_floor, done = tests
+        if diverged:
+            raise DivergenceDetected(f"combined norm {combined_norm(nxt):.3g} exceeds 10x "
+                                     f"the first iterate {first_norm:.3g}")
         if d_prev is not None and d_prev > 1e-300:
             ratios.append(d / d_prev)
-        if d_prev is not None and d > d_prev and d < opts.tol_fixed_point ** 0.5 * max(1.0, n):
+        if at_floor:
             floor = converged = True  # keep state, p and q
             break
         d_prev = d
         state, p, q = nxt, p_next, q_next
-        if d <= opts.tol_fixed_point * max(1.0, n):
+        if done:
             converged = True
             break
     if not converged:

@@ -25,6 +25,7 @@ from constraints2d.fields import (
     evaluate_field,
     format_bump,
     integrate,
+    l2_weight,
     multiply,
     parse_bump_line,
     radial_l2_weighted,
@@ -56,6 +57,10 @@ def test_build_grid_delta_out_of_range():
         build_grid(16, 256, 100.0, 0.5)
     with pytest.raises(DeltaOutOfRange):
         build_grid(16, 256, 100.0, -1.0)
+    # bools and non-real values are typed errors, not a bare TypeError
+    for delta in (True, False, "x", "-0.5", None, -0.5j):
+        with pytest.raises(DeltaOutOfRange):
+            build_grid(16, 256, 100.0, delta)
 
 
 def test_build_grid_resolution():
@@ -63,6 +68,12 @@ def test_build_grid_resolution():
         build_grid(2, 256, 100.0, -0.5)
     with pytest.raises(InvalidResolution):
         build_grid(16, 8, 100.0, -0.5)
+    # True would build a grid with R_max = 1.0; a string or None would raise
+    # a bare TypeError
+    for R_max in (True, "100", None, 100.0j):
+        with pytest.raises(InvalidResolution, match="R_max must be positive and finite"):
+            build_grid(16, 64, R_max, -0.5)
+    assert build_grid(16, 64, np.float64(100.0), np.float32(-0.5)).R_max == 100.0
 
 
 @pytest.mark.parametrize("K, N_r", [(16.5, 512), (16, 512.5), (16.0, 512), (True, 512),
@@ -77,6 +88,24 @@ def test_build_grid_rejects_non_integer_resolution(K, N_r):
 def test_build_grid_takes_numpy_integers():
     g = build_grid(np.int64(16), np.int64(64), 100.0, -0.5)
     assert type(g.K) is int and type(g.N_r) is int and g.M == 64
+
+
+def test_grid_plane_row_is_the_plane_quadrature_row(grid):
+    # integrate and the log coefficients read the row built with the grid
+    assert np.array_equal(grid.plane_row, l2_weight(grid, 0.0))
+    assert not grid.plane_row.flags.writeable
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("bad", [np.nan, -1j * np.inf])
+def test_field_rejects_non_finite_coefficients(grid, order, bad):
+    # the check reads the float view of a C-contiguous complex array, and
+    # the array itself otherwise
+    c = np.zeros((grid.N_r, grid.K + 1), dtype=complex, order=order)
+    ScalarField(grid, c.copy(order=order))
+    c[3, 2] = bad
+    with pytest.raises(ValueError, match="non-finite field coefficients"):
+        ScalarField(grid, c)
 
 
 # ----------------------------------------------------------------------------

@@ -567,6 +567,25 @@ def test_full_state_samples_are_read_only_and_both_residuals_leave_them_unchange
             x *= 2.0
 
 
+def test_seed_tau_samples_are_read_only_and_shared_by_every_step(grid):
+    # the seed samples tau_tilde once; state_samples hands out those samples,
+    # and full_state_samples adds the singular part into a new array
+    seed, alpha, lt, H = _coupled_state(grid)
+    T = seed.tau_samples
+    assert np.array_equal(T, seed.tau_tilde.to_samples())
+    assert not T.flags.writeable
+    before = T.copy()
+    assert state_samples(seed, H)[0] is T
+    params = SingularTensorParams(seed.b, 0.02, -0.01)
+    tau = full_state_samples(seed, H, params)[2]
+    assert tau is not T and not np.array_equal(tau, T)
+    solve_rho_eta(seed, alpha, gradient_half_spectra(lt), state_samples(seed, H))
+    assert np.array_equal(T, before)
+    with pytest.raises(ValueError, match="read-only"):
+        T += 1.0
+    assert seed.source_log_coefficient == log_coefficient(*seed.momentum_source)
+
+
 @pytest.mark.parametrize("b, p, q", [(0.7, 0.0, 0.0), (0.0, -1.3, 0.4), (0.2, 0.5, 2.0)])
 def test_corrections_are_unit_combinations_of_direct_solves(grid, b, p, q):
     # each correction equals a direct solve of its closed-form source at

@@ -5,7 +5,12 @@ import pytest
 
 from constraints2d import cli
 from constraints2d.elliptic import laplacian
-from constraints2d.errors import EpsilonTooLarge, NoConvergence, ValidationError
+from constraints2d.errors import (
+    DivergenceDetected,
+    EpsilonTooLarge,
+    NoConvergence,
+    ValidationError,
+)
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
@@ -111,10 +116,11 @@ def _count_transforms(monkeypatch, counts):
 
 
 def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
-    # on a warm grid one step samples tautilde, h11, h12 and grad lambdatilde
-    # once for both sources (5) and transforms each output once: the two
-    # momentum source components and the Hamiltonian source; the
-    # corrections' closed-form sources are written as modes and need none
+    # on a warm grid one step samples h11, h12 and grad lambdatilde once for
+    # both sources (4; tautilde's samples are the seed's) and transforms each
+    # output once: the two momentum source components and the Hamiltonian
+    # source; the corrections' closed-form sources are written as modes and
+    # need none
     from constraints2d import momentum
 
     counts = {"transforms": 0, "corrections": 0}
@@ -123,7 +129,7 @@ def test_picard_step_transform_budget(small_seed, small_bundle, monkeypatch):
         monkeypatch.setattr(momentum, name, _counted(getattr(momentum, name), counts, "corrections"))
     state = IterState(small_bundle.alpha, small_bundle.lambda_tilde, small_bundle.H_tilde)
     picard_step(state, small_seed)
-    assert 0 < counts["transforms"] <= 8
+    assert 0 < counts["transforms"] <= 7
     assert counts["corrections"] == 0
 
 
@@ -484,6 +490,88 @@ def test_the_first_step_norm_is_the_combined_norm(demo_seed, monkeypatch):
         "0x1.3f557fed748b8p-7", "0x1.1f5f1419cfcc4p-7"]
 
 
+def _reference_solve(seed, tol=1e-10, max_iter=100):
+    """The stopping rule with the combined norm taken at every step: alpha,
+    p, q, iterations, contraction ratios and the rounding-floor flag."""
+    w = seed.grid.workspace
+    state, p, q = IterState.zero(seed.grid), 0.0, 0.0
+    ratios, d_prev, first = [], None, None
+    for it in range(1, max_iter + 1):
+        nxt, p_next, q_next = picard_step(state, seed)
+        n = combined_norm(nxt)
+        d = n if it == 1 else _step_norm(w, nxt, state)
+        assert np.isfinite(n) and np.isfinite(d)
+        if first is None:
+            first = n
+        assert not (first > 0 and n > 10.0 * first)
+        if d_prev is not None and d_prev > 1e-300:
+            ratios.append(d / d_prev)
+        if d_prev is not None and d > d_prev and d < tol ** 0.5 * max(1.0, n):
+            return state.alpha, p, q, it, ratios, True
+        d_prev = d
+        state, p, q = nxt, p_next, q_next
+        if d <= tol * max(1.0, n):
+            return state.alpha, p, q, it, ratios, False
+    raise AssertionError("reference loop did not stop")
+
+
+@pytest.mark.parametrize("case", ["demo", "strong", "small", "far"])
+def test_stopping_decisions_match_a_norm_at_every_step(case, demo_seed, small_seed):
+    # the solve decides its tests from a bound on the combined norm and
+    # takes the norm only when the bound cannot decide; every decision, and
+    # so every returned value, is that of the loop that takes it each step
+    # (far: the rounding-floor stop)
+    if case == "demo":
+        seed = demo_seed
+    elif case == "strong":
+        cfg = cli.parse_config(DEMO_CFG.read_text())
+        seed = cli.config_seed(cfg, demo_seed.grid, amplitude=3)
+    elif case == "small":
+        seed = small_seed
+    else:
+        cfg = cli.parse_config((DEMO_CFG.parent / "far.cfg").read_text())
+        seed = cli.config_seed(cfg, cli.config_grid(cfg))
+    b = solve_constraints(seed)
+    got = (b.alpha, b.p, b.q, b.iterations, b.contraction_ratios,
+           b.converged_at_rounding_floor)
+    assert got == _reference_solve(seed)
+    assert b.converged_at_rounding_floor == (case == "far")
+
+
+def test_warm_demo_solve_takes_the_combined_norm_once(demo_seed, monkeypatch):
+    # the first iterate's norm is the first step norm; every later test is
+    # decided by the bound n_1 -+ (d_2 + ... + d_k)
+    from constraints2d import picard
+
+    solve_constraints(demo_seed)  # warm the grid
+    counts = {"norms": 0}
+    monkeypatch.setattr(picard, "combined_norm", _counted(combined_norm, counts, "norms"))
+    bundle = solve_constraints(demo_seed)
+    assert bundle.iterations == 6
+    assert counts["norms"] == 1
+
+
+@pytest.mark.parametrize("inflate, message", [
+    (lambda s: IterState(20.0 * s.alpha, 20.0 * s.lambda_tilde, 20.0 * s.H_tilde),
+     r"combined norm \S+ exceeds 10x the first iterate"),
+    (lambda s: IterState(float("inf"), s.lambda_tilde, s.H_tilde), "non-finite iterate norm"),
+], ids=["tenfold", "non_finite"])
+def test_divergence_guards_see_an_inflated_iterate(demo_seed, monkeypatch, inflate, message):
+    # the third iterate is inflated: the bound must still reach both guards
+    from constraints2d import picard
+
+    step, steps = picard.picard_step, []
+
+    def inflating(state, seed):
+        nxt, p, q = step(state, seed)
+        steps.append(nxt)
+        return (inflate(nxt) if len(steps) == 3 else nxt), p, q
+    monkeypatch.setattr(picard, "picard_step", inflating)
+    with pytest.raises(DivergenceDetected, match=message):
+        solve_constraints(demo_seed)
+    assert len(steps) == 3
+
+
 def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch):
     # per iterate: one derivative pass for its norm terms (5
     # gradient_coefficients calls), whose grad lambdatilde is also the next
@@ -501,7 +589,7 @@ def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch
 
 
 def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
-    # 8 transforms per step (test_picard_step_transform_budget) and 11 for
+    # 7 transforms per step (test_picard_step_transform_budget) and 10 for
     # the residual report; few ScalarField constructions, each of which
     # checks its coefficients for finiteness: solve_rho_eta builds the
     # momentum source with the corrections in it (no second copy per step),
@@ -513,7 +601,7 @@ def test_warm_demo_solve_transform_and_field_budget(demo_seed, monkeypatch):
                         _counted(ScalarField.__post_init__, counts, "fields"))
     bundle = solve_constraints(demo_seed)
     assert bundle.iterations == 6
-    assert 0 < counts["transforms"] <= 59
+    assert 0 < counts["transforms"] <= 52
     assert counts["fields"] <= 72
 
 
