@@ -255,53 +255,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         json.dump(_scalar_block(bundle, seed), fh, indent=2, sort_keys=True)
     params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
     tau_breve = singular_tensors(params, grid)[2] + seed.tau_tilde
-    _write_field_csvs(list(zip((bundle.lambda_tilde, bundle.H_tilde.h11,
-                                bundle.H_tilde.h12, tau_breve), csvs)))
+    for f, path in zip((bundle.lambda_tilde, bundle.H_tilde.h11, bundle.H_tilde.h12,
+                        tau_breve), csvs):
+        write_field_csv(f, path)
     return 0
-
-
-def _write_field_csvs(pairs) -> None:
-    """write_field_csv for each (field, path) pair, the second half of them
-    in a forked child where os.fork exists.
-
-    The %.17g formatting holds the GIL, so a second process, not a thread,
-    puts it on a second core.  The child reports a failure as text over a
-    pipe and leaves through os._exit, never running the parent's handlers;
-    the parent raises the failure as OSError.  The child is reaped before
-    this returns, on every path.  Without os.fork, or when it fails, the
-    parent writes every file."""
-    half = len(pairs) // 2
-    pid = None  # of the child, once forked
-    if hasattr(os, "fork"):
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-        else:
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    for f, path in pairs[half:]:
-                        write_field_csv(f, path)
-                    status = 0
-                except BaseException as exc:  # reported, and the child still exits
-                    os.write(w, (str(exc) or type(exc).__name__).encode(errors="replace"))
-                finally:
-                    os._exit(status)
-            os.close(w)
-    try:
-        for f, path in pairs if pid is None else pairs[:half]:
-            write_field_csv(f, path)
-    finally:
-        if pid is not None:
-            with open(r, "rb") as fh:
-                message = fh.read().decode(errors="replace")
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if pid is not None and (message or status):
-        raise OSError(message or f"CSV writer process ended with status {status}")
 
 
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:

@@ -146,11 +146,16 @@ class Grid:
     lap_chiln: np.ndarray = field(repr=False, default=None)  # Laplacian of chi ln r
     quad_w: np.ndarray = field(repr=False, default=None)     # weights in s on nodes 1..N
     plane_row: np.ndarray = field(repr=False, default=None)  # l2_weight(grid, 0)
+    chi_r: np.ndarray = field(repr=False, default=None)      # chi / r
+    quarter_dchi_r: np.ndarray = field(repr=False, default=None)  # chi' / 4r
+    dchi_lnr: np.ndarray = field(repr=False, default=None)   # chi' ln r
     # real DFT matrices on the (re, im) float view of a half-spectrum
     dft_inverse: np.ndarray = field(repr=False, default=None)  # (2(K+1), M)
     dft_forward: np.ndarray = field(repr=False, default=None)  # (M, 2(K+1))
     # [j, i]: row i of (u11, u12, ut) of momentum.singular_factors at (b, p, q) = e_j
     singular_rows: np.ndarray = field(repr=False, default=None)  # (3, 3, M)
+    # momentum._couplings' (U1, U2, wc, w @ chi'/4r), the parts fixed by the grid
+    coupling_terms: tuple = field(repr=False, default=None)
 
     @property
     def M(self) -> int:
@@ -234,13 +239,21 @@ def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
                      [-0.25 * (c1 + c3), -0.25 * (s1 + s3), c1],
                      [-0.25 * (s3 - s1), -0.25 * (c1 - c3), s1]])
 
+    chi_r = chi / r
+    quarter = dchi / (4.0 * r)
+    u11, u12, ut = rows.transpose(1, 0, 2)  # rows of b, p, q each
+    couplings = (np.concatenate([u11 + 0.5 * ut, u12]).T, np.concatenate([u12, 0.5 * ut - u11]).T,
+                 plane * chi / (-M * r), float(plane @ quarter))
+
     g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
              h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
              chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w, plane_row=plane,
+             chi_r=chi_r, quarter_dchi_r=quarter, dchi_lnr=dchi * lnr,
              dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
-             dft_forward=E.T / M, singular_rows=rows)
-    for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln,
-                g.lap_chiln, g.quad_w, plane, g.dft_inverse, g.dft_forward, rows):
+             dft_forward=E.T / M, singular_rows=rows, coupling_terms=couplings)
+    for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln, g.lap_chiln, g.quad_w,
+                plane, chi_r, quarter, g.dchi_lnr, g.dft_inverse, g.dft_forward, rows,
+                *couplings[:3]):
         arr.setflags(write=False)
     return g
 
@@ -659,12 +672,133 @@ def _csv_rows(K: int) -> list[tuple[int, str]]:
 
 def write_field_csv(f: ScalarField, path) -> None:
     """Rows `k,kind,v_1,...,v_N` with every value as `%.17g` and
-    csv.writer's CRLF line ends, formatted in one pass and written at once."""
-    coeffs = {"cos": f.a.tolist(), "sin": f.b.tolist()}
-    line = "%d,%s" + ",%.17g" * f.grid.N_r + "\r\n"
-    text = "".join(line % (k, kind, *coeffs[kind][k]) for k, kind in _csv_rows(f.grid.K))
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    csv.writer's CRLF line ends, formatted by _csv_lines about 4096 values
+    at a time."""
+    values = np.concatenate([f.a, f.b[1:]])
+    labels = [f"{k},{kind}" for k, kind in _csv_rows(f.grid.K)]
+    step = max(1, 4096 // f.grid.N_r)
+    with open(path, "wb") as fh:
+        for i in range(0, len(labels), step):
+            fh.write(_csv_lines(values[i:i + step], labels[i:i + step]))
+
+
+# %.17g without per-value Python work.  A value's text is cut from a 32-byte
+# record of NUL-padded pieces: an 8-byte head (",", sign, "0." and leading
+# zeros or the first digit and "."), digits 2..17 as four 4-digit groups
+# (trailing zeros as NUL) and an 8-byte exponent ("e-05"); one boolean gather
+# drops the NULs.  The 17-digit significand s = round(|x| 10^(16-X)) of a
+# value 10^X <= |x| < 1 comes from a double-double product with 10^(16-X):
+# |x| = m 2^e (m = frexp's mantissa) times (hi + lo) 2^t, with the table
+# entries scaled by 2^(e+t) exactly and Dekker's exact product for m * hi,
+# gives p + rem to within 1e-14 absolute.  Rounding to nearest is decided
+# on rem.  Python's % formats, and the kernel splices in at its marker byte
+# \1, every value >= 1 in magnitude and every value whose rem lies within
+# 1e-9 of a tie or whose p lies within 64 of either end of [1e16, 1e17)
+# (where an estimate of X from log10 one off also lands).  Zeros and every
+# other value below 1, subnormals included, take the vectorized path.
+
+def _pow10_table(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, t) with 10^k = (hi + lo) 2^t, hi in [1, 2) holding the top 53
+    bits and lo the correctly rounded rest, for k = k_lo..k_hi; exact
+    integer arithmetic."""
+    his, los, ts = [], [], []
+    for k in range(k_lo, k_hi + 1):
+        p = 10 ** k
+        t = p.bit_length() - 1
+        top = p >> (t - 52)
+        his.append(top / 2.0 ** 52)
+        los.append((p - (top << (t - 52))) / (1 << (t - 52)) / 2.0 ** 52)
+        ts.append(t)
+    return np.array(his), np.array(los), np.array(ts)
+
+
+_P10_K0 = 17  # 16 - X for X = -1 .. -324, the decades of the doubles below 1
+_P10_HI, _P10_LO, _P10_EXP = _pow10_table(_P10_K0, 340)
+
+
+def _digit_words() -> np.ndarray:
+    """[g + 10000 * strip]: the four ASCII digits of g = 0..9999 as one
+    word, with its trailing zeros as NUL when strip."""
+    g = np.arange(10000)
+    d = (48 + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)).astype(np.uint8)
+    kept = np.logical_or.accumulate(d[:, ::-1] != 48, axis=1)[:, ::-1]
+    return np.concatenate([d, np.where(kept, d, 0).astype(np.uint8)]).view(np.uint32).ravel()
+
+
+_DIGITS4 = _digit_words()
+# heads by [code, negative, first digit]
+_HEADS = ["0", "\1"] + ["0." + "0" * z + "%d" for z in range(4)] + ["%d.", "%d"]
+_ZERO, _FALLBACK, _FIXED, _SCI_DOT, _SCI = 0, 1, 2, 6, 7  # _FIXED + z: z zeros after "0."
+_HEAD = np.frombuffer(b"".join(
+    ("," + "-" * (neg and code != _FALLBACK) + (h % d if "%" in h else h)).rjust(8, "\0").encode()
+    for code, h in enumerate(_HEADS) for neg in (0, 1) for d in range(10)), np.uint64)
+# [-X]: the exponent of a value below 1e-4, and [0] for none
+_EXPONENT = np.frombuffer(b"\0" * 8 + b"".join(("e-%02d" % x).ljust(8, "\0").encode()
+                                               for x in range(1, 341)), np.uint64)
+_CRLF = np.frombuffer(b"\r\n".ljust(32, b"\0"), np.uint64)
+
+
+def _csv_lines(values: np.ndarray, labels: list[str]) -> bytes:
+    """`label,v_1,...,v_N\\r\\n` for each label and row of the (rows, N)
+    float64 array values, every value exactly as `%.17g` formats it."""
+    ax = np.abs(values)
+    zero = ax == 0.0
+    below_one = (ax < 1.0) & ~zero
+    a = np.where(below_one, ax, 0.5)
+    X = np.floor(np.log10(a)).astype(np.int64)  # 10^X <= a < 10^(X+1), or one off
+    k = 16 - X - _P10_K0  # X >= -324 below 1
+    m, e = np.frexp(a)
+    scale = ((e + _P10_EXP[k] + 1023) << 52).view(np.float64)  # 2^(e + t), exact
+    th = _P10_HI[k] * scale
+    p = m * th
+    c = 134217729.0 * m  # Dekker's split of m and th into 26-bit halves
+    mh = c - (c - m)
+    ml = m - mh
+    c = 134217729.0 * th
+    thh = c - (c - th)
+    thl = th - thh
+    # a 10^(16-X) = p + rem, rem = the rounding error of m * th plus m * lo 2^(e+t)
+    rem = (((mh * thh - p) + mh * thl + ml * thh) + ml * thl) + m * (_P10_LO[k] * scale)
+    whole = np.floor(rem)
+    frac = rem - whole
+    fast = below_one & (p > 1e16 + 64) & (p < 1e17 - 64) & (np.abs(frac - 0.5) > 1e-9)
+    s = np.where(fast, p.astype(np.int64) + (whole + (frac > 0.5)).astype(np.int64), 0)
+    # s = d1 g1 g2 g3 g4: its first digit and four groups of four
+    hi = (s // 10 ** 8).astype(np.uint32)
+    g34 = (s - hi.astype(np.int64) * 10 ** 8).astype(np.uint32)
+    d1g1 = hi // 10 ** 4
+    g2 = hi - d1g1 * 10 ** 4
+    d1 = d1g1 // 10 ** 4
+    g1 = d1g1 - d1 * 10 ** 4
+    g3 = g34 // 10 ** 4
+    g4 = g34 - g3 * 10 ** 4
+    z4 = g4 == 0  # every digit after group 3, 2, 1 is zero
+    z3 = z4 & (g3 == 0)
+    z2 = z3 & (g2 == 0)
+    sci = fast & (X < -4)
+    code = np.where(fast, np.where(sci, np.where(z2 & (g1 == 0), _SCI, _SCI_DOT), _FIXED - 1 - X),
+                    np.where(zero, _ZERO, _FALLBACK))
+
+    rows, n = values.shape
+    buf = np.empty((rows, n + 2, 4), np.uint64)  # label, n value records, line end
+    buf[:, 0] = np.array(labels, dtype="S32").view(np.uint64).reshape(rows, 4)
+    buf[:, -1] = _CRLF
+    rec = buf[:, 1:-1]
+    words = buf.view(np.uint32)[:, 1:-1]
+    rec[..., 0] = _HEAD[(code * 2 + np.signbit(values)) * 10 + d1]
+    words[..., 2] = _DIGITS4[g1 + 10000 * z2]
+    words[..., 3] = _DIGITS4[g2 + 10000 * z3]
+    words[..., 4] = _DIGITS4[g3 + 10000 * z4]
+    words[..., 5] = _DIGITS4[g4 + 10000]
+    rec[..., 3] = _EXPONENT[np.where(sci, -X, 0)]
+    text = buf.view(np.uint8).ravel()
+    text = text[text != 0].tobytes()
+    fallback = code == _FALLBACK
+    if fallback.any():
+        parts = text.split(b"\1")
+        formatted = [b"%.17g" % v for v in values[fallback].tolist()] + [b""]
+        text = b"".join(piece for pair in zip(parts, formatted) for piece in pair)
+    return text
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:

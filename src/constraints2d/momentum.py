@@ -102,7 +102,7 @@ def singular_tensors(params: SingularTensorParams, grid: Grid):
     -(chi/4r)(z e^{iT} + conj(z) e^{3iT}) for H_rho_eta.
     """
     b, z = params.b, complex(params.p, params.q)
-    cr = grid.chi / grid.r
+    cr = grid.chi_r
     Hb = TracelessSymTensorField(*_complex_pair(grid, {2: -0.5 * b * cr}))
     Hrho = TracelessSymTensorField(*_complex_pair(
         grid, {1: -0.25 * z * cr, 3: -0.25 * np.conj(z) * cr}))
@@ -121,7 +121,7 @@ def singular_factors(params: SingularTensorParams, grid: Grid):
     """
     R = grid.singular_rows
     u11, u12, ut = params.b * R[0] + params.p * R[1] + params.q * R[2]
-    return (grid.chi / grid.r)[:, None], u11, u12, ut
+    return grid.chi_r[:, None], u11, u12, ut
 
 
 def band_tensor(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorField:
@@ -134,9 +134,8 @@ def band_tensor(params: SingularTensorParams, grid: Grid) -> TracelessSymTensorF
     c = -(p + i q)/4 matches the fixed-point identification rho = -4m,
     eta = phi.
     """
-    prof = grid.dchi * np.log(grid.r)
     return TracelessSymTensorField(*_complex_pair(
-        grid, {1: -0.25 * complex(params.p, params.q) * prof}))
+        grid, {1: -0.25 * complex(params.p, params.q) * grid.dchi_lnr}))
 
 
 def _div_Hb(b: float, grid: Grid):
@@ -151,7 +150,7 @@ def _div_log_block(params: SingularTensorParams, grid: Grid):
 
 def _div_S3(params: SingularTensorParams, grid: Grid):
     """Divergence of the 3-theta block: mode 2, -(p-iq)(chi'/4r + chi/2r^2)."""
-    prof = grid.dchi / (4.0 * grid.r) + 0.5 * grid.chi / grid.r**2
+    prof = grid.quarter_dchi_r + 0.5 * grid.chi / grid.r**2
     return {2: -complex(params.p, -params.q) * prof}
 
 
@@ -271,7 +270,7 @@ def _add_singular_source(grid: Grid, L1, L2, params: SingularTensorParams, P1, P
     (p, q) chi'/4r - d_i lambdatilde (H_b + H_rho_eta)_ij
     - (1/2) tau_sing d_j lambdatilde.  One work array holds each term."""
     cr, u11, u12, ut = singular_factors(params, grid)
-    quarter = (grid.dchi / (4.0 * grid.r))[:, None]
+    quarter = grid.quarter_dchi_r[:, None]
     S = L1 * (u11 + 0.5 * ut)
     S += L2 * u12
     S *= cr
@@ -323,7 +322,7 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     W[:, :-1] = w.solve_modes(w.mom_solver(K), Z[:, :-1], K)
 
     zeta = ops.raise_and_lower(w, W)[0]
-    zeta[:, K + 1] += c * (g.dchi * np.log(g.r))  # band part of the log potential
+    zeta[:, K + 1] += c * g.dchi_lnr  # band part of the log potential
     K_tilde = TracelessSymTensorField(*ops.real_pair(g, zeta))
     m_out = float(abs(c))
     phi = float(np.arctan2(c.imag, c.real)) if m_out > 0.0 else 0.0
@@ -410,14 +409,11 @@ def _couplings(grid: Grid, L1, L2):
     the mean of L u(theta) being L @ u / M: with the rows u that multiply L1
     in f1 and f2 at b, p, q = 1 as the columns of U1, those of L2 of U2,
     and w the quadrature row times -chi/(M r), their parts in L are
-    w (L1 U1 + L2 U2), taken as (w L1) U1 + (w L2) U2."""
-    u11, u12, ut = grid.singular_rows.transpose(1, 0, 2)  # rows of b, p, q each
-    U1 = np.concatenate([u11 + 0.5 * ut, u12]).T
-    U2 = np.concatenate([u12, 0.5 * ut - u11]).T
-    w = grid.plane_row
-    wc = w * grid.chi / (-grid.M * grid.r)
+    w (L1 U1 + L2 U2), taken as (w L1) U1 + (w L2) U2.  U1, U2, w and the
+    plane integral of chi'/4r are fixed per grid (Grid.coupling_terms)."""
+    U1, U2, wc, wq = grid.coupling_terms
     y = (wc @ L1) @ U1 + (wc @ L2) @ U2
-    y[[1, 5]] += w @ (grid.dchi / (4.0 * grid.r))  # p's chi'/4r in f1, q's in f2
+    y[[1, 5]] += wq  # p's chi'/4r in f1, q's in f2
     c_b, c_p, c_q = (y[:3] + 1j * y[3:]) / (2.0 * np.pi)
     M = np.array([[1.0 + 4.0 * c_p.real, 4.0 * c_q.real],
                   [4.0 * c_p.imag, 1.0 + 4.0 * c_q.imag]])

@@ -59,3 +59,12 @@ def random_low_mode_field(grid, rng, kmax=3, scale=1.0) -> ScalarField:
             amp = scale * rng.normal()
             f = f + ScalarField.from_mode(grid, k, "sin", amp * r**min(k, 6) * np.exp(-0.5 * r**2))
     return f
+
+
+def percent_csv_bytes(f: ScalarField) -> bytes:
+    """The bytes of a field CSV as the per-row `%` writer formats them, one
+    `%.17g` per value: the reference for fields.write_field_csv."""
+    coeffs = {"cos": f.a.tolist(), "sin": f.b.tolist()}
+    line = "%d,%s" + ",%.17g" * f.grid.N_r + "\r\n"
+    rows = [(k, "cos") for k in range(f.grid.K + 1)] + [(k, "sin") for k in range(1, f.grid.K + 1)]
+    return "".join(line % (k, kind, *coeffs[kind][k]) for k, kind in rows).encode()

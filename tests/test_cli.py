@@ -24,6 +24,8 @@ from constraints2d.errors import ParseError, ValidationError
 from constraints2d.fields import GaussianBump
 from constraints2d.picard import SolverOptions
 
+from conftest import percent_csv_bytes
+
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 MINIMAL = """
@@ -378,36 +380,32 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_solve_writes_the_same_bytes_with_and_without_fork(tmp_path, monkeypatch):
-    # where os.fork exists a child formats half of the field CSVs; the files
-    # are those the parent alone writes, also when os.fork fails
-    forks = []
-    fork = os.fork
+@pytest.mark.parametrize("config", ["demo", "far"])
+def test_solve_writes_the_percent_writers_bytes_in_one_process(tmp_path, monkeypatch, config):
+    # each field CSV is the per-row `%.17g` writer's bytes for the field
+    # cmd_solve passed to write_field_csv, and no process is forked for it
+    from constraints2d import cli
 
-    def counted_fork():
-        forks.append(1)
-        return fork()
+    def no_fork():
+        pytest.fail("cmd_solve forked")
 
-    def failing_fork():
-        raise OSError("no fork")
-    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
-        demo = parse_config(fh.read())
-    monkeypatch.setattr(os, "fork", counted_fork)
-    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "forked"))) == 0
-    assert forks == [1]
-    _assert_no_child_left()
-    monkeypatch.setattr(os, "fork", failing_fork)
-    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "fork_failed"))) == 0
-    monkeypatch.delattr(os, "fork")
-    assert cmd_solve(replace(demo, output_dir=str(tmp_path / "single"))) == 0
-    for run in ("forked", "fork_failed"):
-        for name in ("solution.json", "lambda_tilde.csv", "H_tilde_11.csv", "H_tilde_12.csv",
-                     "tau_breve.csv"):
-            assert (tmp_path / run / name).read_bytes() == \
-                (tmp_path / "single" / name).read_bytes(), (run, name)
+    def recording_write(f, path):
+        written.append((f, path))
+        write(f, path)
+    written, write = [], cli.write_field_csv
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "write_field_csv", recording_write)
+    with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:
+        cfg = parse_config(fh.read())
+    assert cmd_solve(replace(cfg, output_dir=str(tmp_path))) == 0
+    assert [os.path.basename(path) for _, path in written] == [
+        "lambda_tilde.csv", "H_tilde_11.csv", "H_tilde_12.csv", "tau_breve.csv"]
+    for f, path in written:
+        with open(path, "rb") as fh:
+            assert fh.read() == percent_csv_bytes(f), path
 
 
-@pytest.mark.parametrize("name", ["tau_breve", "lambda_tilde"])  # child's, parent's
+@pytest.mark.parametrize("name", ["tau_breve", "lambda_tilde"])  # last, first written
 def test_solve_reports_a_field_csv_it_cannot_write_and_leaves_no_child(tmp_path, capsys, name):
     out = tmp_path / "out"
     (out / f"{name}.csv").mkdir(parents=True)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from constraints2d import fields
 from constraints2d.errors import (
     DeltaOutOfRange,
     GridMismatch,
@@ -37,7 +38,7 @@ from constraints2d.fields import (
 
 from constraints2d.operators import gradient_coefficients, raise_and_lower
 
-from conftest import random_low_mode_field, rng
+from conftest import percent_csv_bytes, random_low_mode_field, rng
 
 
 # ----------------------------------------------------------------------------
@@ -518,6 +519,57 @@ def test_csv_round_trip_is_bitwise(tmp_path_factory, re_c, im_c):
     path = tmp_path_factory.mktemp("csv") / "field.csv"
     write_field_csv(f, path)
     assert read_field_csv(path, _CSV_GRID).c.tobytes() == f.c.tobytes()
+
+
+def _adversarial_values():
+    """Doubles at every edge of the %.17g kernel: powers of ten and their
+    1- and 2-ulp neighbours, and their multiples 2..9 (some print as one
+    digit, "5e-300"), across the exponent range (the fixed/scientific
+    switch at 1e-5/1e-4, two/three exponent digits at 1e-99/1e-100), the
+    smallest normal, subnormals, signed zeros, values >= 1, dyadic values
+    exactly halfway between two 17-digit decimals and their neighbours, and
+    random bit patterns."""
+    v = [float(f"1e{e}") for e in range(-323, 309)]
+    v += [2.2250738585072014e-308, 2.2250738585072009e-308, 5e-324, 1e-310, 4.9406564584124654e-322,
+          0.0, 1.0, 1.5, 9.999999999999999e-5, 123456789.0, 2.0 ** 53 + 2, 1e17, 1.7976931348623157e308]
+    # x 10^(16-X) = n + 1/2 exactly: x = m / 2^(17-X) with m odd, 10^X <= x < 10^(X+1)
+    for X in (-6, -5, -4, -1, 0, 3):
+        lo = int(np.ceil(10.0 ** X * 2 ** (17 - X)))
+        v += [m / 2.0 ** (17 - X) for m in range(lo | 1, lo + 400, 2)]
+    v = np.array(v)
+    bits = rng().integers(0, 2 ** 63, 4000, dtype=np.int64).view(np.float64)
+    down, up = np.nextafter(v, 0), np.nextafter(v[v < v.max()], np.inf)
+    digits = [float(f"{d}e{e}") for e in range(-323, 308) for d in range(2, 10)]
+    v = np.concatenate([v, down, np.nextafter(down, 0), up, np.nextafter(up, np.inf), digits, bits])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, -v])
+
+
+def test_csv_is_the_percent_writers_bytes_on_adversarial_values(tmp_path):
+    v = _adversarial_values()
+    g = build_grid(4, 8192, 10.0, -0.5)
+    rows = np.zeros(2 * g.K * g.N_r)  # rows k > 0: a_k = 2 Re c_k, b_k = -2 Im c_k
+    rows[:v.size] = v
+    rows = rows.reshape(2 * g.K, g.N_r)
+    c = np.zeros((g.N_r, g.K + 1), dtype=complex)
+    c.real[:, 1:] = 0.5 * rows[:g.K].T
+    c.imag[:, 1:] = -0.5 * rows[g.K:].T
+    f = ScalarField(g, c)
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path)
+    assert path.read_bytes() == percent_csv_bytes(f)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=_FLOATS))
+def test_csv_lines_format_every_finite_double_as_percent(values):
+    labels = [f"{i},cos" for i in range(len(values))]
+    assert fields._csv_lines(values, labels) == b"".join(
+        label.encode() + b"".join(b",%.17g" % x for x in row) + b"\r\n"
+        for label, row in zip(labels, values.tolist()))
 
 
 @pytest.mark.parametrize("kw", [
