@@ -296,8 +296,8 @@ class ScalarField:
     @property
     def a(self) -> np.ndarray:
         """(K+1, N_r) cos(k theta) coefficient profiles."""
-        a = 2.0 * self.c.real.T
-        a[0] = self.c[:, 0].real
+        a = self.c.real.T.copy()
+        a[1:] *= 2.0
         a.setflags(write=False)
         return a
 

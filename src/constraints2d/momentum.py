@@ -300,12 +300,15 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     return f1 + ScalarField.from_samples(g, P1), f2 + ScalarField.from_samples(g, P2)
 
 
-def div_constraint_solve(f1: ScalarField, f2: ScalarField):
+def div_constraint_solve(f1: ScalarField, f2: ScalarField, meanwhile=None):
     """Solve d_i K_ij = f_j in the decaying class.
 
     Returns (m, phi, K_tilde): the far field of K is (m chi/r) at angle
     theta + phi; K_tilde is K minus that closed form (it keeps the compactly
     supported chi'ln r band remainder of the potential's log part).
+    meanwhile, if given, is called with no arguments on the calling thread
+    while the potential's block solve runs, on a second core when the
+    process may use one (operators.solve_beside).
     """
     if f1.grid is not f2.grid:
         raise GridMismatch("source components on different grids")
@@ -316,10 +319,10 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField):
     K = g.K
 
     c = log_coefficient(f1, f2)
-    Z = ops.full_spectrum(f1, f2)   # column K + m holds mode m
-    Z[:, K] -= c * g.lap_chiln
-    W = np.zeros_like(Z)            # mode K would only feed mode K + 1
-    W[:, :-1] = w.solve_modes(w.mom_solver(K), Z[:, :-1], K)
+    W = ops.full_spectrum(f1, f2)   # the source, column K + m holding mode m,
+    W[:, K] -= c * g.lap_chiln      # overwritten by the potential W
+    W[:, :-1] = w.solve_modes(w.mom_solver(K), W[:, :-1], K, meanwhile)
+    W[:, -1] = 0.0                  # mode K would only feed mode K + 1
 
     zeta = ops.raise_and_lower(w, W)[0]
     zeta[:, K + 1] += c * g.dchi_lnr  # band part of the log potential

@@ -31,9 +31,19 @@ arrays of its modes with the boundary rows written in, and factored once
 per grid in the workspace the grid owns (Grid.workspace).  A solve handles
 every mode of the family in one call, with the real and imaginary parts as
 two right-hand-side columns.
+
+Solve thread: SuperLU's solve releases the GIL, so a caller with other work
+to do meanwhile (the Picard step's Hamiltonian branch, beside the momentum
+solve) hands the solve to one thread that runs block solves, started on
+first use when the process may run on two or more CPUs; on one CPU the solve
+runs inline.  Factorizations are made, and freed, on the calling thread only.
 """
 
 from __future__ import annotations
+
+import os
+import queue
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,6 +91,81 @@ def _bands(A: sp.spmatrix) -> np.ndarray:
     for j, o in enumerate(_OFFSETS):
         B[j, max(0, -o):n - max(0, o)] = A.diagonal(o)
     return B
+
+
+# ----------------------------------------------------------------------------
+# the solve thread
+# ----------------------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """The solve thread: run each task (solve, rhs, reply), putting
+    (solve(rhs), None) or (None, the exception) on reply.  It drops the task
+    before replying, and the caller holds the factorization until the reply,
+    so the caller's thread frees it: scipy leaks a SuperLU factorization freed
+    on a thread other than the one that made it."""
+    while True:
+        solve, rhs, reply = tasks.get()
+        try:
+            out = (solve(rhs), None)
+        except BaseException as exc:  # raised again by the caller; never end the thread
+            out = (None, exc)
+        del solve, rhs
+        reply.put(out)
+        del out, reply
+
+
+_tasks: queue.SimpleQueue | None = None  # the solve thread's inbox, once started
+_tasks_lock = threading.Lock()
+
+
+def _solve_thread() -> queue.SimpleQueue:
+    """The inbox of the process's one solve thread, started on first use."""
+    global _tasks
+    with _tasks_lock:
+        if _tasks is None:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="constraints2d-solve",
+                             daemon=True).start()
+            _tasks = tasks
+        return _tasks
+
+
+def _forget_solve_thread() -> None:
+    """In a forked child, which has no copy of the parent's solve thread: the
+    child starts its own on first use."""
+    global _tasks, _tasks_lock
+    _tasks, _tasks_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_solve_thread)
+
+
+def solve_beside(solve, rhs, meanwhile):
+    """solve(rhs) while the calling thread runs meanwhile(): solve runs on
+    the solve thread when the process may use two or more CPUs, and inline
+    before meanwhile otherwise.  The solve is always waited for; an exception
+    of meanwhile, else of solve, reaches the caller."""
+    if _usable_cpus() < 2:
+        x = solve(rhs)
+        meanwhile()
+        return x
+    reply = queue.SimpleQueue()
+    _solve_thread().put((solve, rhs, reply))
+    try:
+        meanwhile()
+    finally:
+        x, exc = reply.get()
+    if exc is not None:
+        raise exc
+    return x
 
 
 class OperatorWorkspace:
@@ -176,10 +261,12 @@ class OperatorWorkspace:
             self._mom = self._factorize(B, m)
         return self._mom
 
-    def solve_modes(self, solver, F: np.ndarray, j0: int) -> np.ndarray:
+    def solve_modes(self, solver, F: np.ndarray, j0: int, meanwhile=None) -> np.ndarray:
         """Solution of solver's block family for the complex sources F, one
         column per mode with mode 0 in column j0, in one call: the real and
         imaginary parts are the two columns of the right-hand side.
+        meanwhile, if given, is called with no arguments while the block
+        solve runs (solve_beside).
 
         The boundary rows are homogeneous except mode 0's regularity value
         v'(r_1) = (r_1/2) f(r_1).
@@ -188,7 +275,8 @@ class OperatorWorkspace:
         reg = 0.5 * self.r1 * Y[:, j0, 0]
         Y[:, :, 0] = Y[:, :, -1] = 0.0
         Y[:, j0, 0] = reg
-        X = solver.solve(Y.reshape(2, -1).T)  # Fortran-ordered, as SuperLU takes and returns it
+        rhs = Y.reshape(2, -1).T  # Fortran-ordered, as SuperLU takes and returns it
+        X = solver.solve(rhs) if meanwhile is None else solve_beside(solver.solve, rhs, meanwhile)
         out = np.empty(F.shape, dtype=complex)
         out.real, out.imag = (X[:, j].reshape(Y.shape[1:]).T for j in (0, 1))
         return out

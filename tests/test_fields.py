@@ -548,12 +548,15 @@ def _adversarial_values():
 def test_csv_is_the_percent_writers_bytes_on_adversarial_values(tmp_path):
     v = _adversarial_values()
     g = build_grid(4, 8192, 10.0, -0.5)
-    rows = np.zeros(2 * g.K * g.N_r)  # rows k > 0: a_k = 2 Re c_k, b_k = -2 Im c_k
+    # rows a_0 = Re c_0, then a_k = 2 Re c_k and b_k = -2 Im c_k for k > 0;
+    # a_0 takes the largest doubles, which must not be doubled on the way out
+    rows = np.zeros((2 * g.K + 1) * g.N_r)
     rows[:v.size] = v
-    rows = rows.reshape(2 * g.K, g.N_r)
+    rows = rows.reshape(2 * g.K + 1, g.N_r)
     c = np.zeros((g.N_r, g.K + 1), dtype=complex)
-    c.real[:, 1:] = 0.5 * rows[:g.K].T
-    c.imag[:, 1:] = -0.5 * rows[g.K:].T
+    c.real = 0.5 * rows[:g.K + 1].T
+    c.real[:, 0] = rows[0]
+    c.imag[:, 1:] = -0.5 * rows[g.K + 1:].T
     f = ScalarField(g, c)
     path = tmp_path / "field.csv"
     write_field_csv(f, path)

@@ -227,9 +227,9 @@ def test_one_potential_solve_per_step_on_fresh_and_warm_grids(monkeypatch):
     solves = []
     solve = momentum.div_constraint_solve
 
-    def counted(f1, f2):
+    def counted(f1, f2, meanwhile=None):
         solves.append(f1.grid)
-        return solve(f1, f2)
+        return solve(f1, f2, meanwhile)
     _patch_everywhere(monkeypatch, solve, counted)
     g = build_grid(8, 64, 30.0, -0.5)
     seed = make_seed(sample_analytic([GaussianBump(amp=0.1)], g),
@@ -634,6 +634,16 @@ def test_solver_options_reject_non_integer_max_iter(max_iter):
     assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
 
+@pytest.mark.parametrize("value", [True, "1e-10", 1j])
+@pytest.mark.parametrize("name", ["tol_fixed_point", "epsilon_threshold"])
+def test_solver_options_reject_bool_and_non_real_values(name, value):
+    # True would silently read as 1.0, and a string would fail as a raw
+    # TypeError in the comparison
+    with pytest.raises(ValidationError, match=name):
+        SolverOptions(**{name: value})
+    assert getattr(SolverOptions(**{name: np.float64(0.25)}), name) == 0.25
+
+
 _SOLVE_ON_GRID_B = """
 import gc, hashlib, sys
 import numpy as np
@@ -687,3 +697,183 @@ def test_solve_on_a_grid_does_not_depend_on_a_dropped_grid():
     for run in runs:
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+# float.hex of alpha, p, q and the contraction ratios
+_PINNED = {
+    "demo": (["0x1.d0cc00a4f5337p-9", "0x1.166ccb3e270abp-9", "0x1.4e1c2717620cbp-10"],
+             ["0x1.e9cca4e39c249p-7", "0x1.c61c444800178p-8", "0x1.168e1f598ef12p-7",
+              "0x1.3f557fed748b8p-7", "0x1.1f5f1419cfcc4p-7"]),
+    "strong": (["0x1.15b246d567414p-6", "0x1.45a92756899dep-6", "0x1.86cafc0171f04p-7"],
+               ["0x1.1af7b979d5983p-3", "0x1.e91f7b0a4ad06p-5", "0x1.7e1de68cdf82ap-4",
+                "0x1.1b8c508cd1655p-4", "0x1.6278bbfaacb02p-4", "0x1.2f3ebb9e6d138p-3",
+                "0x1.c499146473264p-4", "0x1.43b8a76204c23p-3", "0x1.cda53b2122e4dp-4",
+                "0x1.3ea9b9d33b74ap-3", "0x1.eb0be08db3418p-4"]),
+}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "solve_thread"])
+@pytest.mark.parametrize("case", ["demo", "strong"])
+def test_solve_thread_and_inline_solve_give_the_pinned_answers(case, cpus, demo_seed,
+                                                               monkeypatch):
+    # with two usable CPUs each step's momentum block solve goes to the
+    # solve thread while the Hamiltonian branch runs; on one it runs inline
+    # and no thread is started; the answers are bitwise the same
+    import os
+
+    from constraints2d import operators
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    handed = []
+    solve_thread = operators._solve_thread
+    monkeypatch.setattr(operators, "_solve_thread",
+                        lambda: handed.append(1) or solve_thread())
+    seed = demo_seed
+    if case == "strong":
+        seed = cli.config_seed(cli.parse_config(DEMO_CFG.read_text()), demo_seed.grid,
+                               amplitude=3)
+    b = solve_constraints(seed)
+    assert len(handed) == (b.iterations if len(cpus) > 1 else 0)
+    assert ([b.alpha.hex(), b.p.hex(), b.q.hex()],
+            [x.hex() for x in b.contraction_ratios]) == _PINNED[case]
+
+
+@pytest.mark.parametrize("fails", ["solve", "meanwhile"])
+def test_solve_beside_raises_either_branch_error_after_the_solve(fails, monkeypatch):
+    # an exception raised on the solve thread reaches the caller with its
+    # own type; one raised by meanwhile does too, once the solve is done
+    import os
+    import threading
+    import time
+
+    from constraints2d.operators import solve_beside
+
+    class BranchFailed(Exception):
+        pass
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    done = []
+
+    def solve(rhs):
+        time.sleep(0.05)
+        done.append(threading.get_ident())
+        if fails == "solve":
+            raise BranchFailed("solve")
+        return rhs
+
+    def meanwhile():
+        if fails == "meanwhile":
+            raise BranchFailed("meanwhile")
+
+    with pytest.raises(BranchFailed, match=fails):
+        solve_beside(solve, None, meanwhile)
+    assert len(done) == 1 and done[0] != threading.get_ident()
+
+
+def test_concurrent_callers_share_one_solve_thread(monkeypatch):
+    # more callers than cores, with a short switch interval: the first uses
+    # race to start the solve thread, which is started once, and each call
+    # gets its own solve's result
+    import os
+    import sys
+    import threading
+
+    from constraints2d import operators
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(operators, "_tasks", None)
+
+    def solve_threads():
+        return {t.ident for t in threading.enumerate() if t.name == "constraints2d-solve"}
+
+    before = solve_threads()
+    results = {}
+
+    def caller(i):
+        results[i] = [operators.solve_beside(lambda x: 2 * x, (i, j), lambda: None)
+                      for j in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == {i: [2 * (i, j) for j in range(200)] for i in range(6)}
+    assert len(solve_threads() - before) == 1
+
+
+_FORK_AFTER_SOLVE = """
+import os, signal, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}  # the solve thread, on any host
+from constraints2d.fields import GaussianBump, build_grid, make_seed, sample_analytic
+from constraints2d.picard import solve_constraints
+
+grid = build_grid(8, 64, 30.0, -0.5)
+seed = make_seed(sample_analytic([GaussianBump(amp=0.1)], grid),
+                 sample_analytic([GaussianBump(amp=0.1, x0=0.5)], grid),
+                 sample_analytic([GaussianBump(amp=0.01, w=2.0)], grid), b=0.02)
+alpha = solve_constraints(seed).alpha
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if solve_constraints(seed).alpha == alpha else 1)
+deadline = time.monotonic() + 30.0
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(f"the forked child's solve exited with status {status}" if status else 0)
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        sys.exit("the forked child's solve did not finish in 30 s")
+    time.sleep(0.01)
+"""
+
+
+def test_a_child_forked_after_a_solve_solves():
+    # the child has no copy of its parent's solve thread: it starts its own
+    # and solves to the parent's answer, where a stale thread handle would
+    # wait forever
+    import os
+    import subprocess
+    import sys
+
+    import constraints2d
+
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", _FORK_AFTER_SOLVE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_factorizations_are_made_on_the_calling_thread(monkeypatch):
+    # scipy leaks a SuperLU factorization freed on a thread other than the
+    # one that made it, so the solve thread only solves: a fresh grid's two
+    # factorizations are made on the thread that steps
+    import os
+    import threading
+
+    from constraints2d import operators
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made_on = []
+    splu = operators.splu
+
+    def recorded(*args, **kwargs):
+        made_on.append(threading.get_ident())
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(operators, "splu", recorded)
+    g = build_grid(8, 64, 30.0, -0.5)
+    seed = make_seed(sample_analytic([GaussianBump(amp=0.1)], g),
+                     sample_analytic([GaussianBump(amp=0.1, x0=0.5)], g),
+                     ScalarField.zeros(g), b=0.02)
+    state, _, _ = picard_step(IterState.zero(g), seed)
+    picard_step(state, seed)
+    assert made_on == [threading.get_ident()] * 2
