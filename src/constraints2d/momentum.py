@@ -52,7 +52,6 @@ __all__ = [
     "div_constraint_solve",
     "correction_h2",
     "correction_h3",
-    "gradient_half_spectra",
     "state_samples",
     "full_state_samples",
     "momentum_residual",
@@ -177,10 +176,9 @@ def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> fl
     hb1, hb2 = _complex_pair(grid, _div_Hb(params.b, grid))
     s31, s32 = _complex_pair(grid, _div_S3(params, grid))
     t1, t2 = tau_singular_gradient(params, grid)
-    prof = grid.dchi / grid.r
-    z = complex(params.p, params.q)
-    f1, f2 = _complex_pair(grid, {1: params.b * prof, 2: 0.5 * np.conj(z) * prof,
-                                  0: 0.25 * z * prof})
+    modes = _correction_modes(grid, params.b, params.p, params.q)
+    modes[0] = 0.25 * complex(params.p, params.q) * (grid.dchi / grid.r)
+    f1, f2 = _complex_pair(grid, modes)
     res1 = hb1 + s31 + f1 - 0.5 * t1
     res2 = hb2 + s32 + f2 - 0.5 * t2
     mask = grid.r > 0.5
@@ -211,11 +209,6 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
 # products equals the dealiased sum, so this is the product-by-product
 # assembly up to rounding.
 # ----------------------------------------------------------------------------
-
-def gradient_half_spectra(f: ScalarField):
-    """Half-spectra (d1 f, d2 f): one raise_and_lower."""
-    return ops.gradient_coefficients(f.grid.workspace, f.c)
-
 
 def _gradient_samples(grid: Grid, grad):
     """Samples (L1, L2) of the half-spectra grad = (d1 f, d2 f)."""
@@ -293,7 +286,8 @@ def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     The last three terms are linear in (b, p, q).
     """
     g = seed.grid
-    (P1, P2), L = _state_source(seed, alpha, gradient_half_spectra(lambda_tilde),
+    (P1, P2), L = _state_source(seed, alpha,
+                                ops.gradient_coefficients(g.workspace, lambda_tilde.c),
                                 state_samples(seed, H_tilde))
     _add_singular_source(g, *L, params, P1, P2)
     f1, f2 = seed.momentum_source
@@ -389,7 +383,8 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     """
     g = seed.grid
     h11, h12, tau = full
-    lam = _lambda_gradient(g, alpha, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))
+    lam = _lambda_gradient(g, alpha, *_gradient_samples(
+        g, ops.gradient_coefficients(g.workspace, lambda_tilde.c)))
     P1, P2 = (angular_modes(g, P) for P in _h_dlambda(tau, h11, h12, *lam))
     del lam
     div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
@@ -442,7 +437,8 @@ def selection_matrix(lambda_tilde: ScalarField) -> np.ndarray:
     it is (1 + 4 c) I with c the log coefficient of chi'/4r.
     """
     g = lambda_tilde.grid
-    return _couplings(g, *_gradient_samples(g, gradient_half_spectra(lambda_tilde)))[0]
+    return _couplings(g, *_gradient_samples(
+        g, ops.gradient_coefficients(g.workspace, lambda_tilde.c)))[0]
 
 
 def solve_rho_eta(seed: SeedData, alpha: float, grad, samples):

@@ -25,12 +25,13 @@ Boundary rows: the first and last collocation rows of every mode are
 replaced with regularity/decay conditions, so residual norms are taken over
 the interior rows where the PDE rows were imposed.
 
-Factorizations: each operator family (L_k for k = 0..K, M_m for
-m = -K..K-1) is one block-diagonal system, built directly from the band
-arrays of its modes with the boundary rows written in, and factored once
-per grid in the workspace the grid owns (Grid.workspace).  A solve handles
-every mode of the family in one call, with the real and imaginary parts as
-two right-hand-side columns.
+Bands and factorizations: every radial operator is built once, by numpy
+arithmetic, as row bands, and _csr alone makes sparse matrices of them.
+Each operator family (L_k for k = 0..K, M_m for m = -K..K-1) is one
+block-diagonal system, built directly from the band arrays of its modes with
+the boundary rows written in, and factored once per grid in the workspace
+the grid owns (Grid.workspace).  A solve handles every mode of the family in
+one call, with the real and imaginary parts as two right-hand-side columns.
 
 Solve thread: SuperLU's solve releases the GIL, so a caller with other work
 to do meanwhile (the Picard step's Hamiltonian branch, beside the momentum
@@ -52,45 +53,42 @@ from scipy.sparse.linalg import splu
 from .errors import SingularSystem
 from .fields import Grid, ScalarField, TracelessSymTensorField, l2_weight
 
-def _stencil_matrix(n: int, interior, edge, mirror: float) -> sp.csr_matrix:
-    """Banded matrix: the 3-point ``interior`` stencil on rows 1..n-2, the
-    one-sided ``edge`` stencil on row 0 (columns 0, 1, ...) and ``mirror``
-    times it on row n-1 (columns n-1, n-2, ...)."""
-    offsets = range(1 - len(edge), len(edge))
-    bands = []
-    for k in offsets:
-        band = np.full(n - abs(k), interior[k + 1] if abs(k) <= 1 else 0.0)
-        if k >= 0:
-            band[0] = edge[k]
-        if k <= 0:
-            band[-1] = mirror * edge[-k]
-        bands.append(band)
-    return sp.diags(bands, offsets, format="csr")
-
-
-def _first_derivative_s(n: int, h: float) -> sp.csr_matrix:
-    """Centered d/ds with second-order one-sided end rows."""
-    c = 1.0 / (2.0 * h)
-    return _stencil_matrix(n, (-c, 0.0, c), (-3.0 * c, 4.0 * c, -c), -1.0)
-
-
-def _second_derivative_s(n: int, h: float) -> sp.csr_matrix:
-    """3-point d2/ds2 with second-order one-sided end rows."""
-    c = 1.0 / h**2
-    return _stencil_matrix(n, (c, -2.0 * c, c), (2.0 * c, -5.0 * c, 4.0 * c, -c), 1.0)
-
-
-_OFFSETS = np.arange(-3, 4)  # the bands of every operator and boundary row
+_OFFSETS = np.arange(-3, 4)  # the row bands B[j, i] = A[i, i + _OFFSETS[j]] of every operator
 _MAIN = 3                     # index of the main diagonal in _OFFSETS
 
 
-def _bands(A: sp.spmatrix) -> np.ndarray:
-    """Row-indexed bands of A: B[j, i] = A[i, i + _OFFSETS[j]], 0 off the matrix."""
-    n = A.shape[0]
+def _stencil(n: int, interior, edge, mirror: float) -> np.ndarray:
+    """Row bands of the matrix with the 3-point ``interior`` stencil on rows
+    1..n-2, the one-sided ``edge`` stencil on row 0 (columns 0, 1, ...) and
+    ``mirror`` times it on row n-1 (columns n-1, n-2, ...)."""
     B = np.zeros((len(_OFFSETS), n))
-    for j, o in enumerate(_OFFSETS):
-        B[j, max(0, -o):n - max(0, o)] = A.diagonal(o)
+    B[_MAIN - 1:_MAIN + 2, 1:-1] = np.array(interior)[:, None]
+    B[_MAIN:_MAIN + len(edge), 0] = edge
+    B[_MAIN + 1 - len(edge):_MAIN + 1, -1] = mirror * np.array(edge[::-1])
     return B
+
+
+def _band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row bands of A @ B at _OFFSETS, each entry summed over A's columns in
+    descending order, as scipy's CSR product sums it for A stored by _csr."""
+    n = A.shape[1]
+    Bp = np.pad(B, ((0, 0), (_MAIN, _MAIN)))  # Bp[:, _MAIN + k] holds row k of B
+    C = np.zeros_like(A)
+    for a in _OFFSETS[::-1]:  # A[i, i + a] B[i + a, i + o] adds to band o
+        lo, hi = max(0, a), len(_OFFSETS) + min(0, a)
+        C[lo:hi] += A[_MAIN + a] * Bp[lo - a:hi - a, _MAIN + a:_MAIN + a + n]
+    return C
+
+
+def _csr(B: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix of the row bands B (0 off the matrix): its nonzeros, with
+    each row's columns in descending order, the order a CSR product sums in."""
+    w, n = B.shape
+    cols = np.add.outer(np.arange(n, dtype=np.int32), _OFFSETS[::-1].astype(np.int32))
+    A = sp.csr_matrix((B[::-1].T.ravel(), cols.clip(0, n - 1).ravel(),
+                       np.arange(0, n * w + 1, w, dtype=np.int32)), shape=(n, n))
+    A.eliminate_zeros()  # the zeros, the off-matrix ones (at a clipped column) among them
+    return A
 
 
 # ----------------------------------------------------------------------------
@@ -179,14 +177,18 @@ class OperatorWorkspace:
         self.lap_chiln = grid.lap_chiln
         e1 = 1.0 / (1.0 + r)  # ds/dr
 
-        Ds = _first_derivative_s(n, h)
-        Dss = _second_derivative_s(n, h)
-        self.Dr = (sp.diags(e1) @ Ds).tocsr()
-        # d2/dr2 = e^{-2s} (d2/ds2 - d/ds)
-        Lr2 = sp.diags(e1**2) @ (Dss - Ds)
+        # centered d/ds and 3-point d2/ds2, with second-order one-sided end rows
+        c, c2 = 1.0 / (2.0 * h), 1.0 / h**2
+        Ds = _stencil(n, (-c, 0.0, c), (-3.0 * c, 4.0 * c, -c), -1.0)
+        Dss = _stencil(n, (c2, -2.0 * c2, c2), (2.0 * c2, -5.0 * c2, 4.0 * c2, -c2), 1.0)
         self.P = 1.0 / r
         self.P2 = self.P**2
-        self.lap_base = (Lr2 + sp.diags(self.P) @ self.Dr).tocsr()  # k = 0 Laplacian
+        self._Dr = e1 * Ds
+        # k = 0 Laplacian, with d2/dr2 = e^{-2s} (d2/ds2 - d/ds)
+        self._lap0 = e1**2 * (Dss - Ds) + self.P * self._Dr
+        # column order as summed when the answers were pinned: Dr descending, lap_base sorted
+        self.Dr = _csr(self._Dr)
+        self.lap_base = _csr(self._lap0).sorted_indices()
 
         # third-order one-sided d/dr on the four end nodes, used only in
         # boundary-condition rows (they do not change the interior scheme's
@@ -224,10 +226,7 @@ class OperatorWorkspace:
         B[_MAIN, :, -1] += k / self.R_max
         B[:, k == 0, -1] = 0.0
         B[_MAIN, k == 0, -1] = 1.0
-        B = B.reshape(len(_OFFSETS), -1)
-        nt = B.shape[1]
-        A = sp.diags([B[j, max(0, -o):nt - max(0, o)] for j, o in enumerate(_OFFSETS)],
-                     _OFFSETS, format="csc")
+        A = _csr(B.reshape(len(_OFFSETS), -1)).tocsc()
         try:
             # panel_size=1: banded blocks gain nothing from panel updates, and
             # the dense (N, panel_size) work arrays of the default would set
@@ -242,7 +241,7 @@ class OperatorWorkspace:
         always the grid's)."""
         if self._lap is None:
             k = np.arange(self.K + 1)
-            B = np.repeat(_bands(self.lap_base)[:, None], len(k), axis=1)
+            B = np.repeat(self._lap0[:, None], len(k), axis=1)
             B[_MAIN] -= (k * k)[:, None] * self.P2
             self._lap = self._factorize(B, k)
         return self._lap
@@ -253,9 +252,9 @@ class OperatorWorkspace:
         always the grid's)."""
         if self._mom is None:
             m = np.arange(-self.K, self.K)
-            Pd = sp.diags(self.P)
-            D2, DP, PD = (_bands(A)[:, None] for A in
-                          (self.Dr @ self.Dr, self.Dr @ Pd, Pd @ self.Dr))
+            P = np.where(_OFFSETS[:, None] == 0, self.P, 0.0)  # the bands of diag(1/r)
+            D2, DP, PD = (_band_product(A, B)[:, None] for A, B in
+                          ((self._Dr, self._Dr), (self._Dr, P), (P, self._Dr)))
             B = D2 - m[:, None] * DP + (m + 1)[:, None] * PD
             B[_MAIN] -= (m * (m + 1))[:, None] * self.P2
             self._mom = self._factorize(B, m)

@@ -55,8 +55,7 @@ from .fields import (
 )
 from .lichnerowicz import hamiltonian_residual, hamiltonian_rhs, solve_lambda
 from .momentum import (SingularTensorParams, div_constraint_solve, full_state_samples,
-                       gradient_half_spectra, momentum_residual, solve_rho_eta,
-                       state_samples)
+                       momentum_residual, solve_rho_eta, state_samples)
 
 __all__ = ["IterState", "SolverOptions", "ResidualReport", "SolutionBundle",
            "picard_step", "solve_constraints", "residuals", "combined_norm"]
@@ -83,7 +82,7 @@ class IterState:
         h11 and h12 each with d1 and d2; taken on first use and kept: five
         gradient_coefficients calls."""
         w = self.lambda_tilde.grid.workspace
-        d1, d2 = gradient_half_spectra(self.lambda_tilde)
+        d1, d2 = ops.gradient_coefficients(w, self.lambda_tilde.c)
         terms = [self.lambda_tilde.c, d1, d2, *ops.gradient_coefficients(w, d1),
                  ops.gradient_coefficients(w, d2)[1]]
         for h in (self.H_tilde.h11, self.H_tilde.h12):

@@ -30,7 +30,6 @@ from constraints2d.momentum import (
     div_constraint_solve,
     divergence_identity_residual,
     full_state_samples,
-    gradient_half_spectra,
     log_coefficient,
     _add_singular_source,
     _state_source,
@@ -42,7 +41,8 @@ from constraints2d.momentum import (
     solve_rho_eta,
     state_samples,
 )
-from constraints2d.operators import divergence, full_spectrum, zero_boundary_rows
+from constraints2d.operators import (divergence, full_spectrum, gradient_coefficients,
+                                     zero_boundary_rows)
 from constraints2d.picard import solve_constraints
 
 from conftest import random_low_mode_field, rng
@@ -59,7 +59,8 @@ def empty_seed(g):
 
 def rho_eta(seed, alpha, lt, H):
     """solve_rho_eta at the state (alpha, lt, H)."""
-    return solve_rho_eta(seed, alpha, gradient_half_spectra(lt), state_samples(seed, H))
+    return solve_rho_eta(seed, alpha, gradient_coefficients(lt.grid.workspace, lt.c),
+                         state_samples(seed, H))
 
 
 def correction_source(grid, params):
@@ -369,7 +370,8 @@ def test_selection_from_angular_means_matches_the_sample_built_one(grid):
         _add_singular_source(grid, *L, params, *S)
         return S
 
-    (P1, P2), L = _state_source(seed, 0.01, gradient_half_spectra(lt), state_samples(seed, H))
+    (P1, P2), L = _state_source(seed, 0.01, gradient_coefficients(lt.grid.workspace, lt.c),
+                                state_samples(seed, H))
     cp, cq = (sample_log_coefficient(*singular_source(L, SingularTensorParams(0.0, *pq)))
               for pq in ((1.0, 0.0), (0.0, 1.0)))
     M = np.eye(2) + 4.0 * np.array([[cp.real, cq.real], [cp.imag, cq.imag]])
@@ -579,7 +581,8 @@ def test_seed_tau_samples_are_read_only_and_shared_by_every_step(grid):
     params = SingularTensorParams(seed.b, 0.02, -0.01)
     tau = full_state_samples(seed, H, params)[2]
     assert tau is not T and not np.array_equal(tau, T)
-    solve_rho_eta(seed, alpha, gradient_half_spectra(lt), state_samples(seed, H))
+    solve_rho_eta(seed, alpha, gradient_coefficients(lt.grid.workspace, lt.c),
+                  state_samples(seed, H))
     assert np.array_equal(T, before)
     with pytest.raises(ValueError, match="read-only"):
         T += 1.0

@@ -161,15 +161,16 @@ def test_picard_step_matches_the_separate_assembly(grid):
         _complex_pair,
         _correction_modes,
         div_constraint_solve,
-        gradient_half_spectra,
         momentum_rhs_f,
         singular_factors,
         solve_rho_eta,
         state_samples,
     )
+    from constraints2d.operators import gradient_coefficients
 
     seed, state = _coupled_state(grid)
-    p, q, _ = solve_rho_eta(seed, state.alpha, gradient_half_spectra(state.lambda_tilde),
+    p, q, _ = solve_rho_eta(seed, state.alpha,
+                            gradient_coefficients(grid.workspace, state.lambda_tilde.c),
                             state_samples(seed, state.H_tilde))
     assert p != 0.0 and q != 0.0
     params = SingularTensorParams(seed.b, p, q)
