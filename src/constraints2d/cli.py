@@ -9,9 +9,10 @@ line adds a bump, while any other key may be set only once), e.g.
     udot = gauss amp=0.1 x0=0.0 y0=0.0 w=1.0
     u    = gauss amp=0.1 x0=0.5 y0=0.0 w=1.0
 
-Exit codes: 0 success, 1 configuration error or an output directory that
-cannot be written, 2 failed solve (non-convergence or any other SolverError
-of the solve; diagnostics still written), 3 verification failure.
+Exit codes: 0 success; 1 a config that cannot be read, a `config error:` (a
+ParseError, or the ValidationError that every rejected setting raises) or an
+output directory that cannot be written; 2 failed solve (non-convergence or any
+other SolverError of the solve; diagnostics still written); 3 verification failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,18 +28,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .elliptic import greens_convolution_oracle, poisson_solve
-from .errors import (
-    DeltaOutOfRange,
-    InvalidResolution,
-    ParseError,
-    SolverError,
-    UnresolvedSpec,
-    ValidationError,
-)
+from .errors import ParseError, SolverError, ValidationError
 from .fields import (
     GaussianBump,
     Grid,
     ScalarField,
+    _is_real,
     build_grid,
     format_bump,
     integrate,
@@ -64,6 +60,9 @@ __all__ = ["RunConfig", "parse_config", "serialize_config",
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, validated on construction (ValidationError): a config
+    file, dataclasses.replace and code all build a RunConfig through here."""
+
     K: int
     N_r: int
     R_max: float
@@ -75,11 +74,18 @@ class RunConfig:
     solver: SolverOptions = SolverOptions()
     output_dir: str = "out"
 
-
-def _output_dir(text: str) -> str:
-    if not text:
-        raise ValueError("output dir must not be empty")
-    return text
+    def __post_init__(self):
+        validate_grid(self.K, self.N_r, self.R_max, self.delta)
+        if not (_is_real(self.b) and math.isfinite(self.b)):
+            raise ValidationError(f"b must be a finite real number, got {self.b!r}")
+        for name in ("udot_bumps", "u_bumps", "tau_bumps"):
+            bumps = getattr(self, name)
+            if not (isinstance(bumps, tuple) and all(isinstance(b, GaussianBump) for b in bumps)):
+                raise ValidationError(f"{name} must be a tuple of GaussianBump, got {bumps!r}")
+        if not isinstance(self.solver, SolverOptions):
+            raise ValidationError(f"solver must be a SolverOptions, got {self.solver!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValidationError(f"output dir must be a non-empty string, got {self.output_dir!r}")
 
 
 # [section] -> key -> (field, parser): the RunConfig field the key sets, or in
@@ -91,15 +97,14 @@ _KEYS = {
     "seed": {"b": ("b", float), "udot": ("udot_bumps", parse_bump_line),
              "u": ("u_bumps", parse_bump_line), "tau_tilde": ("tau_bumps", parse_bump_line)},
     "solver": {f.name: (f.name, type(f.default)) for f in fields(SolverOptions)},
-    "output": {"dir": ("output_dir", _output_dir)},
+    "output": {"dir": ("output_dir", str)},
 }
 _FORMAT = {float: lambda v: f"{v:.17g}", parse_bump_line: format_bump}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration document."""
+    """Parse a configuration document into a RunConfig, which validates it."""
     section = None
-    seen = set()
     settings = {name: {} for name in _KEYS}  # section -> field -> value
 
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -110,7 +115,6 @@ def parse_config(text: str) -> RunConfig:
             section = line[1:-1].strip()
             if section not in _KEYS:
                 raise ParseError(f"unknown section [{section}]", ln)
-            seen.add(section)
             continue
         if "=" not in line:
             raise ParseError(f"expected key = value, got {line!r}", ln)
@@ -119,6 +123,8 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError("key outside any section", ln)
         if key not in _KEYS[section]:
             raise ParseError(f"unknown {section} key {key!r}", ln)
+        if not val:
+            raise ParseError(f"{section} {key} must not be empty", ln)
         name, parse = _KEYS[section][key]
         try:
             value = parse(val)
@@ -132,15 +138,9 @@ def parse_config(text: str) -> RunConfig:
         else:
             kv[name] = value
 
-    if "grid" not in seen:
-        raise ParseError("missing [grid] section")
     missing = set(_KEYS["grid"]) - set(settings["grid"])
     if missing:
-        raise ParseError(f"grid section missing keys: {sorted(missing)}")
-    try:
-        validate_grid(**settings["grid"])
-    except (DeltaOutOfRange, InvalidResolution) as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ParseError(f"missing [grid] keys: {sorted(missing)}")
     return RunConfig(**settings["grid"], **settings["seed"], **settings["output"],
                      solver=SolverOptions(**settings["solver"]))
 
@@ -263,10 +263,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     amplitudes = list(amplitudes)
-    if not amplitudes or not all(np.isfinite(a) and a >= 0 for a in amplitudes) or \
-            any(a2 <= a1 for a1, a2 in zip(amplitudes, amplitudes[1:])):
-        print("sweep needs a nonempty strictly ascending list of finite nonnegative "
-              "amplitudes", file=sys.stderr)
+    # tau_tilde and b scale with a^2, which must be finite too
+    if not (amplitudes and all(_is_real(a) and a >= 0 and math.isfinite(float(a) * float(a))
+                               for a in amplitudes)
+            and all(a1 < a2 for a1, a2 in zip(amplitudes, amplitudes[1:]))):
+        print("config error: sweep needs a nonempty strictly ascending list of finite "
+              "nonnegative amplitudes with finite squares", file=sys.stderr)
         return 1
     opts = config_options(cfg)
     grid = config_grid(cfg)
@@ -357,16 +359,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     def poisson_zero_mass():
         rhs = ScalarField.from_mode(grid, 0, "cos", (4 * r**2 - 4) * np.exp(-r**2))
-        sol = poisson_solve(rhs)
-        record("poisson_zero_mass_error",
-               np.max(np.abs(sol.v.a[0] - np.exp(-r**2))), 2.0 * grid.h**2)
+        e1 = np.max(np.abs(poisson_solve(rhs).v.a[0] - np.exp(-r**2)))
+        record("poisson_zero_mass_error", e1, 2.0 * grid.h**2)
         # convergence order under halving (needs a legal half grid)
         if cfg.N_r // 2 >= 16:
             half = build_grid(cfg.K, cfg.N_r // 2, cfg.R_max, cfg.delta)
             rhs_h = ScalarField.from_mode(
                 half, 0, "cos", (4 * half.r**2 - 4) * np.exp(-half.r**2))
             eh = np.max(np.abs(poisson_solve(rhs_h).v.a[0] - np.exp(-half.r**2)))
-            e1 = np.max(np.abs(sol.v.a[0] - np.exp(-r**2)))
             record("poisson_convergence_order_deviation",
                    abs(np.log2(eh / e1) - 2.0), 0.3)
 
@@ -461,15 +461,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
     try:
+        cfg = parse_config(text)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "sweep":
@@ -480,7 +478,7 @@ def main(argv=None) -> int:
                 return 1
             return cmd_sweep(cfg, amplitudes)
         return cmd_verify(cfg)
-    except (DeltaOutOfRange, InvalidResolution, UnresolvedSpec, ValidationError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

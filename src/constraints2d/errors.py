@@ -5,15 +5,19 @@ class SolverError(Exception):
     """Base class for all solver errors."""
 
 
-class DeltaOutOfRange(SolverError):
+class ValidationError(SolverError):
+    """A run setting violates a validation rule (a config error, exit 1)."""
+
+
+class DeltaOutOfRange(ValidationError):
     """Weight exponent delta outside the admissible interval (-1, 0)."""
 
 
-class InvalidResolution(SolverError):
+class InvalidResolution(ValidationError):
     """Grid resolution too low to represent the required angular/radial content."""
 
 
-class UnresolvedSpec(SolverError):
+class UnresolvedSpec(ValidationError):
     """An analytic bump is too narrow for the radial grid near its center."""
 
 
@@ -61,7 +65,3 @@ class ParseError(SolverError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class ValidationError(SolverError):
-    """Parsed configuration violates a validation rule."""

@@ -29,6 +29,7 @@ finite differences across it would dominate every error budget.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -175,8 +176,13 @@ class Grid:
     workspace = cached_property(_make_operators)
 
 
+# the one real-number rule and the one integer rule of every setting; a bool is neither
 def _is_real(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, numbers.Real)
+
+
+def _is_integer(n) -> bool:
+    return not isinstance(n, bool) and isinstance(n, numbers.Integral)
 
 
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
@@ -187,7 +193,7 @@ def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
     if not (_is_real(delta) and -1.0 < delta < 0.0):
         raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta!r}")
     for name, n in (("K", K), ("N_r", N_r)):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        if not _is_integer(n):
             raise InvalidResolution(f"{name} must be an integer, got {n!r}")
     if K < 4:
         raise InvalidResolution(f"K >= 4 required (3theta content), got {K}")
@@ -412,8 +418,8 @@ class TracelessSymTensorField:
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """amp * exp(-|x - (x0,y0)|^2 / w^2); amp, x0 and y0 finite, w finite and
-    positive (ValidationError)."""
+    """amp * exp(-|x - (x0,y0)|^2 / w^2); amp, x0 and y0 finite real numbers
+    (not bools), w a finite and positive one (ValidationError)."""
 
     amp: float
     x0: float = 0.0
@@ -421,9 +427,10 @@ class GaussianBump:
     w: float = 1.0
 
     def __post_init__(self):
-        if not (np.all(np.isfinite([self.amp, self.x0, self.y0, self.w])) and self.w > 0):
+        values = (self.amp, self.x0, self.y0, self.w)
+        if not (all(_is_real(v) and math.isfinite(v) for v in values) and self.w > 0):
             raise ValidationError(
-                f"bump needs finite amp, x0, y0 and a finite w > 0, got {format_bump(self)}")
+                f"bump needs finite amp, x0, y0 and a finite w > 0, got {self!r}")
 
 
 def parse_bump_line(text: str) -> GaussianBump:
@@ -613,7 +620,8 @@ class SeedData:
     momentum_source = -udot grad u + (1/2) grad tau_tilde with its
     log_coefficient source_log_coefficient, the read-only (N_r, M) samples
     tau_samples of tau_tilde and the smallness measure
-    epsilon = int energy_density."""
+    epsilon = int energy_density.  A b that is not a finite real number, or
+    data whose densities overflow, is a ValidationError; b is kept as a float."""
 
     udot: ScalarField
     u: ScalarField
@@ -627,15 +635,21 @@ class SeedData:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.b):
-            raise ValidationError(f"b must be finite, got {self.b}")
+        if not (_is_real(self.b) and math.isfinite(self.b)):
+            raise ValidationError(f"b must be a finite real number, got {self.b!r}")
         g = _check_same_grid(self.udot, self.u, self.tau_tilde)
-        # one pass on the samples: the products of udot, d1 u and d2 u
+        # one pass on the samples: the products of udot, d1 u and d2 u, whose
+        # overflow (data too large) is rejected here rather than met in a step
         V, G1, G2 = (f.to_samples() for f in (self.udot, *cartesian_gradient(self.u)))
-        energy = ScalarField.from_samples(g, V * V + G1 * G1 + G2 * G2)
+        with np.errstate(over="ignore"):
+            e = V * V + G1 * G1 + G2 * G2
+        if not np.isfinite(e.max()):  # else |udot d_i u| <= e is finite too
+            raise ValidationError("the seed densities udot^2 + |grad u|^2 and udot grad u are "
+                                  "not finite: the seed data are too large")
+        energy = ScalarField.from_samples(g, e)
         eps = integrate(energy)
         if not np.isfinite(eps) or eps < 0:
-            raise ValueError(f"invalid smallness measure epsilon = {eps}")
+            raise ValidationError(f"invalid smallness measure epsilon = {eps}")
         density = (ScalarField.from_samples(g, V * G1), ScalarField.from_samples(g, V * G2))
         dtau = cartesian_gradient(self.tau_tilde)
         source = tuple(0.5 * dt - m for dt, m in zip(dtau, density))
@@ -647,7 +661,8 @@ class SeedData:
             momentum_source=source,
             source_log_coefficient=log_coefficient(*source),
             tau_samples=tau_samples,
-            epsilon=float(eps))
+            epsilon=float(eps),
+            b=float(self.b))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -658,7 +673,7 @@ class SeedData:
 
 def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,
               b: float) -> SeedData:
-    return SeedData(udot=udot, u=u, tau_tilde=tau_tilde, b=float(b))
+    return SeedData(udot=udot, u=u, tau_tilde=tau_tilde, b=b)
 
 
 # ----------------------------------------------------------------------------

@@ -207,6 +207,11 @@ class OperatorWorkspace:
         # spectrum, -K..K each twice; every mode array ends at mode K, so its
         # columns are the last ones
         self.m_over_r = self.P[:, None] * np.repeat(np.arange(-self.K, self.K + 1.0), 2)
+        # read-only, as the grid's arrays: a caller's write would change every later solve
+        for arr in (self.Dr.data, self.Dr.indices, self.Dr.indptr, self.lap_base.data,
+                    self.lap_base.indices, self.lap_base.indptr, self._Dr, self._lap0, self.P,
+                    self.P2, self.m_over_r, self.norm_weights, self._bc_inner, self._bc_outer):
+            arr.setflags(write=False)
 
     def _factorize(self, B: np.ndarray, modes: np.ndarray):
         """splu of the block-diagonal system whose block b has the row bands

@@ -31,7 +31,6 @@ combined norms are taken only when a stopping test needs one
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -49,6 +48,7 @@ from .fields import (
     ScalarField,
     SeedData,
     TracelessSymTensorField,
+    _is_integer,
     _is_real,
     multiply,  # noqa: F401  unused; the benchmark's tracing test wraps picard.multiply
     weighted_l2,
@@ -102,7 +102,7 @@ class SolverOptions:
         if not (_is_real(self.tol_fixed_point) and 0 < self.tol_fixed_point < np.inf):
             raise ValidationError(
                 f"tol_fixed_point must be finite and positive, got {self.tol_fixed_point!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+        if not _is_integer(self.max_iter):
             raise ValidationError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")

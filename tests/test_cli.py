@@ -253,6 +253,29 @@ def test_sweep_empty_list(tmp_path):
     assert cmd_sweep(cfg, []) == 1
 
 
+@pytest.mark.parametrize("amplitudes", [[True], ["0.1"], [1e200]])
+def test_sweep_rejects_non_real_amplitudes(tmp_path, capsys, amplitudes):
+    # [True] used to run amplitude 1, "0.1" to end in a TypeError and 1e200,
+    # whose square scales tau_tilde and b, in an OverflowError
+    cfg = parse_config(FULL.format(out=tmp_path))
+    assert cmd_sweep(cfg, amplitudes) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"output_dir": ""}, {"output_dir": None}, {"b": "x"}, {"b": True},
+    {"udot_bumps": ["gauss amp=0.1"]}, {"solver": None}, {"K": 2}, {"delta": 0.5},
+], ids=repr)
+def test_run_config_validates_itself(tmp_path, change):
+    # a RunConfig built by replace or in code obeys the config file's rules;
+    # these used to end in a FileNotFoundError, TypeError or AttributeError
+    # of the solve, run with b = 1, or raise a grid error outside the
+    # ValidationError family
+    cfg = parse_config(FULL.format(out=tmp_path))
+    with pytest.raises(ValidationError):
+        cmd_solve(replace(cfg, **change))
+
+
 def test_sweep_zero_amplitude_row(tmp_path):
     cfg = parse_config(FULL.format(out=tmp_path))
     assert cmd_sweep(cfg, [0.0]) == 0
@@ -303,6 +326,8 @@ BAD_CONFIGS = {
     "R_max_nan": FULL.replace("R_max = 60.0", "R_max = nan"),
     "R_max_inf": FULL.replace("R_max = 60.0", "R_max = inf"),
     "bump_amp_nan": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
+    # finite, but its square overflows in the seed densities
+    "bump_amp_huge": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=1e200"),
     "b_nan": FULL.replace("b = 0.03", "b = nan"),
     "b_inf": FULL.replace("b = 0.03", "b = inf"),
     "tol_inf": FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
@@ -324,7 +349,7 @@ def test_main_bad_config_exit1(tmp_path, capsys, command, text):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1"])
+@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1", "1e200"])
 def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes):
     path = tmp_path / "run.cfg"
     path.write_text(FULL.format(out=tmp_path / "out"))
@@ -501,7 +526,7 @@ def test_verify_records_selection_condition(tmp_path):
 # solver accept, the bumps unresolvable, far out or strong
 _EDGE_BUMPS = st.builds(
     "gauss amp={} x0={} y0={} w={}".format,
-    st.sampled_from([0.0, 10.0]), st.sampled_from([0.0, 95.0, 500.0]),
+    st.sampled_from([0.0, 10.0, 1e200]), st.sampled_from([0.0, 95.0, 500.0]),
     st.sampled_from([0.0, 95.0, 500.0]), st.sampled_from([0.01, 30.0]))
 
 

@@ -27,6 +27,7 @@ from constraints2d.fields import (
     format_bump,
     integrate,
     l2_weight,
+    make_seed,
     multiply,
     parse_bump_line,
     radial_l2_weighted,
@@ -585,6 +586,25 @@ def test_bump_rejects_non_finite_values_and_non_positive_width(kw):
         GaussianBump(**kw)
     with pytest.raises(ValidationError):
         replace(GaussianBump(amp=1.0), **kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"amp": True}, {"amp": "1"}, {"amp": 1.0, "x0": False}, {"amp": 1.0, "w": 1j},
+])
+def test_bump_rejects_bools_and_non_reals(kw):
+    # amp=True used to pass as amplitude 1, and "1" or 1j to end in a TypeError
+    with pytest.raises(ValidationError, match="bump needs finite amp, x0, y0 and a finite w > 0"):
+        GaussianBump(**kw)
+
+
+@pytest.mark.parametrize("b, amp", [(True, 0.1), ("x", 0.1), (0.0, 1e200)])
+def test_seed_rejects_a_non_real_b_and_non_finite_densities(grid, b, amp):
+    # b=True used to become 1.0 and "x" a ValueError; the squares of an
+    # amplitude of 1e200 overflow, which ended in a RuntimeWarning and a
+    # ValueError of ScalarField
+    udot = sample_analytic([GaussianBump(amp=amp)], grid)
+    with pytest.raises(ValidationError, match="b must be a finite real|seed densities"):
+        make_seed(udot, udot, ScalarField.zeros(grid), b=b)
 
 
 def test_bump_line_round_trip():

@@ -122,3 +122,15 @@ def test_band_product_matches_the_dense_and_csr_products():
     assert np.all(np.diff(A_csr.indices[A_csr.indptr[5]:A_csr.indptr[6]]) < 0)
     assert np.array_equal(got, _row_bands(A_csr @ sp.csr_matrix(B)))
     assert not np.array_equal(got, _row_bands(A_csr.sorted_indices() @ sp.csr_matrix(B)))
+
+
+@pytest.mark.parametrize("name", [
+    "Dr.data", "Dr.indices", "Dr.indptr", "lap_base.data", "lap_base.indices", "lap_base.indptr",
+    "_Dr", "_lap0", "P", "P2", "m_over_r", "norm_weights", "_bc_inner", "_bc_outer"])
+def test_workspace_arrays_are_read_only(name):
+    # as the grid's: a write into, say, norm_weights would change every later norm
+    arr = build_grid(4, 16, 30.0, -0.5).workspace
+    for attr in name.split("."):
+        arr = getattr(arr, attr)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[..., 0] = 0
