@@ -10,9 +10,10 @@ line adds a bump, while any other key may be set only once), e.g.
     u    = gauss amp=0.1 x0=0.5 y0=0.0 w=1.0
 
 Exit codes: 0 success; 1 a config that cannot be read, a `config error:` (a
-ParseError, or the ValidationError that every rejected setting raises) or an
-output directory that cannot be written; 2 failed solve (non-convergence or any
-other SolverError of the solve; diagnostics still written); 3 verification failure.
+ParseError, or the ValidationError of any rejected setting, seed data too large
+among them) or an output directory that cannot be written; 2 failed solve (any
+SolverError of the solve, an overflow or non-convergence among them; diagnostics
+still written); 3 verification failure.
 """
 
 from __future__ import annotations
@@ -346,7 +347,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     def attempt(name, fn):
         """Run one check; a solver failure counts as a failed check."""
         try:
-            fn()
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fn()
         except SolverError as exc:
             print(f"check {name} raised: {exc}", file=sys.stderr)
             checks.append({"name": name, "value": None, "tolerance": 0.0,

@@ -458,26 +458,32 @@ def format_bump(b: GaussianBump) -> str:
                                 for f in fields(GaussianBump))])
 
 
+def _seed_samples(what: str, form):
+    """form(), an expression of the seed data, with numpy's overflow, invalid
+    and divide warnings off; a ValidationError "<what> not finite" if it is not."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = form()
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what} not finite: the seed data are too large")
+    return x
+
+
 def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
     """Sample a sum of Gaussian bumps through the dealiased angular transform.
 
     Raises UnresolvedSpec when a bump is narrower than 4 radial spacings near
     its center (the transform would alias).
     """
-    th = grid.theta
-    x = grid.r[:, None] * np.cos(th)[None, :]
-    y = grid.r[:, None] * np.sin(th)[None, :]
-    vals = np.zeros((grid.N_r, grid.M))
     for bump in bumps:
         rc = float(np.hypot(bump.x0, bump.y0))
         local_dr = grid.h * (1.0 + rc)
         if bump.w < 4.0 * local_dr:
             raise UnresolvedSpec(
                 f"bump width {bump.w} < 4 radial spacings ({4*local_dr:.3g}) near r={rc:.3g}")
-        if bump.amp == 0.0:
-            continue
-        vals += bump.amp * np.exp(-((x - bump.x0) ** 2 + (y - bump.y0) ** 2) / bump.w**2)
-    f = ScalarField.from_samples(grid, vals)
+    x, y = (grid.r[:, None] * trig(grid.theta) for trig in (np.cos, np.sin))
+    f = ScalarField.from_samples(grid, _seed_samples("the summed bump samples are", lambda: sum(
+        (b.amp * np.exp(-((x - b.x0) ** 2 + (y - b.y0) ** 2) / b.w**2) for b in bumps if b.amp),
+        np.zeros((grid.N_r, grid.M)))))
     _warn_mode_irregularity(f)
     return f
 
@@ -493,7 +499,7 @@ def _warn_mode_irregularity(f: ScalarField, tol: float = 1e-8):
     for k in range(1, g.K + 1):
         edge = max(abs(a[k, 0]), abs(b[k, 0]))
         # regular behavior bounds the first-node coefficient well below the peak
-        if edge > tol * scale and edge > 10.0 * scale * g.r[0] ** min(k, 30):
+        if edge > tol * scale and edge / 10.0 > scale * g.r[0] ** min(k, 30):
             warnings.warn(
                 f"mode-{k} coefficient at the inner node is {edge:.2e} "
                 f"(field scale {scale:.2e}): data may be under-resolved",
@@ -619,9 +625,9 @@ class SeedData:
     = (udot d_1 u, udot d_2 u), the seed-only momentum source
     momentum_source = -udot grad u + (1/2) grad tau_tilde with its
     log_coefficient source_log_coefficient, the read-only (N_r, M) samples
-    tau_samples of tau_tilde and the smallness measure
+    tau_samples of tau_tilde and quarter_tau_squared of tau_tilde^2 / 4, and
     epsilon = int energy_density.  A b that is not a finite real number, or
-    data whose densities overflow, is a ValidationError; b is kept as a float."""
+    data too large (_seed_samples), is a ValidationError; b is kept as a float."""
 
     udot: ScalarField
     u: ScalarField
@@ -632,35 +638,33 @@ class SeedData:
     momentum_source: tuple[ScalarField, ScalarField] = field(init=False, repr=False)
     source_log_coefficient: complex = field(init=False, repr=False)
     tau_samples: np.ndarray = field(init=False, repr=False)
+    quarter_tau_squared: np.ndarray = field(init=False, repr=False)
     epsilon: float = field(init=False)
 
     def __post_init__(self):
         if not (_is_real(self.b) and math.isfinite(self.b)):
             raise ValidationError(f"b must be a finite real number, got {self.b!r}")
         g = _check_same_grid(self.udot, self.u, self.tau_tilde)
-        # one pass on the samples: the products of udot, d1 u and d2 u, whose
-        # overflow (data too large) is rejected here rather than met in a step
-        V, G1, G2 = (f.to_samples() for f in (self.udot, *cartesian_gradient(self.u)))
-        with np.errstate(over="ignore"):
-            e = V * V + G1 * G1 + G2 * G2
-        if not np.isfinite(e.max()):  # else |udot d_i u| <= e is finite too
-            raise ValidationError("the seed densities udot^2 + |grad u|^2 and udot grad u are "
-                                  "not finite: the seed data are too large")
+        from . import operators as ops
+        du = _seed_samples("grad u is", lambda: ops.gradient_coefficients(g.workspace, self.u.c))
+        V, G1, G2 = (f.to_samples() for f in (self.udot, *(ScalarField(g, d) for d in du)))
+        e = _seed_samples("the seed densities udot^2 + |grad u|^2 and udot grad u are",
+                          lambda: V * V + G1 * G1 + G2 * G2)  # so |udot d_i u| <= e is finite
         energy = ScalarField.from_samples(g, e)
-        eps = integrate(energy)
-        if not np.isfinite(eps) or eps < 0:
-            raise ValidationError(f"invalid smallness measure epsilon = {eps}")
+        eps = _seed_samples("their integral epsilon is", lambda: integrate(energy))
         density = (ScalarField.from_samples(g, V * G1), ScalarField.from_samples(g, V * G2))
-        dtau = cartesian_gradient(self.tau_tilde)
-        source = tuple(0.5 * dt - m for dt, m in zip(dtau, density))
-        tau_samples = self.tau_tilde.to_samples()
-        tau_samples.setflags(write=False)
+        T = self.tau_tilde.to_samples()
+        tau_squared = _seed_samples("the samples of tau_tilde^2 / 4 are", lambda: 0.25 * T * T)
+        source = tuple(0.5 * dt - m for dt, m in zip(cartesian_gradient(self.tau_tilde), density))
+        for samples in (T, tau_squared):
+            samples.setflags(write=False)
         derived = dict(
             energy_density=energy,
             momentum_density=density,
             momentum_source=source,
             source_log_coefficient=log_coefficient(*source),
-            tau_samples=tau_samples,
+            tau_samples=T,
+            quarter_tau_squared=tau_squared,
             epsilon=float(eps),
             b=float(self.b))
         for name, value in derived.items():

@@ -38,13 +38,13 @@ def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> Sc
 
     the pure chi^2/r^2 squares having cancelled identically.  The products
     are one pass on samples = momentum.state_samples(seed, Htilde) and one
-    transform back; the energy density is the seed's.
+    transform back; the energy density and tautilde^2/4 are the seed's.
     """
     g = seed.grid
     cr, u11, u12, ut = singular_factors(params, g)
     T, A, B = samples
     S = (cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B))
-         - (A * A + B * B) + 0.25 * T * T)
+         - (A * A + B * B) + seed.quarter_tau_squared)
     return ScalarField(g, angular_modes(g, S) - 0.5 * seed.energy_density.c)
 
 

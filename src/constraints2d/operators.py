@@ -147,10 +147,12 @@ if hasattr(os, "register_at_fork"):
 
 
 def solve_beside(solve, rhs, meanwhile):
-    """solve(rhs) while the calling thread runs meanwhile(): solve runs on
-    the solve thread when the process may use two or more CPUs, and inline
-    before meanwhile otherwise.  The solve is always waited for; an exception
-    of meanwhile, else of solve, reaches the caller."""
+    """solve(rhs) while the calling thread runs meanwhile(), if not None:
+    solve runs on the solve thread when there is a meanwhile and two or more
+    usable CPUs, and inline before it otherwise.  The solve is always waited
+    for; an exception of meanwhile, else of solve, reaches the caller."""
+    if meanwhile is None:
+        return solve(rhs)
     if _usable_cpus() < 2:
         x = solve(rhs)
         meanwhile()
@@ -280,7 +282,7 @@ class OperatorWorkspace:
         Y[:, :, 0] = Y[:, :, -1] = 0.0
         Y[:, j0, 0] = reg
         rhs = Y.reshape(2, -1).T  # Fortran-ordered, as SuperLU takes and returns it
-        X = solver.solve(rhs) if meanwhile is None else solve_beside(solver.solve, rhs, meanwhile)
+        X = solve_beside(solver.solve, rhs, meanwhile)
         out = np.empty(F.shape, dtype=complex)
         out.real, out.imag = (X[:, j].reshape(Y.shape[1:]).T for j in (0, 1))
         return out
@@ -296,6 +298,7 @@ class OperatorWorkspace:
             F = np.zeros((len(self.lap_chiln), self.K + 1))
             F[:, 0] = self.lap_chiln
             z = self.solve_modes(self.lap_solver(self.K), F, 0)[:, 0].real.copy()
+            z.setflags(write=False)  # as the other arrays: a write would move every alpha
             ffz = float(self.farflux(z))
             if not 0.5 < ffz < 2.0:  # pragma: no cover
                 raise SingularSystem(f"log-profile flux {ffz} far from 1")

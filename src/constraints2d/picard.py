@@ -158,19 +158,23 @@ def combined_norm(state: IterState) -> float:
 
 
 def picard_step(state: IterState, seed: SeedData):
-    """One application of the solution map; returns (next_state, p, q)."""
+    """One application of the solution map; returns (next_state, p, q).  A
+    field that is not finite (data too large) raises DivergenceDetected."""
     samples = state_samples(seed, state.H_tilde)
-    p, q, source = solve_rho_eta(seed, state.alpha, state.norm_terms[1:3], samples)
-    params = SingularTensorParams(b=seed.b, p=p, q=q)
     hamiltonian = []  # (alpha', lambdatilde')
+    try:
+        p, q, source = solve_rho_eta(seed, state.alpha, state.norm_terms[1:3], samples)
+        params = SingularTensorParams(b=seed.b, p=p, q=q)
 
-    def hamiltonian_branch():
-        nonlocal samples
-        rhs = hamiltonian_rhs(seed, samples, params)
-        samples = None  # freed before the Poisson solve: they set the step's peak memory
-        hamiltonian.extend(solve_lambda(rhs))
+        def hamiltonian_branch():
+            nonlocal samples
+            rhs = hamiltonian_rhs(seed, samples, params)
+            samples = None  # freed before the Poisson solve: they set the step's peak memory
+            hamiltonian.extend(solve_lambda(rhs))
 
-    H_next = div_constraint_solve(*source, meanwhile=hamiltonian_branch)[2]
+        H_next = div_constraint_solve(*source, meanwhile=hamiltonian_branch)[2]
+    except ValueError as exc:  # raised by ScalarField
+        raise DivergenceDetected(f"iterate left the admissible set: {exc}")
     alpha_next, lt_next = hamiltonian
     return IterState(alpha_next, lt_next, H_next), p, q
 
@@ -185,6 +189,7 @@ def _stopping_tests(n: float, d: float, growing: bool, first_norm: float,
             d <= tol * scale)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> SolutionBundle:
     """Iterate the map from the zero state until the combined norm settles.
 
@@ -202,7 +207,8 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     seminorms of the norm terms, so n_k lies within D_k = d_2 + ... + d_k of
     the first iterate's n_1; with a relative slack of 1e-12 for the rounding
     of the sums, the tests are decided on that interval's ends, and only a
-    test whose ends disagree needs combined_norm.
+    test whose ends disagree needs combined_norm.  Overflow, with numpy's
+    warnings off, ends in DivergenceDetected or NearSingularSelection.
     """
     opts = opts or SolverOptions()
     if seed.epsilon > opts.epsilon_threshold:
@@ -217,10 +223,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     iterations = 0
     converged = floor = False
     for iterations in range(1, opts.max_iter + 1):
-        try:
-            nxt, p_next, q_next = picard_step(state, seed)
-        except (ValueError, FloatingPointError) as exc:
-            raise DivergenceDetected(f"iterate left the admissible set: {exc}")
+        nxt, p_next, q_next = picard_step(state, seed)
         if iterations == 1:
             # from the zero start state the step is the iterate: bitwise its norm
             d = first_norm = combined_norm(nxt)

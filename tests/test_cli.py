@@ -328,6 +328,12 @@ BAD_CONFIGS = {
     "bump_amp_nan": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
     # finite, but its square overflows in the seed densities
     "bump_amp_huge": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=1e200"),
+    # each bump finite, their sum not, also at sweep's tenth of the
+    # amplitude: it overflowed in sample_analytic
+    "bump_sum_huge": FULL.replace("udot = gauss amp=0.1",
+                                  "\n".join(["udot = gauss amp=1e308"] * 20)),
+    # tau_tilde enters no seed density, but its square overflows
+    "tau_amp_huge": FULL.replace("tau_tilde = gauss amp=0.01", "tau_tilde = gauss amp=1e200"),
     "b_nan": FULL.replace("b = 0.03", "b = nan"),
     "b_inf": FULL.replace("b = 0.03", "b = inf"),
     "tol_inf": FULL.replace("tol_fixed_point = 1e-10", "tol_fixed_point = inf"),
@@ -347,6 +353,22 @@ def test_main_bad_config_exit1(tmp_path, capsys, command, text):
     path.write_text(text.format(out=tmp_path / "out"))
     assert main([command[0], str(path), *command[1:]]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tau_too_large_for_the_solve_fails_it_without_a_traceback(tmp_path, capsys):
+    # tau_tilde^2 is finite, so the seed is accepted, but the first iterate's
+    # norm overflows: solve fails (2) and verify's selection check fails (3),
+    # where a RuntimeWarning used to end each in a traceback
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out").replace(
+        "tau_tilde = gauss amp=0.01", "tau_tilde = gauss amp=1e100"))
+    assert main(["solve", str(path)]) == 2
+    assert "non-finite iterate norm" in capsys.readouterr().err
+    assert main(["verify", str(path)]) == 3
+    checks = {c["name"]: c for c in _strict_json((tmp_path / "out" / "verify.json").read_text())}
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "rho_eta_selection_condition"]
 
 
 @pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1", "1e200"])
@@ -526,7 +548,7 @@ def test_verify_records_selection_condition(tmp_path):
 # solver accept, the bumps unresolvable, far out or strong
 _EDGE_BUMPS = st.builds(
     "gauss amp={} x0={} y0={} w={}".format,
-    st.sampled_from([0.0, 10.0, 1e200]), st.sampled_from([0.0, 95.0, 500.0]),
+    st.sampled_from([0.0, 10.0, 1e200, 1e308]), st.sampled_from([0.0, 95.0, 500.0]),
     st.sampled_from([0.0, 95.0, 500.0]), st.sampled_from([0.01, 30.0]))
 
 

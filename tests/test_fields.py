@@ -607,6 +607,22 @@ def test_seed_rejects_a_non_real_b_and_non_finite_densities(grid, b, amp):
         make_seed(udot, udot, ScalarField.zeros(grid), b=b)
 
 
+def test_seed_data_too_large_are_validation_errors(grid):
+    # each check of the seed names what overflowed; they used to end in a
+    # RuntimeWarning or a ValueError of ScalarField
+    with pytest.raises(ValidationError, match="the summed bump samples are not finite"):
+        sample_analytic([GaussianBump(amp=1e308)] * 2, grid)
+    zero = ScalarField.zeros(grid)
+    cases = [
+        ((zero, sample_analytic([GaussianBump(amp=1e308)], grid), zero), "grad u is"),
+        ((sample_analytic([GaussianBump(amp=1e154, w=10.0)], grid), zero, zero), "epsilon is"),
+        ((zero, zero, sample_analytic([GaussianBump(amp=1e200)], grid)), "tau_tilde\\^2 / 4"),
+    ]
+    for (udot, u, tau), what in cases:
+        with pytest.raises(ValidationError, match=f"{what}.* not finite: the seed data are too"):
+            make_seed(udot, u, tau, b=0.0)
+
+
 def test_bump_line_round_trip():
     bump = GaussianBump(amp=-0.25, x0=0.5, y0=-1.0 / 3.0, w=1.75)
     assert parse_bump_line(format_bump(bump)) == bump

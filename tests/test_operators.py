@@ -126,11 +126,15 @@ def test_band_product_matches_the_dense_and_csr_products():
 
 @pytest.mark.parametrize("name", [
     "Dr.data", "Dr.indices", "Dr.indptr", "lap_base.data", "lap_base.indices", "lap_base.indptr",
-    "_Dr", "_lap0", "P", "P2", "m_over_r", "norm_weights", "_bc_inner", "_bc_outer"])
+    "_Dr", "_lap0", "P", "P2", "m_over_r", "norm_weights", "_bc_inner", "_bc_outer",
+    "z_profile"])
 def test_workspace_arrays_are_read_only(name):
-    # as the grid's: a write into, say, norm_weights would change every later norm
-    arr = build_grid(4, 16, 30.0, -0.5).workspace
+    # as the grid's: a write into, say, norm_weights would change every later
+    # norm, and one into the cached z profile every later alpha
+    arr = build_grid(4, 64, 30.0, -0.5).workspace  # N_r = 16 is too coarse for z_profile
     for attr in name.split("."):
         arr = getattr(arr, attr)
+    if callable(arr):  # z_profile() -> (z, its far flux)
+        arr = arr()[0]
     with pytest.raises(ValueError, match="read-only"):
         arr[..., 0] = 0

@@ -573,6 +573,28 @@ def test_divergence_guards_see_an_inflated_iterate(demo_seed, monkeypatch, infla
     assert len(steps) == 3
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "solve_thread"])
+def test_a_step_that_yields_a_non_finite_field_diverges(demo_seed, monkeypatch, cpus):
+    # the Hamiltonian source overflows: the step raises DivergenceDetected,
+    # which verify's selection check records, and the solve ends in it too
+    import os
+
+    from constraints2d import picard
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    g = demo_seed.grid
+
+    def overflowing(seed, samples, params):
+        c = np.zeros((g.N_r, g.K + 1), dtype=complex)
+        c[g.N_r // 2, 0] = np.inf
+        return ScalarField(g, c)
+    monkeypatch.setattr(picard, "hamiltonian_rhs", overflowing)
+    with pytest.raises(DivergenceDetected, match="non-finite field coefficients"):
+        picard_step(IterState.zero(g), demo_seed)
+    with pytest.raises(DivergenceDetected, match="iterate left the admissible set"):
+        solve_constraints(demo_seed)
+
+
 def test_warm_demo_solve_differentiates_each_iterate_once(demo_seed, monkeypatch):
     # per iterate: one derivative pass for its norm terms (5
     # gradient_coefficients calls), whose grad lambdatilde is also the next
