@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from .geometry import asymptotic_charges, cone_angle
 from .momentum import (
     SELECTION_COND_LIMIT,
     SingularTensorParams,
+    divergence_identity_residual,
     selection_condition,
     selection_matrix,
     singular_tensors,
@@ -335,55 +337,37 @@ def _sweep_summary(rows, e_unit, i1, i2) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Run the identity/oracle battery on the configured grid."""
-    checks = []
-
-    def record(name, value, tol):
-        # a non-finite value is written as null: verify.json stays strict JSON
-        value = float(value)
-        checks.append({"name": name, "value": value if np.isfinite(value) else None,
-                       "tolerance": float(tol), "passed": bool(value <= tol)})
-
-    def attempt(name, fn):
-        """Run one check; a solver failure counts as a failed check."""
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fn()
-        except SolverError as exc:
-            print(f"check {name} raised: {exc}", file=sys.stderr)
-            checks.append({"name": name, "value": None, "tolerance": 0.0,
-                           "passed": False, "raised": type(exc).__name__})
-
+    """Run the identity/oracle battery on the configured grid: one table of
+    (name, tolerance, check), where check() returns the value, or None where
+    the check does not apply to this grid, and one loop that records each
+    applicable check under its name, as its value or as the SolverError it raised."""
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)  # a seed the grid cannot resolve is a config error
     os.makedirs(cfg.output_dir, exist_ok=True)
-    r = grid.r
+    gauss = ScalarField.from_mode(grid, 0, "cos", np.exp(-grid.r**2))  # mass pi: (1/2) ln r far out
 
-    def poisson_zero_mass():
-        rhs = ScalarField.from_mode(grid, 0, "cos", (4 * r**2 - 4) * np.exp(-r**2))
-        e1 = np.max(np.abs(poisson_solve(rhs).v.a[0] - np.exp(-r**2)))
-        record("poisson_zero_mass_error", e1, 2.0 * grid.h**2)
-        # convergence order under halving (needs a legal half grid)
-        if cfg.N_r // 2 >= 16:
-            half = build_grid(cfg.K, cfg.N_r // 2, cfg.R_max, cfg.delta)
-            rhs_h = ScalarField.from_mode(
-                half, 0, "cos", (4 * half.r**2 - 4) * np.exp(-half.r**2))
-            eh = np.max(np.abs(poisson_solve(rhs_h).v.a[0] - np.exp(-half.r**2)))
-            record("poisson_convergence_order_deviation",
-                   abs(np.log2(eh / e1) - 2.0), 0.3)
+    @functools.cache  # the order check reuses the configured grid's error
+    def zero_mass_error(g):
+        # the manufactured zero-mass problem  Delta u = (4r^2 - 4) e^{-r^2},  u = e^{-r^2}
+        rhs = ScalarField.from_mode(g, 0, "cos", (4 * g.r**2 - 4) * np.exp(-g.r**2))
+        return np.max(np.abs(poisson_solve(rhs).v.a[0] - np.exp(-g.r**2)))
 
-    def poisson_log_coeff():
-        solg = poisson_solve(ScalarField.from_mode(grid, 0, "cos", np.exp(-r**2)))
+    def convergence_order():
+        # the error's order under halving N_r, where the half grid is legal
+        if grid.N_r // 2 < 16:
+            return None
+        half = replace(grid, N_r=grid.N_r // 2)
+        return abs(np.log2(zero_mass_error(half) / zero_mass_error(grid)) - 2.0)
+
+    def log_coefficient():
         # the coefficient inherits the discrete flux matching; the constant
         # degrades when the cutoff band is marginally resolved
-        record("poisson_log_coefficient_error", abs(solg.c_log - 0.5), 4.0 * grid.h**2)
+        return abs(poisson_solve(gauss).c_log - 0.5)
 
     def greens_far():
-        if cfg.R_max < 45.0:
-            return
-        fg = ScalarField.from_mode(grid, 0, "cos", np.exp(-r**2))
-        u40 = greens_convolution_oracle(fg, [(40.0, 0.0)])[0]
-        record("greens_farfield_error", abs(u40 - 0.5 * np.log(40.0)), 1e-3)
+        if grid.R_max < 45.0:
+            return None
+        return abs(greens_convolution_oracle(gauss, [(40.0, 0.0)])[0] - 0.5 * np.log(40.0))
 
     def cancellation():
         rng = np.random.default_rng(2024)
@@ -396,35 +380,47 @@ def cmd_verify(cfg: RunConfig) -> int:
                     - 0.25 * multiply(tau_s, tau_s))
             m = max(np.max(np.abs(diff.a)), np.max(np.abs(diff.b)))
             worst = max(worst, m / (b * b + p * p + q * q))
-        record("cancellation_identity", worst, 1e-12)
-
-    def divergence_identities():
-        from .momentum import divergence_identity_residual
-        record("divergence_identity_error",
-               divergence_identity_residual(SingularTensorParams(1.0, 1.0, 0.5), grid),
-               1e-10)
+        return worst
 
     def charges():
         params = SingularTensorParams(b=0.3, p=0.1 * np.cos(0.7), q=0.1 * np.sin(0.7))
         _, _, tau_s = singular_tensors(params, grid)
         tau = tau_s + sample_analytic([GaussianBump(amp=0.05, w=1.5)], grid)
         bh, ph, qh = asymptotic_charges(tau, grid)
-        err = max(abs(bh - 0.3), abs(ph - params.p), abs(qh - params.q))
-        record("charge_roundtrip_error", err, 1e-6)
+        return max(abs(bh - 0.3), abs(ph - params.p), abs(qh - params.q))
 
     def selection():
         # the matrix the second Picard step solves, at the first iterate
         state, _, _ = picard_step(IterState.zero(grid), seed)
-        record("rho_eta_selection_condition",
-               selection_condition(selection_matrix(state.lambda_tilde)), SELECTION_COND_LIMIT)
+        return selection_condition(selection_matrix(state.lambda_tilde))
 
-    attempt("poisson_zero_mass_error", poisson_zero_mass)
-    attempt("poisson_log_coefficient_error", poisson_log_coeff)
-    attempt("greens_farfield_error", greens_far)
-    attempt("cancellation_identity", cancellation)
-    attempt("divergence_identity_error", divergence_identities)
-    attempt("charge_roundtrip_error", charges)
-    attempt("rho_eta_selection_condition", selection)
+    table = (
+        ("poisson_zero_mass_error", 2.0 * grid.h**2, lambda: zero_mass_error(grid)),
+        ("poisson_convergence_order_deviation", 0.3, convergence_order),
+        ("poisson_log_coefficient_error", 4.0 * grid.h**2, log_coefficient),
+        ("greens_farfield_error", 1e-3, greens_far),
+        ("cancellation_identity", 1e-12, cancellation),
+        ("divergence_identity_error", 1e-10, lambda: divergence_identity_residual(
+            SingularTensorParams(1.0, 1.0, 0.5), grid)),
+        ("charge_roundtrip_error", 1e-6, charges),
+        ("rho_eta_selection_condition", SELECTION_COND_LIMIT, selection),
+    )
+    checks = []
+    for name, tol, check in table:
+        entry = {"name": name, "tolerance": float(tol)}
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = check()
+        except SolverError as exc:  # a solver failure fails its check
+            print(f"check {name} raised: {exc}", file=sys.stderr)
+            entry.update(value=None, passed=False, raised=type(exc).__name__)
+        else:
+            if value is None:
+                continue
+            # a non-finite value is written as null: verify.json stays strict JSON
+            value = float(value)
+            entry.update(value=value if np.isfinite(value) else None, passed=bool(value <= tol))
+        checks.append(entry)
     if _delta_near_edge(cfg.delta):
         print(f"warning: delta = {cfg.delta} near the end of (-1,0); the theory's "
               "inversion constant degrades there (delta enters only the stopping "
@@ -432,13 +428,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     with open(os.path.join(cfg.output_dir, "verify.json"), "w") as fh:
         json.dump(checks, fh, indent=2, sort_keys=True)
-    n_fail = sum(not c["passed"] for c in checks)
     for c in checks:
         tag = "pass" if c["passed"] else "FAIL"
         value = (f"raised {c['raised']}" if "raised" in c
                  else "non-finite" if c["value"] is None else f"{c['value']:.3e}")
         print(f"[{tag}] {c['name']}: {value} (tol {c['tolerance']:.3e})")
-    return 0 if n_fail == 0 else 3
+    return 0 if all(c["passed"] for c in checks) else 3
 
 
 # ----------------------------------------------------------------------------

@@ -128,35 +128,94 @@ class Grid:
     Radial nodes are uniform in s = ln(1+r): s_i = i*h, i = 1..N_r with
     h = ln(1+R_max)/N_r, so r_1 > 0 and r_{N_r} = R_max.  Angular content is
     truncated at mode K; nonlinear terms are dealiased on M = 4K sample
-    points, reached through the DFT matrices built with the grid.
+    points, reached through the DFT matrices built with the grid.  Only
+    (K, N_r, R_max, delta) are passed in: construction validates them
+    (validate_grid) and builds every other field read-only, so Grid(...),
+    build_grid and dataclasses.replace are one path.
     """
 
     K: int
     N_r: int
     R_max: float
     delta: float
-    h: float = field(repr=False, default=0.0)
-    s: np.ndarray = field(repr=False, default=None)
-    r: np.ndarray = field(repr=False, default=None)
+    h: float = field(init=False, repr=False)
+    s: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
     # closed-form cutoff profiles on the nodes
-    chi: np.ndarray = field(repr=False, default=None)
-    dchi: np.ndarray = field(repr=False, default=None)
-    d2chi: np.ndarray = field(repr=False, default=None)
-    chiln: np.ndarray = field(repr=False, default=None)      # chi ln r
-    dchiln: np.ndarray = field(repr=False, default=None)     # (chi ln r)'
-    lap_chiln: np.ndarray = field(repr=False, default=None)  # Laplacian of chi ln r
-    quad_w: np.ndarray = field(repr=False, default=None)     # weights in s on nodes 1..N
-    plane_row: np.ndarray = field(repr=False, default=None)  # l2_weight(grid, 0)
-    chi_r: np.ndarray = field(repr=False, default=None)      # chi / r
-    quarter_dchi_r: np.ndarray = field(repr=False, default=None)  # chi' / 4r
-    dchi_lnr: np.ndarray = field(repr=False, default=None)   # chi' ln r
+    chi: np.ndarray = field(init=False, repr=False)
+    dchi: np.ndarray = field(init=False, repr=False)
+    chiln: np.ndarray = field(init=False, repr=False)      # chi ln r
+    dchiln: np.ndarray = field(init=False, repr=False)     # (chi ln r)'
+    lap_chiln: np.ndarray = field(init=False, repr=False)  # Laplacian of chi ln r
+    quad_w: np.ndarray = field(init=False, repr=False)     # weights in s on nodes 1..N
+    plane_row: np.ndarray = field(init=False, repr=False)  # l2_weight(grid, 0)
+    chi_r: np.ndarray = field(init=False, repr=False)      # chi / r
+    quarter_dchi_r: np.ndarray = field(init=False, repr=False)  # chi' / 4r
+    dchi_lnr: np.ndarray = field(init=False, repr=False)   # chi' ln r
     # real DFT matrices on the (re, im) float view of a half-spectrum
-    dft_inverse: np.ndarray = field(repr=False, default=None)  # (2(K+1), M)
-    dft_forward: np.ndarray = field(repr=False, default=None)  # (M, 2(K+1))
+    dft_inverse: np.ndarray = field(init=False, repr=False)  # (2(K+1), M)
+    dft_forward: np.ndarray = field(init=False, repr=False)  # (M, 2(K+1))
     # [j, i]: row i of (u11, u12, ut) of momentum.singular_factors at (b, p, q) = e_j
-    singular_rows: np.ndarray = field(repr=False, default=None)  # (3, 3, M)
+    singular_rows: np.ndarray = field(init=False, repr=False)  # (3, 3, M)
     # momentum._couplings' (U1, U2, wc, w @ chi'/4r), the parts fixed by the grid
-    coupling_terms: tuple = field(repr=False, default=None)
+    coupling_terms: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        validate_grid(self.K, self.N_r, self.R_max, self.delta)
+        K, N_r, R_max = int(self.K), int(self.N_r), float(self.R_max)
+        h = np.log1p(R_max) / N_r
+        s = h * np.arange(1, N_r + 1)
+        r = np.expm1(s)
+        r[-1] = R_max  # exact endpoint
+
+        chi, dchi, d2chi = _chi_with_derivatives(r)
+        lnr = np.log(r)
+
+        # composite Simpson in s over [0, s_N] (node s_0 = 0 carries r = 0, where
+        # every radial integrand r*(1+r)*f vanishes); falls back to trapezoid for
+        # odd N_r
+        w = np.empty(N_r)
+        if N_r % 2 == 0:
+            w[0::2] = 4.0 / 3.0   # nodes 1,3,5,... (odd Simpson index)
+            w[1::2] = 2.0 / 3.0
+            w[-1] = 1.0 / 3.0
+        else:
+            w[:] = 1.0
+            w[-1] = 0.5
+        w *= h
+        # the plane integral's row l2_weight(grid, 0), whose (1+r^2)^0 factor is 1
+        plane = 2.0 * np.pi * w * r * (1.0 + r)
+
+        # rows 2k, 2k+1 of E: cos(k theta_j) and -sin(k theta_j), the weights of
+        # Re c_k and Im c_k in e^{i k theta_j}; the row of Im c_0 is zero
+        M = 4 * K
+        k = np.arange(K + 1)
+        phase = (2.0 * np.pi / M) * (np.outer(k, np.arange(M)) % M)
+        E = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(2 * K + 2, M)
+        th = 2.0 * np.pi * np.arange(M) / M
+        c1, s1, c2, s2, c3, s3 = (f(m * th) for m in (1, 2, 3) for f in (np.cos, np.sin))
+        rows = np.array([[-0.5 * c2, -0.5 * s2, np.ones(M)],
+                         [-0.25 * (c1 + c3), -0.25 * (s1 + s3), c1],
+                         [-0.25 * (s3 - s1), -0.25 * (c1 - c3), s1]])
+
+        quarter = dchi / (4.0 * r)
+        u11, u12, ut = rows.transpose(1, 0, 2)  # rows of b, p, q each
+        couplings = (np.concatenate([u11 + 0.5 * ut, u12]).T,
+                     np.concatenate([u12, 0.5 * ut - u11]).T,
+                     plane * chi / (-M * r), float(plane @ quarter))
+
+        derived = dict(
+            K=K, N_r=N_r, R_max=R_max, delta=float(self.delta), h=h, s=s, r=r, chi=chi, dchi=dchi,
+            chiln=chi * lnr, dchiln=dchi * lnr + chi / r,
+            lap_chiln=d2chi * lnr + 2.0 * dchi / r + dchi * lnr / r,
+            quad_w=w, plane_row=plane, chi_r=chi / r, quarter_dchi_r=quarter, dchi_lnr=dchi * lnr,
+            dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
+            dft_forward=E.T / M, singular_rows=rows, coupling_terms=couplings)
+        for value in (*derived.values(), *couplings):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def M(self) -> int:
@@ -204,64 +263,8 @@ def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
 
 
 def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:
-    """Validate parameters (see validate_grid) and construct the collocation grid."""
-    validate_grid(K, N_r, R_max, delta)
-    h = np.log1p(R_max) / N_r
-    s = h * np.arange(1, N_r + 1)
-    r = np.expm1(s)
-    r[-1] = R_max  # exact endpoint
-
-    chi, dchi, d2chi = _chi_with_derivatives(r)
-    lnr = np.log(r)
-    chiln = chi * lnr
-    dchiln = dchi * lnr + chi / r
-    # Laplacian of chi ln r: chi'' ln r + 2 chi'/r + chi' ln r / r
-    lap_chiln = d2chi * lnr + 2.0 * dchi / r + dchi * lnr / r
-
-    # composite Simpson in s over [0, s_N] (node s_0 = 0 carries r = 0, where
-    # every radial integrand r*(1+r)*f vanishes); falls back to trapezoid for
-    # odd N_r
-    w = np.empty(N_r)
-    if N_r % 2 == 0:
-        w[0::2] = 4.0 / 3.0   # nodes 1,3,5,... (odd Simpson index)
-        w[1::2] = 2.0 / 3.0
-        w[-1] = 1.0 / 3.0
-    else:
-        w[:] = 1.0
-        w[-1] = 0.5
-    w *= h
-    # the plane integral's row l2_weight(grid, 0), whose (1+r^2)^0 factor is 1
-    plane = 2.0 * np.pi * w * r * (1.0 + r)
-
-    # rows 2k, 2k+1 of E: cos(k theta_j) and -sin(k theta_j), the weights of
-    # Re c_k and Im c_k in e^{i k theta_j}; the row of Im c_0 is zero
-    M = 4 * K
-    k = np.arange(K + 1)
-    phase = (2.0 * np.pi / M) * (np.outer(k, np.arange(M)) % M)
-    E = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(2 * K + 2, M)
-    th = 2.0 * np.pi * np.arange(M) / M
-    c1, s1, c2, s2, c3, s3 = (f(m * th) for m in (1, 2, 3) for f in (np.cos, np.sin))
-    rows = np.array([[-0.5 * c2, -0.5 * s2, np.ones(M)],
-                     [-0.25 * (c1 + c3), -0.25 * (s1 + s3), c1],
-                     [-0.25 * (s3 - s1), -0.25 * (c1 - c3), s1]])
-
-    chi_r = chi / r
-    quarter = dchi / (4.0 * r)
-    u11, u12, ut = rows.transpose(1, 0, 2)  # rows of b, p, q each
-    couplings = (np.concatenate([u11 + 0.5 * ut, u12]).T, np.concatenate([u12, 0.5 * ut - u11]).T,
-                 plane * chi / (-M * r), float(plane @ quarter))
-
-    g = Grid(K=int(K), N_r=int(N_r), R_max=float(R_max), delta=float(delta),
-             h=h, s=s, r=r, chi=chi, dchi=dchi, d2chi=d2chi,
-             chiln=chiln, dchiln=dchiln, lap_chiln=lap_chiln, quad_w=w, plane_row=plane,
-             chi_r=chi_r, quarter_dchi_r=quarter, dchi_lnr=dchi * lnr,
-             dft_inverse=np.repeat(np.where(k == 0, 1.0, 2.0), 2)[:, None] * E,
-             dft_forward=E.T / M, singular_rows=rows, coupling_terms=couplings)
-    for arr in (g.s, g.r, g.chi, g.dchi, g.d2chi, g.chiln, g.dchiln, g.lap_chiln, g.quad_w,
-                plane, chi_r, quarter, g.dchi_lnr, g.dft_inverse, g.dft_forward, rows,
-                *couplings[:3]):
-        arr.setflags(write=False)
-    return g
+    """The collocation grid; Grid validates (see validate_grid) and builds it."""
+    return Grid(K, N_r, R_max, delta)
 
 
 # ----------------------------------------------------------------------------

@@ -300,7 +300,7 @@ class OperatorWorkspace:
             z = self.solve_modes(self.lap_solver(self.K), F, 0)[:, 0].real.copy()
             z.setflags(write=False)  # as the other arrays: a write would move every alpha
             ffz = float(self.farflux(z))
-            if not 0.5 < ffz < 2.0:  # pragma: no cover
+            if not 0.5 < ffz < 2.0:
                 raise SingularSystem(f"log-profile flux {ffz} far from 1")
             self._z = (z, ffz)
         return self._z

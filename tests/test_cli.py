@@ -289,6 +289,8 @@ def test_verify_passes(tmp_path):
     assert cmd_verify(cfg) == 0
     checks = json.loads((tmp_path / "verify.json").read_text())
     assert all(c["passed"] for c in checks)
+    names = [c["name"] for c in checks]
+    assert len(names) == len(set(names)) == 8
 
 
 def test_verify_delta_near_endpoint_warns(tmp_path, capsys):
@@ -533,6 +535,52 @@ def test_verify_json_is_strict_when_a_check_raises(tmp_path, monkeypatch, capsys
     assert raised["value"] is None and not raised["passed"]
     assert all(c["passed"] for name, c in checks.items() if name != "charge_roundtrip_error")
     assert "[FAIL] charge_roundtrip_error: raised SingularSystem" in capsys.readouterr().out
+
+
+# the half grid of this grid, N_r = 32, fails the log-profile flux check
+COARSE = """
+[grid]
+K = 8
+N_r = 64
+R_max = 30.0
+delta = -0.5
+
+[seed]
+udot = gauss amp=0.1
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_charges_a_raise_to_the_check_that_raised(tmp_path, capsys):
+    # the half grid's SingularSystem used to be filed as a second
+    # poisson_zero_mass_error with tolerance 0, and no order entry was written
+    path = tmp_path / "run.cfg"
+    path.write_text(COARSE.format(out=tmp_path / "out"))
+    assert main(["verify", str(path)]) == 3
+    checks = _strict_json((tmp_path / "out" / "verify.json").read_text())
+    names = [c["name"] for c in checks]
+    assert len(names) == len(set(names))
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["poisson_zero_mass_error"]["passed"]
+    order = by_name["poisson_convergence_order_deviation"]
+    assert order == {"name": "poisson_convergence_order_deviation", "value": None,
+                     "tolerance": 0.3, "passed": False, "raised": "SingularSystem"}
+    out, err = capsys.readouterr()
+    assert ("[FAIL] poisson_convergence_order_deviation: raised SingularSystem (tol 3.000e-01)"
+            in out)
+    assert "check poisson_convergence_order_deviation raised: log-profile flux" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(COARSE.format(out=tmp_path / "out").replace("N_r = 64", "N_r = 32"))
+    assert main(["solve", str(path)]) == 2
+    assert "solve failed: log-profile flux" in capsys.readouterr().err
+    assert json.loads((tmp_path / "out" / "solution.json").read_text())["error"] == "SingularSystem"
 
 
 def test_verify_records_selection_condition(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from constraints2d import operators
 from constraints2d.elliptic import greens_convolution_oracle, poisson_solve
-from constraints2d.errors import NonDecayingRHS
+from constraints2d.errors import NonDecayingRHS, SingularSystem
 from constraints2d.fields import (
     GaussianBump,
     ScalarField,
@@ -207,6 +207,14 @@ def test_non_decaying_rhs_rejected(grid):
     f = ScalarField.from_mode(grid, 0, "cos", 1.0 / (1.0 + grid.r))
     with pytest.raises(NonDecayingRHS):
         poisson_solve(f)
+
+
+def test_too_coarse_a_grid_fails_the_log_profile_flux_check():
+    # on 32 nodes out to R_max = 30 the cutoff band is too coarse for the
+    # anchored mode-0 solve of Delta(chi ln r): its far flux is about 2, not 1
+    g = build_grid(8, 32, 30.0, -0.5)
+    with pytest.raises(SingularSystem, match="log-profile flux 2.0[0-9]* far from 1"):
+        poisson_solve(ScalarField.from_mode(g, 0, "cos", np.exp(-g.r**2)))
 
 
 # ----------------------------------------------------------------------------

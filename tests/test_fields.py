@@ -1,6 +1,6 @@
 import csv
 import re
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from constraints2d.errors import (
 )
 from constraints2d.fields import (
     GaussianBump,
+    Grid,
     ScalarField,
     angular_modes,
     build_grid,
@@ -90,6 +91,47 @@ def test_build_grid_rejects_non_integer_resolution(K, N_r):
 def test_build_grid_takes_numpy_integers():
     g = build_grid(np.int64(16), np.int64(64), 100.0, -0.5)
     assert type(g.K) is int and type(g.N_r) is int and g.M == 64
+
+
+def _built(g):
+    """(name, value) of everything a Grid builds, the coupling terms one by one."""
+    for f in dataclass_fields(Grid):
+        if not f.init:
+            value = getattr(g, f.name)
+            if f.name == "coupling_terms":
+                yield from ((f"coupling_terms[{i}]", v) for i, v in enumerate(value))
+            else:
+                yield f.name, value
+
+
+def _assert_same_grid(g, ref):
+    for (name, value), (_, expected) in zip(_built(g), _built(ref), strict=True):
+        assert type(value) is type(expected) and np.array_equal(value, expected), name
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+
+
+def test_grid_built_in_code_equals_build_grids():
+    # Grid(...) used to leave every derived array None: r**2 raised a bare
+    # TypeError, and a product with dft_forward a numpy ValueError
+    g = Grid(16, 512, 100.0, -0.5)
+    assert [f.name for f in dataclass_fields(Grid) if f.init] == ["K", "N_r", "R_max", "delta"]
+    _assert_same_grid(g, build_grid(16, 512, 100.0, -0.5))
+    assert integrate(ScalarField.from_mode(g, 0, "cos", np.exp(-g.r**2))) == pytest.approx(np.pi)
+    with pytest.raises(TypeError):
+        Grid(16, 512, 100.0, -0.5, r=g.r)
+
+
+def test_replace_rebuilds_and_revalidates_a_grid():
+    # replace used to keep the old grid's arrays and skip validate_grid
+    g = build_grid(16, 512, 100.0, -0.5)
+    finer = replace(g, N_r=1024)
+    assert finer.N_r == 1024 and len(finer.r) == 1024 and finer.r[-1] == 100.0
+    _assert_same_grid(finer, build_grid(16, 1024, 100.0, -0.5))
+    with pytest.raises(InvalidResolution, match="K >= 4"):
+        replace(g, K=2)
+    with pytest.raises(DeltaOutOfRange):
+        replace(g, delta=0.5)
 
 
 def test_grid_plane_row_is_the_plane_quadrature_row(grid):
