@@ -31,7 +31,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import NonDecayingRHS
-from .fields import ScalarField, evaluate_field, integrate
+from .fields import ScalarField, evaluate_field, integrate, radial_spline
 
 __all__ = ["PoissonSolution", "poisson_solve", "laplacian", "greens_convolution_oracle"]
 
@@ -108,8 +108,6 @@ def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
     Gaussian of width w, whose potential at its own center is
     (w^2/2)(ln w - gamma/2).
     """
-    from scipy.interpolate import CubicSpline
-
     g = f.grid
     # refined quadrature grid
     n_fine = 4 * g.N_r
@@ -118,7 +116,7 @@ def greens_convolution_oracle(f: ScalarField, points) -> list[float]:
     s_fine = h_fine * np.arange(1, n_fine + 1)
     r_fine = np.expm1(s_fine)
     th = 2.0 * np.pi * np.arange(m_fine) / m_fine
-    vals = np.fft.irfft(CubicSpline(g.s, f.c, axis=0)(s_fine), n=m_fine, norm="forward")
+    vals = np.fft.irfft(radial_spline(g, f.c, s_fine), n=m_fine, norm="forward")
     wq = np.full(n_fine, h_fine)
     wq[-1] = 0.5 * h_fine
     area = (wq * r_fine * (1.0 + r_fine))[:, None] * (2.0 * np.pi / m_fine)

@@ -598,10 +598,35 @@ def weighted_sobolev_norm(f: ScalarField, m: int, delta: float) -> float:
     return total
 
 
+def radial_spline(g: Grid, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """scipy's CubicSpline(g.s, c, axis=0)(s) for the real or complex c: the
+    not-a-knot cubic through each column, its end pieces extended.  On the
+    uniform s grid its second derivatives M solve M[i-1] + 4 M[i] + M[i+1] =
+    6 (c[i-1] - 2 c[i] + c[i+1]) / h^2 on rows 1..n-2, where not-a-knot
+    (M[0] = 2 M[1] - M[2], and its mirror) leaves 6 M[i] on rows 1 and n-2."""
+    h, n = g.h, len(c)
+    d = (c[:-2] - 2.0 * c[1:-1] + c[2:]) * (6.0 / h**2)
+    M = np.empty_like(d, shape=c.shape)
+    M[1], M[-2], M[2:-2] = d[0] / 6.0, d[-1] / 6.0, d[1:-1]
+    x = M[2:-2]  # rows 2..n-3: one tridiagonal sweep over all columns, in place
+    x[0] -= M[1]
+    x[-1] -= M[-2]
+    piv = np.full(n - 4, 0.25)
+    x[0] *= 0.25
+    for i in range(1, n - 4):
+        piv[i] = 1.0 / (4.0 - piv[i - 1])
+        x[i] = (x[i] - x[i - 1]) * piv[i]
+    for i in range(n - 6, -1, -1):
+        x[i] -= piv[i] * x[i + 1]
+    M[0], M[-1] = 2.0 * M[1] - M[2], 2.0 * M[-2] - M[-3]
+    i = np.clip(np.searchsorted(g.s, s, side="right") - 1, 0, n - 2)
+    a = ((g.s[i + 1] - s) / h)[:, None]  # the weight of node i; 1 - a that of node i + 1
+    b = 1.0 - a
+    return a * c[i] + b * c[i + 1] + (h * h / 6.0) * ((a**3 - a) * M[i] + (b**3 - b) * M[i + 1])
+
+
 def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.ndarray:
     """Evaluate at arbitrary Cartesian points (cubic radial interpolation)."""
-    from scipy.interpolate import CubicSpline
-
     g = f.grid
     pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
     rr = np.hypot(pts[:, 0], pts[:, 1])
@@ -611,7 +636,7 @@ def evaluate_field(f: ScalarField, points: Iterable[tuple[float, float]]) -> np.
     # points inside the first node evaluate at the node (fields are regular
     # there and mode-k coefficients vanish like r^k)
     sp = np.maximum(np.log1p(rr), g.s[0])
-    ck = CubicSpline(g.s, f.c, axis=0)(sp)
+    ck = radial_spline(g, f.c, sp)
     k = np.arange(g.K + 1)
     weight = np.where(k == 0, 1.0, 2.0)  # c_k and c_{-k} = conj(c_k)
     return np.real(np.sum(weight * ck * np.exp(1j * k * tt[:, None]), axis=1))

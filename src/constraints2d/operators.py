@@ -26,7 +26,11 @@ replaced with regularity/decay conditions, so residual norms are taken over
 the interior rows where the PDE rows were imposed.
 
 Bands and factorizations: every radial operator is built once, by numpy
-arithmetic, as row bands, and _csr alone makes sparse matrices of them.
+arithmetic, as row bands, and _csr alone makes sparse matrices of them, as
+_CSR.  Of scipy the run path uses two compiled kernels: the CSR routines of
+_sparsetools (products, column form) and SuperLU's gstrf (splu).  They are
+loaded by file, so no scipy Python package is imported; where that fails, the
+public scipy.sparse packages serve instead, with bitwise the same results.
 Each operator family (L_k for k = 0..K, M_m for m = -K..K-1) is one
 block-diagonal system, built directly from the band arrays of its modes with
 the boundary rows written in, and factored once per grid in the workspace
@@ -42,13 +46,13 @@ runs inline.  Factorizations are made, and freed, on the calling thread only.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import queue
 import threading
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import SingularSystem
 from .fields import Grid, ScalarField, TracelessSymTensorField, l2_weight
@@ -80,15 +84,102 @@ def _band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return C
 
 
-def _csr(B: np.ndarray) -> sp.csr_matrix:
+def _extension(name: str):
+    """The compiled module scipy.<name>, loaded from its file in the directory
+    that find_spec reports: it locates scipy without importing it."""
+    scipy = importlib.util.find_spec("scipy")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], *name.split(".")[:-1]),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.{name}")
+    if spec is None:
+        raise ImportError(f"no compiled scipy.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Loaded by file, the two kernels come without the about 380 modules that
+# scipy.sparse.linalg imports.  They are private API, so the path is chosen
+# once, here: where a file fails to load, or gstrf rejects splu's call (below),
+# the public packages serve instead, with the same arrays and factorization.
+try:
+    _sparsetools = _extension("sparse._sparsetools")
+    _gstrf = _extension("sparse.linalg._dsolve._superlu").gstrf
+except (ImportError, OSError, AttributeError):  # AttributeError: no scipy, or no gstrf
+    from scipy.sparse import _sparsetools
+    _gstrf = None
+
+
+class _CSR:
+    """The compressed sparse row matrix whose row i holds data[indptr[i]:
+    indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]]; each method
+    calls the _sparsetools kernel that scipy's csr_matrix calls, as it does."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with the real or complex 2-d array x."""
+        (M, N), k = self.shape, x.shape[1]
+        out = np.zeros((M, k), dtype=np.result_type(self.data, x))
+        _sparsetools.csr_matvecs(M, N, k, self.indptr, self.indices, self.data,
+                                 x.ravel(), out.ravel())
+        return out
+
+    def eliminate_zeros(self) -> None:
+        _sparsetools.csr_eliminate_zeros(*self.shape, self.indptr, self.indices, self.data)
+        nnz = self.indptr[-1]
+        self.indices, self.data = self.indices[:nnz].copy(), self.data[:nnz].copy()
+
+    def sorted_indices(self) -> _CSR:
+        A = _CSR(self.data.copy(), self.indices.copy(), self.indptr.copy(), self.shape)
+        _sparsetools.csr_sort_indices(self.shape[0], A.indptr, A.indices, A.data)
+        return A
+
+    def tocsc(self) -> _CSR:
+        """The compressed sparse column arrays, which are those of the
+        transpose's CSR form, and held as that."""
+        M, N = self.shape
+        A = _CSR(np.empty_like(self.data), np.empty_like(self.indices),
+                 np.empty(N + 1, np.int32), (N, M))
+        _sparsetools.csr_tocsc(M, N, self.indptr, self.indices, self.data,
+                               A.indptr, A.indices, A.data)
+        return A
+
+
+def _csr(B: np.ndarray) -> _CSR:
     """The CSR matrix of the row bands B (0 off the matrix): its nonzeros, with
     each row's columns in descending order, the order a CSR product sums in."""
     w, n = B.shape
     cols = np.add.outer(np.arange(n, dtype=np.int32), _OFFSETS[::-1].astype(np.int32))
-    A = sp.csr_matrix((B[::-1].T.ravel(), cols.clip(0, n - 1).ravel(),
-                       np.arange(0, n * w + 1, w, dtype=np.int32)), shape=(n, n))
+    A = _CSR(B[::-1].T.ravel(), cols.clip(0, n - 1).ravel(),
+             np.arange(0, n * w + 1, w, dtype=np.int32), (n, n))
     A.eliminate_zeros()  # the zeros, the off-matrix ones (at a clipped column) among them
     return A
+
+
+def splu(A: _CSR, permc_spec: str = "NATURAL", panel_size: int = 1):
+    """scipy's SuperLU factorization of the square matrix whose compressed
+    sparse column arrays A holds (A = tocsc() of its _CSR), made by gstrf with
+    the options that scipy.sparse.linalg.splu passes it."""
+    if _gstrf is None:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu as public_splu
+        return public_splu(csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                           permc_spec=permc_spec, panel_size=panel_size)
+    options = dict(ColPerm=permc_spec, PanelSize=panel_size, SymmetricMode=permc_spec == "NATURAL")
+    return _gstrf(A.shape[0], len(A.data), A.data, A.indices, A.indptr,
+                  csc_construct_func=None, ilu=False, options=options)
+
+
+if _gstrf is not None:
+    try:  # the installed gstrf's signature, on the 2 x 2 identity
+        splu(_CSR(np.ones(2), np.arange(2, dtype=np.int32), np.arange(3, dtype=np.int32), (2, 2)))
+    except TypeError:
+        _gstrf = None
 
 
 # ----------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from constraints2d.fields import (
     multiply,
     parse_bump_line,
     radial_l2_weighted,
+    radial_spline,
     read_field_csv,
     sample_analytic,
     weighted_sobolev_norm,
@@ -196,6 +197,25 @@ def test_gradient_x_gaussian_on_axis(grid):
     _, d2 = cartesian_gradient(f)
     vals = evaluate_field(d2, [(0.7, 0.0), (1.5, 0.0), (3.0, 0.0)])
     assert np.max(np.abs(vals)) < 1e-12
+
+
+@pytest.mark.parametrize("K, N_r, R_max", [(8, 256, 60.0), (8, 4096, 1e6), (4, 16, 30.0)])
+def test_radial_spline_is_scipys_not_a_knot_cubic(K, N_r, R_max):
+    # on noise, the hardest data for a spline, and on a smooth field; at
+    # random points, at the nodes and below the first node, where evaluate_field
+    # and the Green's oracle read the first piece extended
+    from scipy.interpolate import CubicSpline
+
+    g = build_grid(K, N_r, R_max, -0.5)
+    gen = np.random.default_rng(N_r)
+    noise = gen.normal(size=(N_r, K + 1)) + 1j * gen.normal(size=(N_r, K + 1))
+    smooth = np.exp(-g.r**2)[:, None] * (np.arange(1, K + 2) * (1.0 + 0.5j))
+    s = np.concatenate([gen.uniform(0.0, g.s[-1], 300), g.s, gen.uniform(0.0, g.s[0], 20)])
+    for c in (noise, smooth):
+        ref = CubicSpline(g.s, c, axis=0)(s)
+        got = radial_spline(g, c, s)
+        assert got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mixed_partials_commute(grid):

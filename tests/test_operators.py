@@ -2,7 +2,12 @@
 products: the stencils as sp.diags matrices, Dr and the k = 0 Laplacian as
 sparse products and sums, and the momentum family's products read back
 diagonal by diagonal.  The two must agree array for array, column order
-included, because a CSR product sums each row in its stored order."""
+included, because a CSR product sums each row in its stored order.  The
+workspace's own matrices (operators._CSR) enter scipy as matrices built from
+their (data, indices, indptr), and their kernels must give scipy's bits."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -53,6 +58,12 @@ def _sparse_operators(grid):
     return Dr, lap, [_row_bands(A) for A in (Dr @ Dr, Dr @ P, P @ Dr)]
 
 
+def _scipy(A, kind=sp.csr_matrix):
+    """The scipy matrix of the workspace matrix A's three arrays (kind is
+    sp.csc_matrix for the column arrays that splu is handed)."""
+    return kind((A.data, A.indices, A.indptr), shape=A.shape)
+
+
 def _assert_same_csr(A, ref):
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(A, name), getattr(ref, name)), name
@@ -97,7 +108,7 @@ def test_band_builders_equal_the_sparse_construction(monkeypatch, K, N_r, R_max)
     assert len(factorized) == len(factored) == 2
     for (given, final), ref, A in zip(factorized, (lap_bands, mom_bands), factored):
         assert np.array_equal(given, ref)
-        assert A.format == "csc"
+        A = _scipy(A, sp.csc_matrix)
         own = sp.diags([A.diagonal(o) for o in _OFFSETS], _OFFSETS, format="csc")
         flat = final.reshape(len(_OFFSETS), -1)
         nt = flat.shape[1]
@@ -120,8 +131,27 @@ def test_band_product_matches_the_dense_and_csr_products():
     # summed in the order of the CSR product of A stored with descending columns
     A_csr = operators._csr(_row_bands(A))
     assert np.all(np.diff(A_csr.indices[A_csr.indptr[5]:A_csr.indptr[6]]) < 0)
-    assert np.array_equal(got, _row_bands(A_csr @ sp.csr_matrix(B)))
-    assert not np.array_equal(got, _row_bands(A_csr.sorted_indices() @ sp.csr_matrix(B)))
+    assert np.array_equal(got, _row_bands(_scipy(A_csr) @ sp.csr_matrix(B)))
+    assert not np.array_equal(got, _row_bands(_scipy(A_csr.sorted_indices()) @ sp.csr_matrix(B)))
+
+
+@pytest.mark.parametrize("K, N_r, R_max", GRIDS)
+def test_csr_kernels_give_scipys_bits(K, N_r, R_max):
+    # products with real and complex columns, and the sorted and column forms
+    ws = build_grid(K, N_r, R_max, -0.5).workspace
+    rng = np.random.default_rng(N_r)
+    for A in (ws.Dr, ws.lap_base):
+        ref = _scipy(A)
+        for x in (rng.normal(size=(N_r, 2 * K + 2)),
+                  rng.normal(size=(N_r, K + 1)) + 1j * rng.normal(size=(N_r, K + 1)),
+                  np.asfortranarray(rng.normal(size=(N_r, 3)))):
+            got, want = A @ x, ref @ x
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        _assert_same_csr(A.sorted_indices(), ref.sorted_indices())
+        csc = ref.tocsc()
+        _assert_same_csr(A.tocsc(), csc)
+        assert all(getattr(A.tocsc(), name).dtype == getattr(csc, name).dtype
+                   for name in ("data", "indices", "indptr"))
 
 
 @pytest.mark.parametrize("name", [
@@ -138,3 +168,89 @@ def test_workspace_arrays_are_read_only(name):
         arr = arr()[0]
     with pytest.raises(ValueError, match="read-only"):
         arr[..., 0] = 0
+
+
+# a solve, the chosen kernel path and the scipy modules loaded, in a new process
+_RUN = """
+import hashlib, importlib.abc, importlib.machinery, json, sys
+
+class Refused(importlib.machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError("refused")
+
+loader = importlib.machinery.ExtensionFileLoader
+if sys.argv[1] == "refused":  # every load by file in operators fails
+    importlib.machinery.ExtensionFileLoader = Refused
+from constraints2d import operators
+importlib.machinery.ExtensionFileLoader = loader
+
+import numpy as np
+from constraints2d.cli import config_grid, config_options, config_seed, main, parse_config
+from constraints2d.picard import solve_constraints
+
+if sys.argv[1] == "cli":
+    answer = main(sys.argv[2:])
+else:
+    cfg = parse_config(open(sys.argv[2]).read())
+    b = solve_constraints(config_seed(cfg, config_grid(cfg)), config_options(cfg))
+    h = hashlib.sha256()
+    for f in (b.lambda_tilde, b.H_tilde.h11, b.H_tilde.h12):
+        h.update(np.ascontiguousarray(f.c).tobytes())
+    answer = [h.hexdigest(), b.alpha.hex(), b.p.hex(), b.q.hex(), b.iterations]
+print(json.dumps({"by_file": operators._gstrf is not None, "answer": answer, "modules": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.testing"))}))
+"""
+
+
+def _run(*args):
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", _RUN, *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+_SMALL = """
+[grid]
+K = 8
+N_r = 128
+R_max = 60.0
+delta = -0.5
+
+[seed]
+udot = gauss amp=0.1 x0=0.0 y0=0.0 w=1.0
+u = gauss amp=0.1 x0=0.5 y0=0.3 w=1.0
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_run_loads_scipys_two_kernels_and_no_scipy_package(tmp_path, command):
+    # scipy.sparse, scipy.sparse.linalg, scipy._lib._array_api, numpy.testing
+    # and, in verify's spline, scipy.interpolate are among those left out
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(_SMALL.format(out=tmp_path / "out"))
+    run = _run("cli", command, str(cfg))
+    assert run["answer"] == 0
+    if not run["by_file"]:
+        pytest.skip("this scipy's kernels cannot be loaded by file; its packages serve")
+    assert set(run["modules"]) <= {"scipy.sparse._sparsetools",
+                                   "scipy.sparse.linalg._dsolve._superlu"}
+    if command == "verify":  # the checks that use the spline ran
+        checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "verify.json").read_text())}
+        assert checks["greens_farfield_error"]["passed"]
+
+
+def test_the_public_packages_give_the_same_solve():
+    # where scipy's kernels cannot be loaded by file, its public packages
+    # serve, with the same matrices and factorizations: bitwise the same answer
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")
+    refused, default = _run("refused", demo), _run("default", demo)
+    assert not refused["by_file"] and "scipy.sparse.linalg" in refused["modules"]
+    assert refused["answer"] == default["answer"]
