@@ -99,7 +99,7 @@ def _extension(name: str):
     return module
 
 
-# Loaded by file, the two kernels come without the about 380 modules that
+# Loaded by file, the two kernels come without the roughly 400 modules that
 # scipy.sparse.linalg imports.  They are private API, so the path is chosen
 # once, here: where a file fails to load, or gstrf rejects splu's call (below),
 # the public packages serve instead, with the same arrays and factorization.
