@@ -36,6 +36,7 @@ from .fields import (
     Grid,
     ScalarField,
     _is_real,
+    _mode_irregularity,
     build_grid,
     format_bump,
     integrate,
@@ -208,6 +209,25 @@ def _delta_near_edge(delta: float) -> bool:
     return delta < -0.9 or delta > -0.1
 
 
+# Fewer nodes than this on the cutoff ramp r in [1, 2] (about ln(3/2)/h) put
+# the demo seed's alpha 1e-3 to 4x off (README); R_max should clear twice the
+# larger of the ramp's end r = 2 and the seed's radius
+MIN_RAMP_NODES = 21
+R_MAX_MARGIN = 2.0
+
+
+def _ramp_nodes(grid: Grid) -> int:
+    return int(np.count_nonzero((grid.r >= 1.0) & (grid.r <= 2.0)))
+
+
+def _seed_radius(seed) -> float:
+    """The largest node radius at which a seed field has a mode coefficient
+    above double rounding of its largest (about |centre| + 6 widths of a bump)."""
+    sizes = (np.abs(f.c).max(axis=1) for f in (seed.udot, seed.u, seed.tau_tilde))
+    return max(float(seed.grid.r[s > np.finfo(float).eps * s.max()].max(initial=0.0))
+               for s in sizes)
+
+
 def _scalar_block(bundle, seed) -> dict:
     return {
         "alpha": bundle.alpha,
@@ -227,7 +247,13 @@ def _scalar_block(bundle, seed) -> dict:
         "warnings": [name for name, hit in (
             ("alpha_nonpositive", bundle.alpha <= 0.0),  # a cone angle of 2 pi or more
             ("delta_near_edge", _delta_near_edge(seed.grid.delta)),
-            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor)) if hit],
+            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor),
+            # of the grid and the seed alone, known before the solve
+            ("under_resolved_core", _ramp_nodes(seed.grid) < MIN_RAMP_NODES),
+            ("r_max_near_cutoff",
+             seed.grid.R_max < R_MAX_MARGIN * max(2.0, _seed_radius(seed))),
+            ("seed_under_resolved",
+             any(_mode_irregularity(f) for f in (seed.udot, seed.u, seed.tau_tilde)))) if hit],
     }
 
 

@@ -487,14 +487,18 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
     f = ScalarField.from_samples(grid, _seed_samples("the summed bump samples are", lambda: sum(
         (b.amp * np.exp(-((x - b.x0) ** 2 + (y - b.y0) ** 2) / b.w**2) for b in bumps if b.amp),
         np.zeros((grid.N_r, grid.M)))))
-    _warn_mode_irregularity(f)
+    irregular = _mode_irregularity(f)
+    if irregular:
+        warnings.warn(irregular, stacklevel=2)
     return f
 
 
-def _warn_mode_irregularity(f: ScalarField, tol: float = 1e-8):
-    """Mode-k coefficients must vanish like r^k at the inner edge.
+def _mode_irregularity(f: ScalarField, tol: float = 1e-8) -> str | None:
+    """Mode-k coefficients must vanish like r^k at the inner edge: the message
+    naming the first mode that does not, or None.
 
-    Violations signal under-resolved data; they are diagnostic only.
+    Violations signal under-resolved data; they are diagnostic only
+    (sample_analytic warns of them, and a solve's seed_under_resolved).
     """
     g = f.grid
     a, b = f.a, f.b
@@ -503,11 +507,9 @@ def _warn_mode_irregularity(f: ScalarField, tol: float = 1e-8):
         edge = max(abs(a[k, 0]), abs(b[k, 0]))
         # regular behavior bounds the first-node coefficient well below the peak
         if edge > tol * scale and edge / 10.0 > scale * g.r[0] ** min(k, 30):
-            warnings.warn(
-                f"mode-{k} coefficient at the inner node is {edge:.2e} "
-                f"(field scale {scale:.2e}): data may be under-resolved",
-                stacklevel=3)
-            return
+            return (f"mode-{k} coefficient at the inner node is {edge:.2e} "
+                    f"(field scale {scale:.2e}): data may be under-resolved")
+    return None
 
 
 # ----------------------------------------------------------------------------

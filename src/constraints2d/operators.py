@@ -26,10 +26,12 @@ replaced with regularity/decay conditions, so residual norms are taken over
 the interior rows where the PDE rows were imposed.
 
 Bands and factorizations: every radial operator is built once, by numpy
-arithmetic, as row bands, and _csr alone makes sparse matrices of them, as
-_CSR.  Of scipy the run path uses two compiled kernels: the CSR routines of
-_sparsetools (products, column form) and SuperLU's gstrf (splu).  They are
-loaded by file, so no scipy Python package is imported; where that fails, the
+arithmetic, as row bands, and _csr alone compresses them, as _CSR: Dr with
+each row's columns descending, lap_base ascending, and the column arrays
+SuperLU factors as the ascending rows of the transpose (_transposed).  Of
+scipy the run path uses two compiled modules, loaded by file so that no scipy
+Python package is imported: _sparsetools, for csr_matvecs and
+csr_eliminate_zeros, and SuperLU's gstrf (splu).  Where that fails, the
 public scipy.sparse packages serve instead, with bitwise the same results.
 Each operator family (L_k for k = 0..K, M_m for m = -K..K-1) is one
 block-diagonal system, built directly from the band arrays of its modes with
@@ -74,7 +76,7 @@ def _stencil(n: int, interior, edge, mirror: float) -> np.ndarray:
 
 def _band_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row bands of A @ B at _OFFSETS, each entry summed over A's columns in
-    descending order, as scipy's CSR product sums it for A stored by _csr."""
+    descending order, as the CSR product sums it for A = _csr(A, descending=True)."""
     n = A.shape[1]
     Bp = np.pad(B, ((0, 0), (_MAIN, _MAIN)))  # Bp[:, _MAIN + k] holds row k of B
     C = np.zeros_like(A)
@@ -113,8 +115,9 @@ except (ImportError, OSError, AttributeError):  # AttributeError: no scipy, or n
 
 class _CSR:
     """The compressed sparse row matrix whose row i holds data[indptr[i]:
-    indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]]; each method
-    calls the _sparsetools kernel that scipy's csr_matrix calls, as it does."""
+    indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]] (also the
+    compressed sparse column arrays of its transpose); its product calls the
+    _sparsetools kernel that scipy's csr_matrix calls, as it does."""
 
     __slots__ = ("data", "indices", "indptr", "shape")
 
@@ -129,48 +132,43 @@ class _CSR:
                                  x.ravel(), out.ravel())
         return out
 
-    def eliminate_zeros(self) -> None:
-        _sparsetools.csr_eliminate_zeros(*self.shape, self.indptr, self.indices, self.data)
-        nnz = self.indptr[-1]
-        self.indices, self.data = self.indices[:nnz].copy(), self.data[:nnz].copy()
 
-    def sorted_indices(self) -> _CSR:
-        A = _CSR(self.data.copy(), self.indices.copy(), self.indptr.copy(), self.shape)
-        _sparsetools.csr_sort_indices(self.shape[0], A.indptr, A.indices, A.data)
-        return A
-
-    def tocsc(self) -> _CSR:
-        """The compressed sparse column arrays, which are those of the
-        transpose's CSR form, and held as that."""
-        M, N = self.shape
-        A = _CSR(np.empty_like(self.data), np.empty_like(self.indices),
-                 np.empty(N + 1, np.int32), (N, M))
-        _sparsetools.csr_tocsc(M, N, self.indptr, self.indices, self.data,
-                               A.indptr, A.indices, A.data)
-        return A
-
-
-def _csr(B: np.ndarray) -> _CSR:
+def _csr(B: np.ndarray, descending: bool) -> _CSR:
     """The CSR matrix of the row bands B (0 off the matrix): its nonzeros, with
-    each row's columns in descending order, the order a CSR product sums in."""
+    each row's columns in descending order, the order a CSR product sums in,
+    or in ascending order, scipy's sorted form."""
     w, n = B.shape
-    cols = np.add.outer(np.arange(n, dtype=np.int32), _OFFSETS[::-1].astype(np.int32))
-    A = _CSR(B[::-1].T.ravel(), cols.clip(0, n - 1).ravel(),
-             np.arange(0, n * w + 1, w, dtype=np.int32), (n, n))
-    A.eliminate_zeros()  # the zeros, the off-matrix ones (at a clipped column) among them
-    return A
+    order = slice(None, None, -1 if descending else 1)
+    cols = np.add.outer(np.arange(n, dtype=np.int32), _OFFSETS[order].astype(np.int32))
+    data, indices = B[order].T.flatten(), cols.clip(0, n - 1, out=cols).ravel()
+    indptr = np.arange(0, n * w + 1, w, dtype=np.int32)
+    # the zeros, the off-matrix ones (at a clipped column) among them
+    _sparsetools.csr_eliminate_zeros(n, n, indptr, indices, data)
+    return _CSR(data[:indptr[-1]], indices[:indptr[-1]], indptr, (n, n))
 
 
-def splu(A: _CSR, permc_spec: str = "NATURAL", panel_size: int = 1):
-    """scipy's SuperLU factorization of the square matrix whose compressed
-    sparse column arrays A holds (A = tocsc() of its _CSR), made by gstrf with
-    the options that scipy.sparse.linalg.splu passes it."""
+def _transposed(B: np.ndarray) -> np.ndarray:
+    """Row bands of the transpose of the matrix with row bands B:
+    T[j, i] = B[-1 - j, i + _OFFSETS[j]], 0 off the matrix.  The ascending
+    CSR arrays of T are the compressed sparse column arrays of B's matrix."""
+    n, T = B.shape[1], np.zeros_like(B)
+    for j, o in enumerate(_OFFSETS):
+        T[j, max(0, -o):n - max(0, o)] = B[-1 - j, max(0, o):n + min(0, o)]
+    return T
+
+
+def splu(A: _CSR):
+    """SuperLU's factorization, in the natural column order and with panel
+    size 1 (banded blocks gain nothing from panel updates, whose dense work
+    arrays would set the process's peak memory), of the square matrix whose
+    compressed sparse column arrays A holds: _csr(_transposed(B), False) of its
+    row bands B.  gstrf gets the options that scipy.sparse.linalg.splu passes."""
     if _gstrf is None:
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu as public_splu
         return public_splu(csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
-                           permc_spec=permc_spec, panel_size=panel_size)
-    options = dict(ColPerm=permc_spec, PanelSize=panel_size, SymmetricMode=permc_spec == "NATURAL")
+                           permc_spec="NATURAL", panel_size=1)
+    options = dict(ColPerm="NATURAL", PanelSize=1, SymmetricMode=True)
     return _gstrf(A.shape[0], len(A.data), A.data, A.indices, A.indptr,
                   csc_construct_func=None, ilu=False, options=options)
 
@@ -280,8 +278,8 @@ class OperatorWorkspace:
         # k = 0 Laplacian, with d2/dr2 = e^{-2s} (d2/ds2 - d/ds)
         self._lap0 = e1**2 * (Dss - Ds) + self.P * self._Dr
         # column order as summed when the answers were pinned: Dr descending, lap_base sorted
-        self.Dr = _csr(self._Dr)
-        self.lap_base = _csr(self._lap0).sorted_indices()
+        self.Dr = _csr(self._Dr, descending=True)
+        self.lap_base = _csr(self._lap0, descending=False)
 
         # third-order one-sided d/dr on the four end nodes, used only in
         # boundary-condition rows (they do not change the interior scheme's
@@ -301,10 +299,11 @@ class OperatorWorkspace:
         # columns are the last ones
         self.m_over_r = self.P[:, None] * np.repeat(np.arange(-self.K, self.K + 1.0), 2)
         # read-only, as the grid's arrays: a caller's write would change every later solve
-        for arr in (self.Dr.data, self.Dr.indices, self.Dr.indptr, self.lap_base.data,
-                    self.lap_base.indices, self.lap_base.indptr, self._Dr, self._lap0, self.P,
-                    self.P2, self.m_over_r, self.norm_weights, self._bc_inner, self._bc_outer):
-            arr.setflags(write=False)
+        for value in vars(self).values():
+            for arr in ((value.data, value.indices, value.indptr) if isinstance(value, _CSR)
+                        else (value,)):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
 
     def _factorize(self, B: np.ndarray, modes: np.ndarray):
         """splu of the block-diagonal system whose block b has the row bands
@@ -324,12 +323,9 @@ class OperatorWorkspace:
         B[_MAIN, :, -1] += k / self.R_max
         B[:, k == 0, -1] = 0.0
         B[_MAIN, k == 0, -1] = 1.0
-        A = _csr(B.reshape(len(_OFFSETS), -1)).tocsc()
+        A = _csr(_transposed(B.reshape(len(_OFFSETS), -1)), descending=False)
         try:
-            # panel_size=1: banded blocks gain nothing from panel updates, and
-            # the dense (N, panel_size) work arrays of the default would set
-            # the process's peak memory
-            return splu(A, permc_spec="NATURAL", panel_size=1)
+            return splu(A)
         except RuntimeError as exc:  # pragma: no cover
             raise SingularSystem(f"block factorization failed: {exc}")
 

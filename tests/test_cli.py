@@ -209,14 +209,43 @@ def test_solution_warnings(tmp_path, monkeypatch):
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "demo.cfg")) as fh:
         demo = replace(parse_config(fh.read()), output_dir=str(tmp_path))
     assert warnings_of(demo) == []
-    cfg = parse_config(FULL.format(out=tmp_path))
-    assert warnings_of(replace(cfg, delta=-0.95)) == ["delta_near_edge"]
-    assert warnings_of(replace(cfg, delta=-0.05)) == ["delta_near_edge"]
+    cfg = parse_config(FULL.format(out=tmp_path))  # 19 nodes on the cutoff ramp
+    assert warnings_of(replace(cfg, delta=-0.95)) == ["delta_near_edge", "under_resolved_core"]
+    assert warnings_of(replace(cfg, delta=-0.05)) == ["delta_near_edge", "under_resolved_core"]
     solve = cli.solve_constraints
     monkeypatch.setattr(cli, "solve_constraints",
                         lambda seed, opts: replace(solve(seed, opts), alpha=0.0))
-    assert warnings_of(cfg) == ["alpha_nonpositive"]
-    assert warnings_of(replace(cfg, delta=-0.95)) == ["alpha_nonpositive", "delta_near_edge"]
+    assert warnings_of(cfg) == ["alpha_nonpositive", "under_resolved_core"]
+    assert warnings_of(replace(cfg, delta=-0.95)) == [
+        "alpha_nonpositive", "delta_near_edge", "under_resolved_core"]
+
+
+# (R_max, N_r) of the demo seed, and the warnings its solve writes: the first
+# four exit 0 with alpha +392 %, +9.6 %, +2.8 % and +2.4 % off its limit
+# 3.5441926520e-3; the last two are demo.cfg's and far.cfg's grids
+@pytest.mark.parametrize("R_max, N_r, expected", [
+    (1e6, 256, ["under_resolved_core"]),  # 8 nodes on the cutoff ramp r in [1, 2]
+    (1e6, 512, ["under_resolved_core"]),  # 15
+    (1e4, 256, ["under_resolved_core"]),  # 11
+    (2.0, 512, ["r_max_near_cutoff"]),    # the demo seed reaches r = 12
+    (100.0, 512, []),                     # 45
+    (1e6, 4096, ["converged_at_rounding_floor"])])  # 120
+def test_grids_that_cannot_hold_the_cutoff_or_the_seed_warn(tmp_path, R_max, N_r, expected):
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        cfg = replace(parse_config(fh.read()), R_max=R_max, N_r=N_r, output_dir=str(tmp_path))
+    assert cmd_solve(cfg) == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["warnings"] == expected
+
+
+def test_under_resolved_seed_data_are_listed(tmp_path):
+    # the mode irregularity that sample_analytic warns of on stderr: a bump
+    # centred off the origin and too narrow for the inner nodes
+    text = FULL.format(out=tmp_path).replace("K = 12", "K = 4").replace("N_r = 192", "N_r = 512")
+    cfg = parse_config(text.replace("u = gauss amp=0.1 x0=0.5 y0=0.2 w=1.0",
+                                    "u = gauss amp=0.1 x0=0.5 y0=0.2 w=0.2"))
+    with pytest.warns(UserWarning, match="under-resolved"):
+        assert cmd_solve(cfg) == 0
+    assert "seed_under_resolved" in json.loads((tmp_path / "solution.json").read_text())["warnings"]
 
 
 def test_solve_large_amplitude_exit2(tmp_path):
@@ -624,4 +653,36 @@ def test_main_on_edge_configs_returns_a_documented_exit_code(text):
         with open(path, "w") as fh:
             fh.write(text.format(out=os.path.join(out, "out")))
         for command in ("solve", "verify"):
-            assert main([command, path]) in (0, 1, 2, 3)
+            code = main([command, path])
+            assert code in (0, 1, 2, 3)
+            if command == "solve" and code == 0:
+                _assert_core_warning_iff_below_the_ramp_minimum(path)
+
+
+def _assert_core_warning_iff_below_the_ramp_minimum(path):
+    """A solve that exited 0 lists under_resolved_core exactly when its grid
+    holds fewer nodes on the cutoff ramp r in [1, 2] than the minimum."""
+    from constraints2d.cli import MIN_RAMP_NODES, config_grid
+
+    with open(path) as fh:
+        cfg = parse_config(fh.read())
+    with open(os.path.join(cfg.output_dir, "solution.json")) as fh:
+        listed = "under_resolved_core" in json.load(fh)["warnings"]
+    r = config_grid(cfg).r
+    assert listed == (np.count_nonzero((r >= 1.0) & (r <= 2.0)) < MIN_RAMP_NODES)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(K=st.sampled_from([4, 8]), N_r=st.integers(96, 640),
+       R_max=st.sampled_from([3.0, 30.0, 1e4, 1e6]))
+def test_a_solve_names_a_core_its_grid_cannot_resolve(K, N_r, R_max):
+    # the edge configs above stop at config errors or at max_iter = 3; these
+    # small data solve, on either side of the ramp minimum
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(MINIMAL.replace("K = 8", f"K = {K}").replace("N_r = 128", f"N_r = {N_r}")
+                     .replace("R_max = 60.0", f"R_max = {R_max}")
+                     + f"\n[output]\ndir = {os.path.join(out, 'out')}\n")
+        assert main(["solve", path]) == 0
+        _assert_core_warning_iff_below_the_ramp_minimum(path)

@@ -4,7 +4,9 @@ sparse products and sums, and the momentum family's products read back
 diagonal by diagonal.  The two must agree array for array, column order
 included, because a CSR product sums each row in its stored order.  The
 workspace's own matrices (operators._CSR) enter scipy as matrices built from
-their (data, indices, indptr), and their kernels must give scipy's bits."""
+their (data, indices, indptr): their products must give scipy's bits, and the
+ascending arrays that _csr builds of a matrix's bands and of its transpose's
+bands must be scipy's sorted and column forms of it."""
 
 import json
 import os
@@ -65,8 +67,10 @@ def _scipy(A, kind=sp.csr_matrix):
 
 
 def _assert_same_csr(A, ref):
+    # bitwise, dtypes included
     for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+        got, want = getattr(A, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("K, N_r, R_max", GRIDS)
@@ -84,9 +88,9 @@ def test_band_builders_equal_the_sparse_construction(monkeypatch, K, N_r, R_max)
     factored = []
     splu = operators.splu
 
-    def recording_splu(A, **kwargs):
+    def recording_splu(A):
         factored.append(A)
-        return splu(A, **kwargs)
+        return splu(A)
 
     monkeypatch.setattr(operators.OperatorWorkspace, "_factorize", recording_factorize)
     monkeypatch.setattr(operators, "splu", recording_splu)
@@ -129,29 +133,31 @@ def test_band_product_matches_the_dense_and_csr_products():
     ref = _row_bands(A @ B)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
     # summed in the order of the CSR product of A stored with descending columns
-    A_csr = operators._csr(_row_bands(A))
+    A_csr = operators._csr(_row_bands(A), descending=True)
     assert np.all(np.diff(A_csr.indices[A_csr.indptr[5]:A_csr.indptr[6]]) < 0)
     assert np.array_equal(got, _row_bands(_scipy(A_csr) @ sp.csr_matrix(B)))
-    assert not np.array_equal(got, _row_bands(_scipy(A_csr.sorted_indices()) @ sp.csr_matrix(B)))
+    # and not in the ascending order of the sorted form
+    A_sorted = operators._csr(_row_bands(A), descending=False)
+    _assert_same_csr(A_sorted, _scipy(A_csr).sorted_indices())
+    assert not np.array_equal(got, _row_bands(_scipy(A_sorted) @ sp.csr_matrix(B)))
 
 
 @pytest.mark.parametrize("K, N_r, R_max", GRIDS)
 def test_csr_kernels_give_scipys_bits(K, N_r, R_max):
-    # products with real and complex columns, and the sorted and column forms
+    # products with real and complex columns, and the ascending forms of the
+    # bands and of their transpose's bands: scipy's sorted and column forms
     ws = build_grid(K, N_r, R_max, -0.5).workspace
     rng = np.random.default_rng(N_r)
-    for A in (ws.Dr, ws.lap_base):
+    for A, bands in ((ws.Dr, ws._Dr), (ws.lap_base, ws._lap0)):
         ref = _scipy(A)
         for x in (rng.normal(size=(N_r, 2 * K + 2)),
                   rng.normal(size=(N_r, K + 1)) + 1j * rng.normal(size=(N_r, K + 1)),
                   np.asfortranarray(rng.normal(size=(N_r, 3)))):
             got, want = A @ x, ref @ x
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        _assert_same_csr(A.sorted_indices(), ref.sorted_indices())
-        csc = ref.tocsc()
-        _assert_same_csr(A.tocsc(), csc)
-        assert all(getattr(A.tocsc(), name).dtype == getattr(csc, name).dtype
-                   for name in ("data", "indices", "indptr"))
+        _assert_same_csr(operators._csr(bands, descending=False), ref.sorted_indices())
+        _assert_same_csr(operators._csr(operators._transposed(bands), descending=False),
+                         ref.tocsc())
 
 
 @pytest.mark.parametrize("name", [
