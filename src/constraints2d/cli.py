@@ -485,7 +485,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
 

@@ -162,6 +162,17 @@ class Grid:
 
     def __post_init__(self):
         validate_grid(self.K, self.N_r, self.R_max, self.delta)
+        try:
+            derived = self._derived()
+        except MemoryError as exc:  # numpy's "Unable to allocate ..."
+            raise InvalidResolution(
+                f"grid K = {self.K}, N_r = {self.N_r} is too large to allocate: {exc}") from None
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def _derived(self) -> dict:
+        """The four fields passed in, as int and float, and every array built
+        from them, read-only."""
         K, N_r, R_max = int(self.K), int(self.N_r), float(self.R_max)
         h = np.log1p(R_max) / N_r
         s = h * np.arange(1, N_r + 1)
@@ -214,8 +225,7 @@ class Grid:
         for value in (*derived.values(), *couplings):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        return derived
 
     @property
     def M(self) -> int:
@@ -248,7 +258,8 @@ def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
     """Raise DeltaOutOfRange if delta is not a real number (bools included)
     in (-1, 0) and InvalidResolution if K or N_r is not an integer (bools
     included), K < 4 (mode 3theta unrepresentable), N_r < 16 or R_max is not
-    a positive and finite real number (bools included)."""
+    a positive real number (bools included) with a finite fourth power, which
+    the cutoff and the weights take: R_max < 2**256, about 1.158e77."""
     if not (_is_real(delta) and -1.0 < delta < 0.0):
         raise DeltaOutOfRange(f"delta must lie in (-1,0), got {delta!r}")
     for name, n in (("K", K), ("N_r", N_r)):
@@ -258,8 +269,9 @@ def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
         raise InvalidResolution(f"K >= 4 required (3theta content), got {K}")
     if N_r < 16:
         raise InvalidResolution(f"N_r >= 16 required, got {N_r}")
-    if not (_is_real(R_max) and np.isfinite(R_max) and R_max > 0):
-        raise InvalidResolution(f"R_max must be positive and finite, got {R_max!r}")
+    if not (_is_real(R_max) and 0 < R_max < 2.0**256):
+        raise InvalidResolution(f"R_max must be positive and finite, below 2**256 so that "
+                                f"R_max**4 is finite, got {R_max!r}")
 
 
 def build_grid(K: int, N_r: int, R_max: float, delta: float) -> Grid:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import constraints2d
 
 from constraints2d.fields import (
     GaussianBump,
@@ -59,6 +65,17 @@ def random_low_mode_field(grid, rng, kmax=3, scale=1.0) -> ScalarField:
             amp = scale * rng.normal()
             f = f + ScalarField.from_mode(grid, k, "sin", amp * r**min(k, 6) * np.exp(-0.5 * r**2))
     return f
+
+
+def run_python(*args, env=None, timeout=120, **kwargs) -> subprocess.CompletedProcess:
+    """This Python on args in a new process that imports the constraints2d
+    under test (its src first on PYTHONPATH), env added to os.environ, the
+    output captured as text."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           **(env or {})}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, **kwargs)
 
 
 def percent_csv_bytes(f: ScalarField) -> bytes:

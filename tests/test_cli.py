@@ -1,7 +1,7 @@
+import codecs
 import json
+import locale
 import os
-import subprocess
-import sys
 import tempfile
 
 from dataclasses import replace
@@ -24,7 +24,7 @@ from constraints2d.errors import ParseError, ValidationError
 from constraints2d.fields import GaussianBump
 from constraints2d.picard import SolverOptions
 
-from conftest import percent_csv_bytes
+from conftest import percent_csv_bytes, run_python
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -118,7 +118,8 @@ _BUMPS = st.lists(st.builds(GaussianBump, amp=_FINITE, x0=_FINITE, y0=_FINITE, w
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(cfg=st.builds(
-    RunConfig, K=st.integers(4, 64), N_r=st.integers(16, 4096), R_max=_POSITIVE,
+    RunConfig, K=st.integers(4, 64), N_r=st.integers(16, 4096),
+    R_max=st.floats(0.0, 2.0**256, exclude_min=True, exclude_max=True),  # R_max**4 finite
     delta=st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
     udot_bumps=_BUMPS, u_bumps=_BUMPS, tau_bumps=_BUMPS, b=_FINITE,
     solver=st.builds(SolverOptions, tol_fixed_point=_POSITIVE,
@@ -271,7 +272,7 @@ def test_sweep(tmp_path):
     assert len(rows) == 3
     coeffs = [float(line.split(",")[7]) for line in rows]  # alpha / a^2
     assert max(coeffs) <= 1.25 * min(coeffs)
-    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    summary = _strict_json((tmp_path / "sweep_summary.json").read_text())
     assert summary["alpha_coeff_extrapolated"] == pytest.approx(
         summary["alpha_coeff_expected"], rel=0.05)
     assert not [key for key in summary if key.endswith("_alt_normalization")]
@@ -356,6 +357,8 @@ BAD_CONFIGS = {
     "unresolved_bump": UNRESOLVED,
     "R_max_nan": FULL.replace("R_max = 60.0", "R_max = nan"),
     "R_max_inf": FULL.replace("R_max = 60.0", "R_max = inf"),
+    # finite, but (r - 1)**4 of the cutoff overflowed as the grid was built
+    "R_max_fourth_power_huge": FULL.replace("R_max = 60.0", "R_max = 1e78"),
     "bump_amp_nan": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=nan"),
     # finite, but its square overflows in the seed densities
     "bump_amp_huge": FULL.replace("udot = gauss amp=0.1", "udot = gauss amp=1e200"),
@@ -389,8 +392,8 @@ def test_main_bad_config_exit1(tmp_path, capsys, command, text):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tau_too_large_for_the_solve_fails_it_without_a_traceback(tmp_path, capsys):
     # tau_tilde^2 is finite, so the seed is accepted, but the first iterate's
-    # norm overflows: solve fails (2) and verify's selection check fails (3),
-    # where a RuntimeWarning used to end each in a traceback
+    # norm overflows: solve and sweep fail (2) and verify's selection check
+    # fails (3), where a RuntimeWarning used to end each in a traceback
     path = tmp_path / "run.cfg"
     path.write_text(FULL.format(out=tmp_path / "out").replace(
         "tau_tilde = gauss amp=0.01", "tau_tilde = gauss amp=1e100"))
@@ -400,6 +403,53 @@ def test_tau_too_large_for_the_solve_fails_it_without_a_traceback(tmp_path, caps
     checks = {c["name"]: c for c in _strict_json((tmp_path / "out" / "verify.json").read_text())}
     assert [name for name, c in checks.items() if not c["passed"]] == [
         "rho_eta_selection_condition"]
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--amplitudes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "amplitude 1.0: non-finite iterate norm" in err and "Traceback" not in err
+
+
+_COMMANDS = [pytest.param(command, id=command[0])
+             for command in (["solve"], ["verify"], ["sweep", "--amplitudes", "0.1"])]
+
+
+@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+                    reason="a config is read in the locale's encoding, here not UTF-8")
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_config_that_is_not_utf8_cannot_be_read(tmp_path, capsys, command):
+    # its UnicodeDecodeError, a ValueError, used to end in a traceback
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe[grid]\n")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    """preexec_fn: 4 GiB of address space, so a grid's arrays of hundreds of
+    GiB are refused on any host."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, command):
+    # the (K + 1, 4K) phases of K = 100000 take 298 GiB: numpy's MemoryError
+    # as the grid was built used to end in a traceback; run in a process of
+    # its own, under an address-space limit
+    pytest.importorskip("resource")
+    path = tmp_path / "big.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out").replace("K = 12", "K = 100000"))
+    run = run_python("-m", "constraints2d.cli", command[0], str(path), *command[1:],
+                     env={"PYTHONWARNINGS": "error::RuntimeWarning", "OPENBLAS_NUM_THREADS": "1"},
+                     preexec_fn=_limit_address_space)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith(
+        "config error: grid K = 100000, N_r = 192 is too large to allocate:"), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
 
 
 @pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1", "1e200"])
@@ -481,6 +531,7 @@ def test_solve_writes_the_percent_writers_bytes_in_one_process(tmp_path, monkeyp
     for f, path in written:
         with open(path, "rb") as fh:
             assert fh.read() == percent_csv_bytes(f), path
+    _strict_json((tmp_path / "solution.json").read_text())  # no NaN or Infinity
 
 
 @pytest.mark.parametrize("name", ["tau_breve", "lambda_tilde"])  # last, first written
@@ -498,13 +549,8 @@ def test_solve_reports_a_field_csv_it_cannot_write_and_leaves_no_child(tmp_path,
 
 
 def test_module_entry_point_runs_without_runpy_warning():
-    import constraints2d
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "constraints2d.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "constraints2d.cli", "--help",
+                      timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -612,6 +658,19 @@ def test_solve_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
     assert json.loads((tmp_path / "out" / "solution.json").read_text())["error"] == "SingularSystem"
 
 
+@pytest.mark.parametrize("config", ["demo", "far"])
+def test_verify_passes_on_the_shipped_configs(tmp_path, config):
+    # far's solve stops at the rounding floor; every check still passes,
+    # each is written once, and verify.json is strict JSON
+    with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:
+        cfg = parse_config(fh.read())
+    assert cmd_verify(replace(cfg, output_dir=str(tmp_path))) == 0
+    checks = _strict_json((tmp_path / "verify.json").read_text())
+    names = [c["name"] for c in checks]
+    assert len(names) == len(set(names)) == 8
+    assert all(c["passed"] for c in checks)
+
+
 def test_verify_records_selection_condition(tmp_path):
     cfg = parse_config(FULL.format(out=tmp_path))
     assert cmd_verify(cfg) == 0
@@ -634,7 +693,7 @@ def _edge_config_text(draw):
     lines = ["[grid]",
              f"K = {draw(st.integers(1, 8))}",
              f"N_r = {draw(st.sampled_from([8, 16, 17, 64]))}",
-             f"R_max = {draw(st.sampled_from([1.0, 2.0, 5.0, 30.0, 1e6]))}",
+             f"R_max = {draw(st.sampled_from([1.0, 2.0, 5.0, 30.0, 1e6, 1e78, 1.7e308]))}",
              f"delta = {draw(st.sampled_from([-1e-12, -0.05, -0.95]))}",
              "[seed]",
              f"b = {draw(st.sampled_from([0.0, 50.0]))}"]

@@ -74,10 +74,21 @@ def test_build_grid_resolution():
         build_grid(16, 8, 100.0, -0.5)
     # True would build a grid with R_max = 1.0; a string or None would raise
     # a bare TypeError
-    for R_max in (True, "100", None, 100.0j):
+    # 1e78 and 1.7e308 are finite, but their fourth power overflowed in the
+    # cutoff as the grid was built
+    for R_max in (True, "100", None, 100.0j, 1e78, 1.7e308):
         with pytest.raises(InvalidResolution, match="R_max must be positive and finite"):
             build_grid(16, 64, R_max, -0.5)
     assert build_grid(16, 64, np.float64(100.0), np.float32(-0.5)).R_max == 100.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_largest_r_max_with_a_finite_fourth_power_builds():
+    largest = np.nextafter(2.0**256, 0.0)
+    assert np.isfinite(largest**4)
+    assert build_grid(16, 64, largest, -0.5).R_max == largest
+    with pytest.raises(InvalidResolution, match="R_max must be positive and finite"):
+        build_grid(16, 64, np.nextafter(largest, np.inf), -0.5)
 
 
 @pytest.mark.parametrize("K, N_r", [(16.5, 512), (16, 512.5), (16.0, 512), (True, 512),

@@ -18,6 +18,8 @@ import scipy.sparse as sp
 from constraints2d import operators
 from constraints2d.fields import build_grid
 
+from conftest import run_python
+
 _OFFSETS = operators._OFFSETS
 
 GRIDS = [(16, 512, 100.0), (8, 4096, 1e6), (4, 16, 30.0), (5, 17, 2.0)]
@@ -209,13 +211,7 @@ print(json.dumps({"by_file": operators._gstrf is not None, "answer": answer, "mo
 
 
 def _run(*args):
-    import subprocess
-    import sys
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run([sys.executable, "-c", _RUN, *args], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = run_python("-c", _RUN, *args, timeout=300)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 

@@ -32,7 +32,7 @@ from constraints2d.picard import (
     solve_constraints,
 )
 
-from conftest import random_low_mode_field, rng
+from conftest import random_low_mode_field, rng, run_python
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
@@ -706,17 +706,7 @@ def test_solve_on_a_grid_does_not_depend_on_a_dropped_grid():
     # grid or the workspace it owns: a solve on grid B after grids A and
     # B were built, used and dropped in turn, which frees their ids for reuse,
     # is bitwise the solve in a process that never built A
-    import os
-    import subprocess
-    import sys
-
-    import constraints2d
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    runs = [subprocess.run([sys.executable, "-c", _SOLVE_ON_GRID_B, arg], env=env,
-                           capture_output=True, text=True, timeout=120)
-            for arg in ("after_a", "fresh")]
+    runs = [run_python("-c", _SOLVE_ON_GRID_B, arg) for arg in ("after_a", "fresh")]
     for run in runs:
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout == runs[1].stdout
@@ -759,6 +749,37 @@ def test_solve_thread_and_inline_solve_give_the_pinned_answers(case, cpus, demo_
     assert len(handed) == (b.iterations if len(cpus) > 1 else 0)
     assert ([b.alpha.hex(), b.p.hex(), b.q.hex()],
             [x.hex() for x in b.contraction_ratios]) == _PINNED[case]
+
+
+_ON_ONE_CPU = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from constraints2d import cli, operators
+from constraints2d.picard import solve_constraints
+
+started = []
+solve_thread = operators._solve_thread
+operators._solve_thread = lambda: started.append(1) or solve_thread()
+cfg = cli.parse_config(open(sys.argv[1]).read())
+b = solve_constraints(cli.config_seed(cfg, cli.config_grid(cfg)))
+print(json.dumps([len(started), [b.alpha.hex(), b.p.hex(), b.q.hex()],
+                  [x.hex() for x in b.contraction_ratios]]))
+"""
+
+
+def test_a_process_on_one_cpu_solves_inline_to_the_pinned_answer():
+    # the process's own affinity, not a patched count: no solve thread is
+    # started, and the demo answer is the pinned one
+    import json
+    import os
+
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity on this platform")
+    run = run_python("-c", _ON_ONE_CPU, str(DEMO_CFG))
+    assert run.returncode == 0, run.stderr
+    started, *answer = json.loads(run.stdout)
+    assert started == 0
+    assert tuple(answer) == _PINNED["demo"]
 
 
 @pytest.mark.parametrize("fails", ["solve", "meanwhile"])
@@ -862,17 +883,10 @@ def test_a_child_forked_after_a_solve_solves():
     # and solves to the parent's answer, where a stale thread handle would
     # wait forever
     import os
-    import subprocess
-    import sys
-
-    import constraints2d
 
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(constraints2d.__file__)))
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    run = subprocess.run([sys.executable, "-c", _FORK_AFTER_SOLVE], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_python("-c", _FORK_AFTER_SOLVE)
     assert run.returncode == 0, run.stderr
 
 
