@@ -395,6 +395,12 @@ def cmd_verify(cfg: RunConfig) -> int:
             return None
         return abs(greens_convolution_oracle(gauss, [(40.0, 0.0)])[0] - 0.5 * np.log(40.0))
 
+    def divergence_identity():
+        # the identity is checked on the nodes with r > 0.5, and r ends at R_max
+        if grid.R_max <= 0.5:
+            return None
+        return divergence_identity_residual(SingularTensorParams(1.0, 1.0, 0.5), grid)
+
     def cancellation():
         rng = np.random.default_rng(2024)
         worst = 0.0
@@ -426,8 +432,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ("poisson_log_coefficient_error", 4.0 * grid.h**2, log_coefficient),
         ("greens_farfield_error", 1e-3, greens_far),
         ("cancellation_identity", 1e-12, cancellation),
-        ("divergence_identity_error", 1e-10, lambda: divergence_identity_residual(
-            SingularTensorParams(1.0, 1.0, 0.5), grid)),
+        ("divergence_identity_error", 1e-10, divergence_identity),
         ("charge_roundtrip_error", 1e-6, charges),
         ("rho_eta_selection_condition", SELECTION_COND_LIMIT, selection),
     )

@@ -28,6 +28,7 @@ finite differences across it would dominate every error budget.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
@@ -162,11 +163,8 @@ class Grid:
 
     def __post_init__(self):
         validate_grid(self.K, self.N_r, self.R_max, self.delta)
-        try:
+        with _allocation(f"grid K = {self.K}, N_r = {self.N_r} is"):
             derived = self._derived()
-        except MemoryError as exc:  # numpy's "Unable to allocate ..."
-            raise InvalidResolution(
-                f"grid K = {self.K}, N_r = {self.N_r} is too large to allocate: {exc}") from None
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -252,6 +250,16 @@ def _is_real(x) -> bool:
 
 def _is_integer(n) -> bool:
     return not isinstance(n, bool) and isinstance(n, numbers.Integral)
+
+
+@contextlib.contextmanager
+def _allocation(what: str):
+    """numpy's MemoryError ("Unable to allocate ...") in the block as
+    InvalidResolution: `what` too large to allocate."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise InvalidResolution(f"{what} too large to allocate: {exc}") from None
 
 
 def validate_grid(K: int, N_r: int, R_max: float, delta: float) -> None:
@@ -487,7 +495,8 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
     """Sample a sum of Gaussian bumps through the dealiased angular transform.
 
     Raises UnresolvedSpec when a bump is narrower than 4 radial spacings near
-    its center (the transform would alias).
+    its center (the transform would alias), and InvalidResolution when the
+    grid's samples are too large to allocate.
     """
     for bump in bumps:
         rc = float(np.hypot(bump.x0, bump.y0))
@@ -495,10 +504,12 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
         if bump.w < 4.0 * local_dr:
             raise UnresolvedSpec(
                 f"bump width {bump.w} < 4 radial spacings ({4*local_dr:.3g}) near r={rc:.3g}")
-    x, y = (grid.r[:, None] * trig(grid.theta) for trig in (np.cos, np.sin))
-    f = ScalarField.from_samples(grid, _seed_samples("the summed bump samples are", lambda: sum(
-        (b.amp * np.exp(-((x - b.x0) ** 2 + (y - b.y0) ** 2) / b.w**2) for b in bumps if b.amp),
-        np.zeros((grid.N_r, grid.M)))))
+    with _allocation(f"the samples of grid K = {grid.K}, N_r = {grid.N_r} are"):
+        x, y = (grid.r[:, None] * trig(grid.theta) for trig in (np.cos, np.sin))
+        f = ScalarField.from_samples(grid, _seed_samples(
+            "the summed bump samples are", lambda: sum(
+                (b.amp * np.exp(-((x - b.x0) ** 2 + (y - b.y0) ** 2) / b.w**2)
+                 for b in bumps if b.amp), np.zeros((grid.N_r, grid.M)))))
     irregular = _mode_irregularity(f)
     if irregular:
         warnings.warn(irregular, stacklevel=2)

@@ -22,11 +22,25 @@ samples; it mirrors momentum.momentum_residual.
 
 from __future__ import annotations
 
+from . import _kernels
 from .elliptic import PoissonSolution, poisson_solve
 from .fields import ScalarField, SeedData, angular_modes
 from .momentum import SingularTensorParams, singular_factors
 
 __all__ = ["hamiltonian_rhs", "hamiltonian_residual", "solve_lambda"]
+
+
+@_kernels.twin("hamiltonian_source", "crrrpppp", new=1)
+def _hamiltonian_source(cr, hut, u11, u12, T, A, B, Q):
+    """cr (hut T - 2 (u11 A + u12 B)) - (A^2 + B^2) + Q on the samples."""
+    return cr * (hut * T - 2.0 * (u11 * A + u12 * B)) - (A * A + B * B) + Q
+
+
+@_kernels.twin("squares", "ppp", new=1)
+def _squares(A, B, T):
+    """A^2 + B^2 - (T/2)^2 on the samples."""
+    half_tau = 0.5 * T
+    return A * A + B * B - half_tau * half_tau
 
 
 def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> ScalarField:
@@ -42,9 +56,7 @@ def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> Sc
     """
     g = seed.grid
     cr, u11, u12, ut = singular_factors(params, g)
-    T, A, B = samples
-    S = (cr * (0.5 * ut * T - 2.0 * (u11 * A + u12 * B))
-         - (A * A + B * B) + seed.quarter_tau_squared)
+    S = _hamiltonian_source(cr, 0.5 * ut, u11, u12, *samples, seed.quarter_tau_squared)
     return ScalarField(g, angular_modes(g, S) - 0.5 * seed.energy_density.c)
 
 
@@ -61,9 +73,7 @@ def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField
     vanishes to the fixed-point tolerance on the interior rows.
     """
     g = seed.grid
-    A, B, T = full
-    half_tau = 0.5 * T
-    S = A * A + B * B - half_tau * half_tau
+    S = _squares(*full)
     lap = PoissonSolution(-alpha, lambda_tilde).reconstruct_laplacian()
     return ScalarField(g, lap.c + 0.5 * seed.energy_density.c + angular_modes(g, S))
 

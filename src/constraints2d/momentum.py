@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from . import operators as ops
 from .elliptic import _check_tail
 from .errors import GridMismatch, NearSingularSelection
@@ -207,7 +208,8 @@ def tau_singular_gradient(params: SingularTensorParams, grid: Grid):
 # step takes once per field for both sources: the whole pointwise expression
 # on the samples, one forward transform per output.  A sum of dealiased
 # products equals the dealiased sum, so this is the product-by-product
-# assembly up to rounding.
+# assembly up to rounding.  The pointwise passes are _kernels twins: compiled
+# loops, bitwise the numpy passes, where the library loads.
 # ----------------------------------------------------------------------------
 
 def _gradient_samples(grid: Grid, grad):
@@ -223,18 +225,21 @@ def state_samples(seed: SeedData, H_tilde: TracelessSymTensorField):
     return (seed.tau_samples, H_tilde.h11.to_samples(), H_tilde.h12.to_samples())
 
 
-def _lambda_gradient(grid: Grid, alpha: float, L1, L2):
-    """Samples of grad lambda for lambda = -alpha chi ln r + lambdatilde,
-    from the samples (L1, L2) of grad lambdatilde; the singular part is the
-    exact (chi ln r)' times (cos theta, sin theta), the ut rows of p and q."""
-    prof = -alpha * grid.dchiln[:, None]
-    return L1 + prof * grid.singular_rows[1, 2], L2 + prof * grid.singular_rows[2, 2]
+def _lambda_gradient(grid: Grid, alpha: float):
+    """(prof, c, s): grad lambda for lambda = -alpha chi ln r + lambdatilde
+    is grad lambdatilde + prof (c, s), with the column prof = -alpha (chi ln
+    r)' and the rows (c, s) = (cos theta, sin theta), the ut rows of p and q."""
+    return -alpha * grid.dchiln[:, None], grid.singular_rows[1, 2], grid.singular_rows[2, 2]
 
 
-def _h_dlambda(T, A, B, lam1, lam2):
-    """Samples of H_ij d_i lambda + (1/2) tau d_j lambda for H = (A, B) and
-    tau = T, overwriting the samples (lam1, lam2) of grad lambda: it runs next
-    to other live samples, so it allocates only its two outputs."""
+@_kernels.twin("h_dlambda", "icrrppppp", new=2)
+def _h_dlambda(negate, prof, c, s, L1, L2, T, A, B):
+    """Samples of H_ij d_i lambda + (1/2) tau d_j lambda, negated if negate,
+    for H = (A, B), tau = T and grad lambda = (L1, L2) + prof (c, s) (the
+    _lambda_gradient of the samples (L1, L2) of grad lambdatilde).  It runs
+    next to other live samples, so besides its two outputs it allocates only
+    the samples of grad lambda."""
+    lam1, lam2 = L1 + prof * c, L2 + prof * s
     P1, P2 = 0.5 * T, 0.5 * T
     P1 += A
     P1 *= lam1
@@ -244,6 +249,9 @@ def _h_dlambda(T, A, B, lam1, lam2):
     lam2 *= B
     P1 += lam2
     P2 += lam1
+    if negate:
+        np.negative(P1, out=P1)
+        np.negative(P2, out=P2)
     return P1, P2
 
 
@@ -253,25 +261,32 @@ def _state_source(seed: SeedData, alpha: float, grad, samples):
     half-spectra grad and the state_samples."""
     g = seed.grid
     L1, L2 = _gradient_samples(g, grad)
-    P1, P2 = _h_dlambda(*samples, *_lambda_gradient(g, alpha, L1, L2))
-    return (np.negative(P1, out=P1), np.negative(P2, out=P2)), (L1, L2)
+    return _h_dlambda(True, *_lambda_gradient(g, alpha), L1, L2, *samples), (L1, L2)
+
+
+@_kernels.twin("singular_source", "cccrrrppww")
+def _singular_source(cr, p4, q4, r1, u12, r2, L1, L2, P1, P2):
+    """Add (p4 - cr (L1 r1 + L2 u12), q4 - cr (L1 u12 - L2 r2)) to the
+    samples (P1, P2), in place.  One work array holds each term."""
+    S = L1 * r1
+    S += L2 * u12
+    S *= cr
+    P1 += np.subtract(p4, S, out=S)
+    np.multiply(L1, u12, out=S)
+    S -= L2 * r2
+    S *= cr
+    P2 += np.subtract(q4, S, out=S)
 
 
 def _add_singular_source(grid: Grid, L1, L2, params: SingularTensorParams, P1, P2):
     """Add to the samples (P1, P2), in place, the samples of the source terms
     linear in (b, p, q), from the samples (L1, L2) of grad lambdatilde:
     (p, q) chi'/4r - d_i lambdatilde (H_b + H_rho_eta)_ij
-    - (1/2) tau_sing d_j lambdatilde.  One work array holds each term."""
+    - (1/2) tau_sing d_j lambdatilde."""
     cr, u11, u12, ut = singular_factors(params, grid)
     quarter = grid.quarter_dchi_r[:, None]
-    S = L1 * (u11 + 0.5 * ut)
-    S += L2 * u12
-    S *= cr
-    P1 += np.subtract(params.p * quarter, S, out=S)
-    np.multiply(L1, u12, out=S)
-    S -= L2 * (u11 - 0.5 * ut)
-    S *= cr
-    P2 += np.subtract(params.q * quarter, S, out=S)
+    _singular_source(cr, params.p * quarter, params.q * quarter,
+                     u11 + 0.5 * ut, u12, u11 - 0.5 * ut, L1, L2, P1, P2)
 
 
 def momentum_rhs_f(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
@@ -353,16 +368,21 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
 # residual of the full momentum equation
 # ----------------------------------------------------------------------------
 
+@_kernels.twin("full_state", "crrrpww", new=1)
+def _full_state(cr, u11, u12, ut, T, A, B):
+    """A += cr u11 and B += cr u12 in place; returns T + cr ut."""
+    A += cr * u11
+    B += cr * u12
+    return T + cr * ut
+
+
 def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
                        params: SingularTensorParams):
     """Read-only (N_r, M) samples of the full h11, h12 and tau: the
     state_samples plus the closed-form singular parts H_b + H_rho_eta and
     tau_sing."""
-    cr, u11, u12, ut = singular_factors(params, seed.grid)
     T, h11, h12 = state_samples(seed, H_tilde)
-    h11 += cr * u11
-    h12 += cr * u12
-    tau = T + cr * ut
+    tau = _full_state(*singular_factors(params, seed.grid), T, h11, h12)
     for x in (h11, h12, tau):
         x.setflags(write=False)
     return h11, h12, tau
@@ -383,10 +403,10 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     """
     g = seed.grid
     h11, h12, tau = full
-    lam = _lambda_gradient(g, alpha, *_gradient_samples(
-        g, ops.gradient_coefficients(g.workspace, lambda_tilde.c)))
-    P1, P2 = (angular_modes(g, P) for P in _h_dlambda(tau, h11, h12, *lam))
-    del lam
+    L = _gradient_samples(g, ops.gradient_coefficients(g.workspace, lambda_tilde.c))
+    P1, P2 = (angular_modes(g, P) for P in _h_dlambda(False, *_lambda_gradient(g, alpha), *L,
+                                                       tau, h11, h12))
+    del L
     div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
     s1, s2 = singular_divergence_pair(params, g)
     ts1, ts2 = tau_singular_gradient(params, g)

@@ -330,6 +330,17 @@ def test_verify_delta_near_endpoint_warns(tmp_path, capsys):
     assert "delta = -0.95" in capsys.readouterr().err
 
 
+def test_verify_on_a_grid_within_r_one_half_leaves_out_the_divergence_identity(tmp_path):
+    # that identity is checked on the nodes with r > 0.5, none of which a
+    # grid with R_max = 0.5 has: the check does not apply, as the far-field
+    # Green's check does not below R_max = 45, and the other checks run
+    text = (open(os.path.join(CONFIGS, "demo.cfg")).read().replace("R_max = 100.0", "R_max = 0.5")
+            .replace("dir = out/demo", f"dir = {tmp_path}"))
+    assert cmd_verify(parse_config(text)) == 3
+    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())]
+    assert "divergence_identity_error" not in names and len(names) == 6
+
+
 def test_verify_under_resolved_fails(tmp_path):
     text = FULL.format(out=tmp_path).replace("N_r = 192", "N_r = 32")
     cfg = parse_config(text)
@@ -449,6 +460,23 @@ def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, command):
     assert run.returncode == 1, run.stderr
     assert run.stderr.startswith(
         "config error: grid K = 100000, N_r = 192 is too large to allocate:"), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_seed_samples_too_large_to_allocate_are_a_config_error(tmp_path, command):
+    # the grid of K = 2000, N_r = 100000 fits in 4 GiB, its (N_r, 4K)
+    # samples of 6 GiB each do not: numpy's MemoryError in sample_analytic
+    pytest.importorskip("resource")
+    path = tmp_path / "big.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out").replace("K = 12", "K = 2000")
+                    .replace("N_r = 192", "N_r = 100000").replace("R_max = 60.0", "R_max = 30.0"))
+    run = run_python("-m", "constraints2d.cli", command[0], str(path), *command[1:],
+                     env={"PYTHONWARNINGS": "error::RuntimeWarning", "OPENBLAS_NUM_THREADS": "1"},
+                     preexec_fn=_limit_address_space)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("config error: the samples of grid K = 2000, N_r = 100000 "
+                                 "are too large to allocate:"), run.stderr
     assert run.stderr.count("\n") == 1, run.stderr
 
 
@@ -693,7 +721,7 @@ def _edge_config_text(draw):
     lines = ["[grid]",
              f"K = {draw(st.integers(1, 8))}",
              f"N_r = {draw(st.sampled_from([8, 16, 17, 64]))}",
-             f"R_max = {draw(st.sampled_from([1.0, 2.0, 5.0, 30.0, 1e6, 1e78, 1.7e308]))}",
+             f"R_max = {draw(st.sampled_from([0.5, 1.0, 2.0, 5.0, 30.0, 1e6, 1e78, 1.7e308]))}",
              f"delta = {draw(st.sampled_from([-1e-12, -0.05, -0.95]))}",
              "[seed]",
              f"b = {draw(st.sampled_from([0.0, 50.0]))}"]
