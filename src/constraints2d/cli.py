@@ -36,7 +36,6 @@ from .fields import (
     Grid,
     ScalarField,
     _is_real,
-    _mode_irregularity,
     build_grid,
     format_bump,
     integrate,
@@ -201,33 +200,6 @@ def config_options(cfg: RunConfig) -> SolverOptions:
 # commands
 # ----------------------------------------------------------------------------
 
-def _delta_near_edge(delta: float) -> bool:
-    """delta within 0.1 of an end of (-1, 0), where the theory's inversion
-    constant degrades.  The computed answer does not: delta enters only the
-    stopping norm and the residual weights (on the demo data alpha moves by
-    3.7e-13 relative at delta = -0.05 and not at all at -0.95)."""
-    return delta < -0.9 or delta > -0.1
-
-
-# Fewer nodes than this on the cutoff ramp r in [1, 2] (about ln(3/2)/h) put
-# the demo seed's alpha 1e-3 to 4x off (README); R_max should clear twice the
-# larger of the ramp's end r = 2 and the seed's radius
-MIN_RAMP_NODES = 21
-R_MAX_MARGIN = 2.0
-
-
-def _ramp_nodes(grid: Grid) -> int:
-    return int(np.count_nonzero((grid.r >= 1.0) & (grid.r <= 2.0)))
-
-
-def _seed_radius(seed) -> float:
-    """The largest node radius at which a seed field has a mode coefficient
-    above double rounding of its largest (about |centre| + 6 widths of a bump)."""
-    sizes = (np.abs(f.c).max(axis=1) for f in (seed.udot, seed.u, seed.tau_tilde))
-    return max(float(seed.grid.r[s > np.finfo(float).eps * s.max()].max(initial=0.0))
-               for s in sizes)
-
-
 def _scalar_block(bundle, seed) -> dict:
     return {
         "alpha": bundle.alpha,
@@ -246,14 +218,8 @@ def _scalar_block(bundle, seed) -> dict:
         "pointwise_max_hamiltonian": bundle.residuals.pointwise_max_hamiltonian,
         "warnings": [name for name, hit in (
             ("alpha_nonpositive", bundle.alpha <= 0.0),  # a cone angle of 2 pi or more
-            ("delta_near_edge", _delta_near_edge(seed.grid.delta)),
-            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor),
-            # of the grid and the seed alone, known before the solve
-            ("under_resolved_core", _ramp_nodes(seed.grid) < MIN_RAMP_NODES),
-            ("r_max_near_cutoff",
-             seed.grid.R_max < R_MAX_MARGIN * max(2.0, _seed_radius(seed))),
-            ("seed_under_resolved",
-             any(_mode_irregularity(f) for f in (seed.udot, seed.u, seed.tau_tilde)))) if hit],
+            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor)) if hit]
+        + list(seed.warnings),
     }
 
 
@@ -265,6 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     opts = config_options(cfg)
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)
+    seed.warnings  # taken before the solve: a failed solve still warns of irregular data
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "solution.json")
     csvs = [os.path.join(cfg.output_dir, f"{name}.csv") for name in _FIELD_CSVS]
@@ -303,6 +270,10 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     grid = config_grid(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
+    # the unit-amplitude seed shape: its resolution warnings and leading-order constants
+    seed1 = config_seed(cfg, grid, amplitude=1.0)
+    for name in seed1.warnings:
+        print(f"warning: {name}", file=sys.stderr)
     rows = []
     status = 0
     for a in amplitudes:
@@ -322,8 +293,6 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
                      bundle.residuals.hamiltonian_residual_norm,
                      bundle.iterations))
 
-    # leading-order constants of the unit-amplitude seed shape
-    seed1 = config_seed(cfg, grid, amplitude=1.0)
     m1, m2 = seed1.momentum_density
     summary = _sweep_summary(rows, seed1.epsilon, integrate(m1), integrate(m2))
 
@@ -369,6 +338,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     applicable check under its name, as its value or as the SolverError it raised."""
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)  # a seed the grid cannot resolve is a config error
+    for name in seed.warnings:
+        print(f"warning: {name}", file=sys.stderr)
     os.makedirs(cfg.output_dir, exist_ok=True)
     gauss = ScalarField.from_mode(grid, 0, "cos", np.exp(-grid.r**2))  # mass pi: (1/2) ln r far out
 
@@ -452,10 +423,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             value = float(value)
             entry.update(value=value if np.isfinite(value) else None, passed=bool(value <= tol))
         checks.append(entry)
-    if _delta_near_edge(cfg.delta):
-        print(f"warning: delta = {cfg.delta} near the end of (-1,0); the theory's "
-              "inversion constant degrades there (delta enters only the stopping "
-              "norm and the residual weights, not the computed answer)", file=sys.stderr)
 
     with open(os.path.join(cfg.output_dir, "verify.json"), "w") as fh:
         json.dump(checks, fh, indent=2, sort_keys=True)

@@ -238,7 +238,8 @@ class Grid:
         """Grid.workspace: built on first use and freed with the grid."""
         from .operators import OperatorWorkspace
 
-        return OperatorWorkspace(self)
+        with _allocation(f"the operators of grid K = {self.K}, N_r = {self.N_r} are"):
+            return OperatorWorkspace(self)
 
     workspace = cached_property(_make_operators)
 
@@ -506,23 +507,15 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
                 f"bump width {bump.w} < 4 radial spacings ({4*local_dr:.3g}) near r={rc:.3g}")
     with _allocation(f"the samples of grid K = {grid.K}, N_r = {grid.N_r} are"):
         x, y = (grid.r[:, None] * trig(grid.theta) for trig in (np.cos, np.sin))
-        f = ScalarField.from_samples(grid, _seed_samples(
+        return ScalarField.from_samples(grid, _seed_samples(
             "the summed bump samples are", lambda: sum(
                 (b.amp * np.exp(-((x - b.x0) ** 2 + (y - b.y0) ** 2) / b.w**2)
                  for b in bumps if b.amp), np.zeros((grid.N_r, grid.M)))))
-    irregular = _mode_irregularity(f)
-    if irregular:
-        warnings.warn(irregular, stacklevel=2)
-    return f
 
 
 def _mode_irregularity(f: ScalarField, tol: float = 1e-8) -> str | None:
     """Mode-k coefficients must vanish like r^k at the inner edge: the message
-    naming the first mode that does not, or None.
-
-    Violations signal under-resolved data; they are diagnostic only
-    (sample_analytic warns of them, and a solve's seed_under_resolved).
-    """
+    naming the first mode that does not (under-resolved data), or None."""
     g = f.grid
     a, b = f.a, f.b
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
@@ -533,6 +526,33 @@ def _mode_irregularity(f: ScalarField, tol: float = 1e-8) -> str | None:
             return (f"mode-{k} coefficient at the inner node is {edge:.2e} "
                     f"(field scale {scale:.2e}): data may be under-resolved")
     return None
+
+
+# Fewer nodes than this on the cutoff ramp r in [1, 2] (about ln(3/2)/h) put
+# the demo seed's alpha 1e-3 to 4x off (README); R_max should clear twice the
+# larger of the ramp's end r = 2 and the seed's radius
+MIN_RAMP_NODES = 21
+R_MAX_MARGIN = 2.0
+
+
+def _resolution_warnings(seed: "SeedData") -> tuple[str, ...]:
+    """SeedData.warnings: the names, in a fixed order, of the rules of the grid
+    and the seed that hit (README); none refuses a grid, and each irregular
+    field is also a UserWarning.  The seed's radius is the largest node radius
+    where a field has a mode coefficient above double rounding of its largest
+    (about |centre| + 6 widths of a bump)."""
+    g, data = seed.grid, (seed.udot, seed.u, seed.tau_tilde)
+    irregular = [m for m in map(_mode_irregularity, data) if m]
+    for message in irregular:
+        warnings.warn(message, stacklevel=3)  # at the reader of SeedData.warnings
+    sizes = (np.abs(f.c).max(axis=1) for f in data)
+    radius = max(float(g.r[s > np.finfo(float).eps * s.max()].max(initial=0.0)) for s in sizes)
+    return tuple(name for name, hit in (
+        # where the theory's inversion constant degrades; the computed answer does not
+        ("delta_near_edge", g.delta < -0.9 or g.delta > -0.1),
+        ("under_resolved_core", np.count_nonzero((g.r >= 1.0) & (g.r <= 2.0)) < MIN_RAMP_NODES),
+        ("r_max_near_cutoff", g.R_max < R_MAX_MARGIN * max(2.0, radius)),
+        ("seed_under_resolved", bool(irregular))) if hit)
 
 
 # ----------------------------------------------------------------------------
@@ -726,6 +746,9 @@ class SeedData:
     @property
     def grid(self) -> Grid:
         return self.udot.grid
+
+    # taken on first use and kept; the Picard loop never reads it
+    warnings = cached_property(_resolution_warnings)
 
 
 def make_seed(udot: ScalarField, u: ScalarField, tau_tilde: ScalarField,

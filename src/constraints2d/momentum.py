@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from . import operators as ops
 from .elliptic import _check_tail
-from .errors import GridMismatch, NearSingularSelection
+from .errors import GridMismatch, InvalidResolution, NearSingularSelection
 from .fields import (
     Grid,
     ScalarField,
@@ -172,8 +172,12 @@ def divergence_identity_residual(params: SingularTensorParams, grid: Grid) -> fl
               + (rho chi'/4r)(cos eta, sin eta)   = (1/2) grad(rho cos(T-eta) chi/r),
 
     with all radial derivatives exact, so the returned number is pure algebra
-    plus rounding.
+    plus rounding.  A grid with no node beyond r = 0.5 (R_max <= 0.5) is
+    InvalidResolution.
     """
+    if grid.R_max <= 0.5:
+        raise InvalidResolution(f"the divergence identity needs nodes with r > 0.5, "
+                                f"got R_max = {grid.R_max!r}")
     hb1, hb2 = _complex_pair(grid, _div_Hb(params.b, grid))
     s31, s32 = _complex_pair(grid, _div_S3(params, grid))
     t1, t2 = tau_singular_gradient(params, grid)

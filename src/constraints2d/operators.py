@@ -57,7 +57,7 @@ import threading
 import numpy as np
 
 from .errors import SingularSystem
-from .fields import Grid, ScalarField, TracelessSymTensorField, l2_weight
+from .fields import Grid, ScalarField, TracelessSymTensorField, _allocation, l2_weight
 
 _OFFSETS = np.arange(-3, 4)  # the row bands B[j, i] = A[i, i + _OFFSETS[j]] of every operator
 _MAIN = 3                     # index of the main diagonal in _OFFSETS
@@ -323,11 +323,12 @@ class OperatorWorkspace:
         B[_MAIN, :, -1] += k / self.R_max
         B[:, k == 0, -1] = 0.0
         B[_MAIN, k == 0, -1] = 1.0
-        A = _csr(_transposed(B.reshape(len(_OFFSETS), -1)), descending=False)
-        try:
-            return splu(A)
-        except RuntimeError as exc:  # pragma: no cover
-            raise SingularSystem(f"block factorization failed: {exc}")
+        with _allocation(f"the factorization of {len(k)} blocks of {B.shape[2]} rows is"):
+            A = _csr(_transposed(B.reshape(len(_OFFSETS), -1)), descending=False)
+            try:
+                return splu(A)
+            except RuntimeError as exc:  # pragma: no cover
+                raise SingularSystem(f"block factorization failed: {exc}")
 
     def lap_solver(self, K: int):
         """Factorized L_k = lap_base - k^2/r^2 for the modes k = 0..K, with

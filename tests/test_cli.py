@@ -249,6 +249,99 @@ def test_under_resolved_seed_data_are_listed(tmp_path):
     assert "seed_under_resolved" in json.loads((tmp_path / "solution.json").read_text())["warnings"]
 
 
+# a config of each rule of SeedData.warnings, and the names it gives
+@pytest.mark.parametrize("case, expected", [
+    ("demo", ()),
+    ("full_delta_near_edge", ("delta_near_edge", "under_resolved_core")),  # 19 ramp nodes
+    ("demo_R_max_2", ("r_max_near_cutoff",)),
+    ("narrow_bump", ("seed_under_resolved",))])
+@pytest.mark.filterwarnings("ignore:mode-.*under-resolved:UserWarning")
+def test_solve_verify_and_sweep_name_the_seeds_warnings(tmp_path, capsys, case, expected):
+    from constraints2d.cli import config_grid, config_seed
+
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        demo = replace(parse_config(fh.read()), output_dir=str(tmp_path))
+    full = FULL.format(out=tmp_path)
+    cfg = {"demo": demo,
+           "full_delta_near_edge": replace(parse_config(full), delta=-0.95),
+           "demo_R_max_2": replace(demo, R_max=2.0, N_r=512),
+           "narrow_bump": parse_config(
+               full.replace("K = 12", "K = 4").replace("N_r = 192", "N_r = 512")
+               .replace("u = gauss amp=0.1 x0=0.5 y0=0.2 w=1.0",
+                        "u = gauss amp=0.1 x0=0.5 y0=0.2 w=0.2"))}[case]
+    assert config_seed(cfg, config_grid(cfg)).warnings == expected
+
+    def stderr_names():
+        return tuple(line.removeprefix("warning: ") for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("warning: "))
+
+    capsys.readouterr()
+    assert cmd_solve(cfg) == 0
+    listed = json.loads((tmp_path / "solution.json").read_text())["warnings"]
+    solve_names = [n for n in listed if n in ("alpha_nonpositive", "converged_at_rounding_floor")]
+    assert listed == solve_names + list(expected)
+    assert stderr_names() == ()  # solve writes them to solution.json only
+    assert cmd_verify(cfg) in (0, 3)
+    assert stderr_names() == expected
+    assert cmd_sweep(cfg, [0.0]) == 0
+    assert stderr_names() == expected
+
+
+def test_a_solve_takes_the_irregularity_rule_once_per_seed_field(tmp_path, monkeypatch):
+    # every call of fields._mode_irregularity, under whichever name it is made
+    import sys
+
+    from constraints2d import cli, fields
+
+    code, checked, seeds = fields._mode_irregularity.__code__, [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            checked.append(frame.f_locals["f"])
+
+    config_seed = cli.config_seed
+    monkeypatch.setattr(cli, "config_seed",
+                        lambda *args, **kw: seeds.append(config_seed(*args, **kw)) or seeds[-1])
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        cfg = replace(parse_config(fh.read()), output_dir=str(tmp_path))
+    sys.setprofile(profile)
+    try:
+        assert cmd_solve(cfg) == 0
+    finally:
+        sys.setprofile(None)
+    (seed,) = seeds
+    assert [id(f) for f in checked] == [id(f) for f in (seed.udot, seed.u, seed.tau_tilde)]
+
+
+def test_an_allocation_failure_is_invalid_resolution_with_a_documented_exit(
+        tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError, raised in place of a real allocation
+    from constraints2d import operators
+    from constraints2d.errors import InvalidResolution
+    from constraints2d.fields import build_grid
+
+    def unable(*args):
+        raise MemoryError("Unable to allocate")
+
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    # the workspace, built with the seed: a config error
+    with monkeypatch.context() as m:
+        m.setattr(operators, "OperatorWorkspace", unable)
+        with pytest.raises(InvalidResolution, match="operators of grid K = 8, N_r = 64 are too "
+                                                    "large to allocate"):
+            build_grid(8, 64, 30.0, -0.5).workspace
+        assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: the operators of grid K = 8, N_r = 128 are too large to allocate")
+    # a factorization of the solve: a failed solve, with its error record
+    monkeypatch.setattr(operators, "splu", unable)
+    assert main(["solve", str(path)]) == 2
+    record = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert record["error"] == "InvalidResolution"
+    assert "factorization of 16 blocks of 128 rows is too large to allocate" in record["message"]
+
+
 def test_solve_large_amplitude_exit2(tmp_path):
     text = FULL.format(out=tmp_path).replace("amp=0.1", "amp=10.0")
     cfg = parse_config(text)
@@ -327,7 +420,7 @@ def test_verify_delta_near_endpoint_warns(tmp_path, capsys):
     text = FULL.format(out=tmp_path).replace("delta = -0.5", "delta = -0.95")
     cfg = parse_config(text)
     assert cmd_verify(cfg) == 0
-    assert "delta = -0.95" in capsys.readouterr().err
+    assert "warning: delta_near_edge" in capsys.readouterr().err.splitlines()
 
 
 def test_verify_on_a_grid_within_r_one_half_leaves_out_the_divergence_identity(tmp_path):
@@ -749,7 +842,8 @@ def test_main_on_edge_configs_returns_a_documented_exit_code(text):
 def _assert_core_warning_iff_below_the_ramp_minimum(path):
     """A solve that exited 0 lists under_resolved_core exactly when its grid
     holds fewer nodes on the cutoff ramp r in [1, 2] than the minimum."""
-    from constraints2d.cli import MIN_RAMP_NODES, config_grid
+    from constraints2d.cli import config_grid
+    from constraints2d.fields import MIN_RAMP_NODES
 
     with open(path) as fh:
         cfg = parse_config(fh.read())

@@ -19,7 +19,7 @@ from constraints2d.fields import (
     multiply,
     sample_analytic,
 )
-from constraints2d.errors import NearSingularSelection
+from constraints2d.errors import InvalidResolution, NearSingularSelection
 from constraints2d.momentum import (
     SELECTION_COND_LIMIT,
     SingularTensorParams,
@@ -112,6 +112,13 @@ def test_divergence_identities_exact(grid):
     for params in (SingularTensorParams(1, 0, 0), SingularTensorParams(0, 1, 0),
                    SingularTensorParams(0.7, -1.2, 0.5)):
         assert divergence_identity_residual(params, grid) < 1e-12
+
+
+def test_divergence_identity_without_nodes_beyond_one_half_is_invalid_resolution():
+    # the identity is checked on the nodes with r > 0.5; R_max = 0.5 has none
+    grid = build_grid(8, 64, 0.5, -0.5)
+    with pytest.raises(InvalidResolution, match="R_max = 0.5"):
+        divergence_identity_residual(SingularTensorParams(1.0, 1.0, 0.5), grid)
 
 
 # ----------------------------------------------------------------------------
