@@ -13,10 +13,8 @@
 #include <stddef.h>
 
 /* momentum._h_dlambda: with grad lambda = (L1 + prof_i c_j, L2 + prof_i s_j),
- *   P1 = (T/2 + A) lam1 + lam2 B,  P2 = (T/2 - A) lam2 + lam1 B,
- * negated when negate is nonzero. */
-void h_dlambda(ptrdiff_t n, ptrdiff_t m, int negate,
-               const double *prof, const double *c, const double *s,
+ *   P1 = -((T/2 + A) lam1 + lam2 B),  P2 = -((T/2 - A) lam2 + lam1 B). */
+void h_dlambda(ptrdiff_t n, ptrdiff_t m, const double *prof, const double *c, const double *s,
                const double *L1, const double *L2,
                const double *T, const double *A, const double *B,
                double *P1, double *P2)
@@ -27,10 +25,8 @@ void h_dlambda(ptrdiff_t n, ptrdiff_t m, int negate,
             double lam1 = L1[k] + prof[i] * c[j];
             double lam2 = L2[k] + prof[i] * s[j];
             double h = 0.5 * T[k];
-            double p1 = (h + A[k]) * lam1 + lam2 * B[k];
-            double p2 = (h - A[k]) * lam2 + lam1 * B[k];
-            P1[k] = negate ? -p1 : p1;
-            P2[k] = negate ? -p2 : p2;
+            P1[k] = -((h + A[k]) * lam1 + lam2 * B[k]);
+            P2[k] = -((h - A[k]) * lam2 + lam1 * B[k]);
         }
     }
 }

@@ -27,7 +27,6 @@ printed; compiled() tells which path runs.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import stat
 import sys
@@ -42,9 +41,9 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CFLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 # Argument kinds of a layout, in the order of the loop's arguments after
-# (N_r, M): i an int flag, c a column (N_r, 1), r a row (M,), p a plane
-# (N_r, M) read, w a plane updated in place; the loop's last arguments are
-# its `new` output planes.
+# (N_r, M): c a column (N_r, 1), r a row (M,), p a plane (N_r, M) read, w a
+# plane updated in place; the loop's last arguments are its `new` output
+# planes.
 _passes: dict = {}   # name: (layout, new, numpy pass)
 _loops = None        # name: compiled loop once loaded, {} where numpy serves
 _lock = threading.Lock()
@@ -83,17 +82,12 @@ def _call(loop, layout: str, new: int, args):
     except (AttributeError, ValueError):  # not an array, or not 2-d
         return None
     shapes = {"c": (n, 1), "r": (m,), "p": (n, m), "w": (n, m)}
-    values = []
-    for x, kind in zip(args, layout):
-        if kind == "i":
-            values.append(int(x))
-        elif (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == shapes[kind]
-              and x.flags.c_contiguous and (kind != "w" or x.flags.writeable)):
-            values.append(x.ctypes.data)
-        else:
-            return None
+    if not all(isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == shapes[kind]
+               and x.flags.c_contiguous and (kind != "w" or x.flags.writeable)
+               for x, kind in zip(args, layout)):
+        return None
     out = [np.empty((n, m)) for _ in range(new)]
-    loop(n, m, *values, *(x.ctypes.data for x in out))
+    loop(n, m, *(x.ctypes.data for x in (*args, *out)))
     return out
 
 
@@ -132,9 +126,7 @@ def _library() -> dict:
     for name, (layout, new, _) in _passes.items():
         loop = loops[name] = getattr(lib, name)
         loop.restype = None
-        loop.argtypes = ([ctypes.c_ssize_t] * 2
-                         + [ctypes.c_int if k == "i" else ctypes.c_void_p for k in layout]
-                         + [ctypes.c_void_p] * new)
+        loop.argtypes = [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * (len(layout) + new)
     return loops
 
 
@@ -173,22 +165,18 @@ _PROBE_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -3e-160, 0.1, -1
 
 
 def _probe(loop, layout: str, new: int, numpy_pass) -> bool:
-    """Whether loop gives the bytes of its numpy pass, on a (4, 16) input
-    and at every flag setting: element k of argument j is probe value
-    (j + 1) k + j, so that no two arguments run through the values in step."""
+    """Whether loop gives the bytes of its numpy pass on a (4, 16) input:
+    element k of argument j is probe value (j + 1) k + j, so that no two
+    arguments run through the values in step."""
     shapes = {"c": (4, 1), "r": (16,), "p": (4, 16), "w": (4, 16)}
-    for flags in itertools.product((0, 1), repeat=layout.count("i")):
-        results = []
-        for run in (lambda *a: _call(loop, layout, new, a), numpy_pass):
-            flag = iter(flags)
-            args = [next(flag) if kind == "i" else _PROBE_VALUES[
-                        ((j + 1) * np.arange(np.prod(shapes[kind])) + j) % len(_PROBE_VALUES)
-                    ].reshape(shapes[kind]) for j, kind in enumerate(layout)]
-            with np.errstate(all="ignore"):
-                out = run(*args)
-            out = (out,) if new == 1 and run is numpy_pass else out or ()
-            written = [a for a, kind in zip(args, layout) if kind == "w"]
-            results.append([x.tobytes() for x in (*out, *written)])
-        if results[0] != results[1]:
-            return False
-    return True
+    results = []
+    for run in (lambda *a: _call(loop, layout, new, a), numpy_pass):
+        args = [_PROBE_VALUES[((j + 1) * np.arange(np.prod(shapes[kind])) + j)
+                              % len(_PROBE_VALUES)].reshape(shapes[kind])
+                for j, kind in enumerate(layout)]
+        with np.errstate(all="ignore"):
+            out = run(*args)
+        out = (out,) if new == 1 and run is numpy_pass else out or ()
+        written = [a for a, kind in zip(args, layout) if kind == "w"]
+        results.append([x.tobytes() for x in (*out, *written)])
+    return results[0] == results[1]

@@ -277,10 +277,10 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     rows = []
     status = 0
     for a in amplitudes:
-        seed = config_seed(cfg, grid, amplitude=a)
         if a == 0.0:
             rows.append((a, 0.0, 0.0, 0.0, 0.0, 0.0, 1))
             continue
+        seed = config_seed(cfg, grid, amplitude=a)
         try:
             bundle = solve_constraints(seed, opts)
         except SolverError as exc:

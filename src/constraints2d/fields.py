@@ -255,8 +255,9 @@ def _is_integer(n) -> bool:
 
 @contextlib.contextmanager
 def _allocation(what: str):
-    """numpy's MemoryError ("Unable to allocate ...") in the block as
-    InvalidResolution: `what` too large to allocate."""
+    """numpy's MemoryError ("Unable to allocate ...") in the block, or in
+    the function it decorates, as InvalidResolution: `what` too large to
+    allocate."""
     try:
         yield
     except MemoryError as exc:
@@ -513,7 +514,7 @@ def sample_analytic(bumps: Sequence[GaussianBump], grid: Grid) -> ScalarField:
                  for b in bumps if b.amp), np.zeros((grid.N_r, grid.M)))))
 
 
-def _mode_irregularity(f: ScalarField, tol: float = 1e-8) -> str | None:
+def _mode_irregularity(f: ScalarField) -> str | None:
     """Mode-k coefficients must vanish like r^k at the inner edge: the message
     naming the first mode that does not (under-resolved data), or None."""
     g = f.grid
@@ -522,7 +523,7 @@ def _mode_irregularity(f: ScalarField, tol: float = 1e-8) -> str | None:
     for k in range(1, g.K + 1):
         edge = max(abs(a[k, 0]), abs(b[k, 0]))
         # regular behavior bounds the first-node coefficient well below the peak
-        if edge > tol * scale and edge / 10.0 > scale * g.r[0] ** min(k, 30):
+        if edge > 1e-8 * scale and edge / 10.0 > scale * g.r[0] ** min(k, 30):
             return (f"mode-{k} coefficient at the inner node is {edge:.2e} "
                     f"(field scale {scale:.2e}): data may be under-resolved")
     return None
@@ -700,7 +701,8 @@ class SeedData:
     log_coefficient source_log_coefficient, the read-only (N_r, M) samples
     tau_samples of tau_tilde and quarter_tau_squared of tau_tilde^2 / 4, and
     epsilon = int energy_density.  A b that is not a finite real number, or
-    data too large (_seed_samples), is a ValidationError; b is kept as a float."""
+    data too large (_seed_samples), is a ValidationError, and arrays too large
+    to allocate are InvalidResolution; b is kept as a float."""
 
     udot: ScalarField
     u: ScalarField
@@ -714,6 +716,7 @@ class SeedData:
     quarter_tau_squared: np.ndarray = field(init=False, repr=False)
     epsilon: float = field(init=False)
 
+    @_allocation("the seed's densities and sources are")
     def __post_init__(self):
         if not (_is_real(self.b) and math.isfinite(self.b)):
             raise ValidationError(f"b must be a finite real number, got {self.b!r}")

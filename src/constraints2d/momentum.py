@@ -236,13 +236,13 @@ def _lambda_gradient(grid: Grid, alpha: float):
     return -alpha * grid.dchiln[:, None], grid.singular_rows[1, 2], grid.singular_rows[2, 2]
 
 
-@_kernels.twin("h_dlambda", "icrrppppp", new=2)
-def _h_dlambda(negate, prof, c, s, L1, L2, T, A, B):
-    """Samples of H_ij d_i lambda + (1/2) tau d_j lambda, negated if negate,
-    for H = (A, B), tau = T and grad lambda = (L1, L2) + prof (c, s) (the
-    _lambda_gradient of the samples (L1, L2) of grad lambdatilde).  It runs
-    next to other live samples, so besides its two outputs it allocates only
-    the samples of grad lambda."""
+@_kernels.twin("h_dlambda", "crrppppp", new=2)
+def _h_dlambda(prof, c, s, L1, L2, T, A, B):
+    """Samples of -(H_ij d_i lambda + (1/2) tau d_j lambda), the sign the
+    momentum source carries, for H = (A, B), tau = T and grad lambda = (L1,
+    L2) + prof (c, s) (the _lambda_gradient of the samples (L1, L2) of grad
+    lambdatilde).  It runs next to other live samples, so besides its two
+    outputs it allocates only the samples of grad lambda."""
     lam1, lam2 = L1 + prof * c, L2 + prof * s
     P1, P2 = 0.5 * T, 0.5 * T
     P1 += A
@@ -253,9 +253,8 @@ def _h_dlambda(negate, prof, c, s, L1, L2, T, A, B):
     lam2 *= B
     P1 += lam2
     P2 += lam1
-    if negate:
-        np.negative(P1, out=P1)
-        np.negative(P2, out=P2)
+    np.negative(P1, out=P1)
+    np.negative(P2, out=P2)
     return P1, P2
 
 
@@ -265,7 +264,7 @@ def _state_source(seed: SeedData, alpha: float, grad, samples):
     half-spectra grad and the state_samples."""
     g = seed.grid
     L1, L2 = _gradient_samples(g, grad)
-    return _h_dlambda(True, *_lambda_gradient(g, alpha), L1, L2, *samples), (L1, L2)
+    return _h_dlambda(*_lambda_gradient(g, alpha), L1, L2, *samples), (L1, L2)
 
 
 @_kernels.twin("singular_source", "cccrrrppww")
@@ -400,23 +399,24 @@ def momentum_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField,
     lambda = -alpha chi ln r + lambdatilde and the full H and tau given as
     full = full_state_samples(seed, Htilde, params).
 
-    The terms in d lambda are one pass on the samples; closed-form singular
-    parts are differentiated analytically, the stored tilde tensor minus its
-    band part discretely.  At a converged state the result vanishes to
-    factorization accuracy on the interior rows.
+    The terms in d lambda are one pass on the samples, _h_dlambda, whose
+    result P carries the source's minus sign: the residual subtracts P.
+    Closed-form singular parts are differentiated analytically, the stored
+    tilde tensor minus its band part discretely.  At a converged state the
+    result vanishes to factorization accuracy on the interior rows.
     """
     g = seed.grid
     h11, h12, tau = full
     L = _gradient_samples(g, ops.gradient_coefficients(g.workspace, lambda_tilde.c))
-    P1, P2 = (angular_modes(g, P) for P in _h_dlambda(False, *_lambda_gradient(g, alpha), *L,
-                                                       tau, h11, h12))
+    P1, P2 = (angular_modes(g, P)
+              for P in _h_dlambda(*_lambda_gradient(g, alpha), *L, tau, h11, h12))
     del L
     div1, div2 = ops.divergence(H_tilde - band_tensor(params, g))
     s1, s2 = singular_divergence_pair(params, g)
     ts1, ts2 = tau_singular_gradient(params, g)
     f1, f2 = seed.momentum_source
-    r1 = div1.c + s1.c + P1 - f1.c - 0.5 * ts1.c
-    r2 = div2.c + s2.c + P2 - f2.c - 0.5 * ts2.c
+    r1 = div1.c + s1.c - P1 - f1.c - 0.5 * ts1.c
+    r2 = div2.c + s2.c - P2 - f2.c - 0.5 * ts2.c
     return ScalarField(g, r1), ScalarField(g, r2)
 
 

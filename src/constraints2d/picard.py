@@ -48,6 +48,7 @@ from .fields import (
     ScalarField,
     SeedData,
     TracelessSymTensorField,
+    _allocation,
     _is_integer,
     _is_real,
     multiply,  # noqa: F401  unused; the benchmark's tracing test wraps picard.multiply
@@ -157,9 +158,11 @@ def combined_norm(state: IterState) -> float:
     return _terms_norm(state.lambda_tilde.grid.workspace, state.alpha, state.norm_terms)
 
 
+@_allocation("the arrays of a Picard step are")
 def picard_step(state: IterState, seed: SeedData):
     """One application of the solution map; returns (next_state, p, q).  A
-    field that is not finite (data too large) raises DivergenceDetected."""
+    field that is not finite (data too large) raises DivergenceDetected, and
+    arrays too large to allocate InvalidResolution."""
     samples = state_samples(seed, state.H_tilde)
     hamiltonian = []  # (alpha', lambdatilde')
     try:
@@ -190,6 +193,7 @@ def _stopping_tests(n: float, d: float, growing: bool, first_norm: float,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@_allocation("the arrays of the solve are")
 def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> SolutionBundle:
     """Iterate the map from the zero state until the combined norm settles.
 
@@ -208,7 +212,8 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     the first iterate's n_1; with a relative slack of 1e-12 for the rounding
     of the sums, the tests are decided on that interval's ends, and only a
     test whose ends disagree needs combined_norm.  Overflow, with numpy's
-    warnings off, ends in DivergenceDetected or NearSingularSelection.
+    warnings off, ends in DivergenceDetected or NearSingularSelection, and
+    arrays too large to allocate in InvalidResolution.
     """
     opts = opts or SolverOptions()
     if seed.epsilon > opts.epsilon_threshold:
@@ -275,6 +280,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     return replace(bundle, residuals=residuals(bundle, seed))
 
 
+@_allocation("the arrays of the residual report are")
 def residuals(bundle: SolutionBundle, seed: SeedData) -> ResidualReport:
     """Norms of both constraint residuals at the bundle.
 

@@ -316,7 +316,7 @@ def test_a_solve_takes_the_irregularity_rule_once_per_seed_field(tmp_path, monke
 def test_an_allocation_failure_is_invalid_resolution_with_a_documented_exit(
         tmp_path, monkeypatch, capsys):
     # numpy's MemoryError, raised in place of a real allocation
-    from constraints2d import operators
+    from constraints2d import fields, operators
     from constraints2d.errors import InvalidResolution
     from constraints2d.fields import build_grid
 
@@ -334,12 +334,64 @@ def test_an_allocation_failure_is_invalid_resolution_with_a_documented_exit(
         assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().err.startswith(
         "config error: the operators of grid K = 8, N_r = 128 are too large to allocate")
+    # the seed's densities and sources: a config error too
+    with monkeypatch.context() as m:
+        m.setattr(fields, "integrate", unable)
+        assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == ("config error: the seed's densities and sources are too "
+                                       "large to allocate: Unable to allocate\n")
     # a factorization of the solve: a failed solve, with its error record
     monkeypatch.setattr(operators, "splu", unable)
     assert main(["solve", str(path)]) == 2
     record = json.loads((tmp_path / "out" / "solution.json").read_text())
     assert record["error"] == "InvalidResolution"
     assert "factorization of 16 blocks of 128 rows is too large to allocate" in record["message"]
+
+
+@pytest.mark.parametrize("where, what", [
+    ("state_samples", "the arrays of a Picard step"),
+    ("combined_norm", "the arrays of the solve"),
+    ("momentum_residual", "the arrays of the residual report")],
+    ids=["step", "norms", "report"])
+def test_a_solve_array_out_of_memory_is_invalid_resolution(tmp_path, monkeypatch, where, what):
+    # numpy's MemoryError, raised in place of a real allocation, in a Picard
+    # step, the norms or the residual report: a failed solve, a NaN sweep
+    # row, and a failed verify check
+    from constraints2d import picard
+
+    def unable(*args):
+        raise MemoryError("Unable to allocate")
+
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    monkeypatch.setattr(picard, where, unable)
+    assert main(["solve", str(path)]) == 2
+    record = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert record["error"] == "InvalidResolution"
+    assert record["message"] == f"{what} are too large to allocate: Unable to allocate"
+    assert main(["sweep", str(path), "--amplitudes", "0,0.1"]) == 2
+    rows = [line.split(",") for line in (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+            if line and not line.startswith(("a,", "#"))]
+    assert rows[1][1:4] == ["nan", "nan", "nan"] and rows[1][6] == "-1"
+    if where == "state_samples":  # verify's selection check takes one Picard step
+        assert main(["verify", str(path)]) == 3
+        checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "verify.json").read_text())}
+        assert checks["rho_eta_selection_condition"]["raised"] == "InvalidResolution"
+
+
+def test_sweep_builds_no_seed_at_zero_amplitude(tmp_path, monkeypatch):
+    # the zero row needs no seed; the unit-amplitude seed, built first, gives
+    # the warnings, the constants and any config error of the seed
+    from constraints2d import cli
+
+    amplitudes = []
+    config_seed = cli.config_seed
+    monkeypatch.setattr(cli, "config_seed", lambda cfg, grid, amplitude=1.0: (
+        amplitudes.append(amplitude) or config_seed(cfg, grid, amplitude)))
+    path = tmp_path / "run.cfg"
+    path.write_text(FULL.format(out=tmp_path / "out"))
+    assert main(["sweep", str(path), "--amplitudes", "0,0.1"]) == 0
+    assert amplitudes == [1.0, 0.1]
 
 
 def test_solve_large_amplitude_exit2(tmp_path):

@@ -66,14 +66,14 @@ def _samples(rng, shape):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(_kernels._passes)), K=st.integers(4, 32),
-       N_r=st.integers(16, 80), flag=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
-def test_each_loop_gives_the_bytes_of_its_numpy_pass(loops, name, K, N_r, flag, seed):
+       N_r=st.integers(16, 80), seed=st.integers(0, 2**32 - 1))
+def test_each_loop_gives_the_bytes_of_its_numpy_pass(loops, name, K, N_r, seed):
     # overflow included: inf and nan at the same places, every other
     # element bitwise equal
     layout, new, numpy_pass = _kernels._passes[name]
     shapes = {"c": (N_r, 1), "r": (4 * K,), "p": (N_r, 4 * K), "w": (N_r, 4 * K)}
     rng = np.random.default_rng(seed)
-    args = [flag if kind == "i" else _samples(rng, shapes[kind]) for kind in layout]
+    args = [_samples(rng, shapes[kind]) for kind in layout]
     copies = [a.copy() if kind == "w" else a for a, kind in zip(args, layout)]
     with np.errstate(all="ignore"):
         out = _kernels._call(loops[name], layout, new, args)

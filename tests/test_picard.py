@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -723,6 +724,14 @@ _PINNED = {
                 "0x1.c499146473264p-4", "0x1.43b8a76204c23p-3", "0x1.cda53b2122e4dp-4",
                 "0x1.3ea9b9d33b74ap-3", "0x1.eb0be08db3418p-4"]),
 }
+# the residual report's (momentum norm, Hamiltonian norm, pointwise max
+# momentum, pointwise max Hamiltonian) of the solves pinned above
+_PINNED_RESIDUALS = {
+    "demo": ["0x1.f388b47035dfep-44", "0x1.718ccb223c241p-45", "0x1.1f28e46bc2996p-47",
+             "0x1.4759bd97f0d5dp-48"],
+    "strong": ["0x1.86267d2b26d91p-38", "0x1.52a6462f8dc8ap-42", "0x1.0c165441d315fp-41",
+               "0x1.aac3ac07a2799p-44"],
+}
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "solve_thread"])
@@ -749,6 +758,7 @@ def test_solve_thread_and_inline_solve_give_the_pinned_answers(case, cpus, demo_
     assert len(handed) == (b.iterations if len(cpus) > 1 else 0)
     assert ([b.alpha.hex(), b.p.hex(), b.q.hex()],
             [x.hex() for x in b.contraction_ratios]) == _PINNED[case]
+    assert [x.hex() for x in astuple(b.residuals)] == _PINNED_RESIDUALS[case]
 
 
 _ON_ONE_CPU = """
