@@ -35,6 +35,7 @@ from .fields import (
     GaussianBump,
     Grid,
     ScalarField,
+    _allocation,
     _is_real,
     build_grid,
     format_bump,
@@ -237,6 +238,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     csvs = [os.path.join(cfg.output_dir, f"{name}.csv") for name in _FIELD_CSVS]
     try:
         bundle = solve_constraints(seed, opts)
+        with _allocation("the output fields are"):
+            params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
+            tau_breve = singular_tensors(params, grid)[2] + seed.tau_tilde
+            for f, path in zip((bundle.lambda_tilde, bundle.H_tilde.h11, bundle.H_tilde.h12,
+                                tau_breve), csvs):
+                write_field_csv(f, path)
     except SolverError as exc:
         with open(out, "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc),
@@ -249,11 +256,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     with open(out, "w") as fh:
         json.dump(_scalar_block(bundle, seed), fh, indent=2, sort_keys=True)
-    params = SingularTensorParams(b=seed.b, p=bundle.p, q=bundle.q)
-    tau_breve = singular_tensors(params, grid)[2] + seed.tau_tilde
-    for f, path in zip((bundle.lambda_tilde, bundle.H_tilde.h11, bundle.H_tilde.h12,
-                        tau_breve), csvs):
-        write_field_csv(f, path)
     return 0
 
 
@@ -335,7 +337,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the identity/oracle battery on the configured grid: one table of
     (name, tolerance, check), where check() returns the value, or None where
     the check does not apply to this grid, and one loop that records each
-    applicable check under its name, as its value or as the SolverError it raised."""
+    applicable check under its name, as its value or as the SolverError it raised
+    (numpy's MemoryError as InvalidResolution)."""
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)  # a seed the grid cannot resolve is a config error
     for name in seed.warnings:
@@ -411,7 +414,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     for name, tol, check in table:
         entry = {"name": name, "tolerance": float(tol)}
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+                  _allocation(f"the arrays of check {name} are")):
                 value = check()
         except SolverError as exc:  # a solver failure fails its check
             print(f"check {name} raised: {exc}", file=sys.stderr)

@@ -241,21 +241,9 @@ def _h_dlambda(prof, c, s, L1, L2, T, A, B):
     """Samples of -(H_ij d_i lambda + (1/2) tau d_j lambda), the sign the
     momentum source carries, for H = (A, B), tau = T and grad lambda = (L1,
     L2) + prof (c, s) (the _lambda_gradient of the samples (L1, L2) of grad
-    lambdatilde).  It runs next to other live samples, so besides its two
-    outputs it allocates only the samples of grad lambda."""
+    lambdatilde)."""
     lam1, lam2 = L1 + prof * c, L2 + prof * s
-    P1, P2 = 0.5 * T, 0.5 * T
-    P1 += A
-    P1 *= lam1
-    P2 -= A
-    P2 *= lam2
-    lam1 *= B
-    lam2 *= B
-    P1 += lam2
-    P2 += lam1
-    np.negative(P1, out=P1)
-    np.negative(P2, out=P2)
-    return P1, P2
+    return -((0.5 * T + A) * lam1 + lam2 * B), -((0.5 * T - A) * lam2 + lam1 * B)
 
 
 def _state_source(seed: SeedData, alpha: float, grad, samples):
@@ -270,15 +258,9 @@ def _state_source(seed: SeedData, alpha: float, grad, samples):
 @_kernels.twin("singular_source", "cccrrrppww")
 def _singular_source(cr, p4, q4, r1, u12, r2, L1, L2, P1, P2):
     """Add (p4 - cr (L1 r1 + L2 u12), q4 - cr (L1 u12 - L2 r2)) to the
-    samples (P1, P2), in place.  One work array holds each term."""
-    S = L1 * r1
-    S += L2 * u12
-    S *= cr
-    P1 += np.subtract(p4, S, out=S)
-    np.multiply(L1, u12, out=S)
-    S -= L2 * r2
-    S *= cr
-    P2 += np.subtract(q4, S, out=S)
+    samples (P1, P2), in place."""
+    P1 += p4 - (L1 * r1 + L2 * u12) * cr
+    P2 += q4 - (L1 * u12 - L2 * r2) * cr
 
 
 def _add_singular_source(grid: Grid, L1, L2, params: SingularTensorParams, P1, P2):
@@ -319,8 +301,8 @@ def div_constraint_solve(f1: ScalarField, f2: ScalarField, meanwhile=None):
     theta + phi; K_tilde is K minus that closed form (it keeps the compactly
     supported chi'ln r band remainder of the potential's log part).
     meanwhile, if given, is called with no arguments on the calling thread
-    while the potential's block solve runs, on a second core when the
-    process may use one (operators.solve_beside).
+    while the potential's block solve runs on the solve thread
+    (operators.solve_beside).
     """
     if f1.grid is not f2.grid:
         raise GridMismatch("source components on different grids")

@@ -42,8 +42,7 @@ one call, with the real and imaginary parts as two right-hand-side columns.
 Solve thread: SuperLU's solve releases the GIL, so a caller with other work
 to do meanwhile (the Picard step's Hamiltonian branch, beside the momentum
 solve) hands the solve to one thread that runs block solves, started on
-first use when the process may run on two or more CPUs; on one CPU the solve
-runs inline.  Factorizations are made, and freed, on the calling thread only.
+first use.  Factorizations are made, and freed, on the calling thread only.
 """
 
 from __future__ import annotations
@@ -184,13 +183,6 @@ if _gstrf is not None:
 # the solve thread
 # ----------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _serve(tasks: queue.SimpleQueue) -> None:
     """The solve thread: run each task (solve, rhs, reply), putting
     (solve(rhs), None) or (None, the exception) on reply.  It drops the task
@@ -237,15 +229,11 @@ if hasattr(os, "register_at_fork"):
 
 def solve_beside(solve, rhs, meanwhile):
     """solve(rhs) while the calling thread runs meanwhile(), if not None:
-    solve runs on the solve thread when there is a meanwhile and two or more
-    usable CPUs, and inline before it otherwise.  The solve is always waited
-    for; an exception of meanwhile, else of solve, reaches the caller."""
+    solve runs on the solve thread when there is a meanwhile, and inline
+    otherwise.  The solve is always waited for; an exception of meanwhile,
+    else of solve, reaches the caller."""
     if meanwhile is None:
         return solve(rhs)
-    if _usable_cpus() < 2:
-        x = solve(rhs)
-        meanwhile()
-        return x
     reply = queue.SimpleQueue()
     _solve_thread().put((solve, rhs, reply))
     try:

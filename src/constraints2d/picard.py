@@ -8,7 +8,7 @@ One step maps (alpha, lambdatilde, Htilde) to (alpha', lambdatilde', Htilde'):
   3. meanwhile assemble the cancelled Hamiltonian source at the input state
      from the same samples of tautilde and Htilde, and solve for
      (alpha', lambdatilde'); the two branches are independent, so the block
-     solve runs on a second core when there is one (div_constraint_solve).
+     solve runs on the solve thread meanwhile (div_constraint_solve).
 
 For small seed data the map contracts geometrically; the iteration starts
 from the zero state and stops when the combined norm

@@ -156,6 +156,10 @@ def test_solver_settings_are_solver_options():
     ("w=2.0", "w=2.0 r=1", "line 12: unknown bump parameter 'r'"),
     ("dir = {out}", "dir =", "line 20: output dir must not be empty"),
     ("N_r = 192", "N_r = 192\nK = 16", "line 5: repeated grid key 'K'"),
+    ("\n[grid]", "K = 12\n[grid]", "line 1: key outside any section"),
+    ("udot = gauss amp=0.1 x0=0.0 y0=0.0 w=1.0", "udot = box amp=0.1",
+     "line 10: unknown bump kind in 'box amp=0.1'"),
+    ("w=2.0", "w=2.0 r", "line 12: malformed bump parameter 'r'"),
     # GaussianBump validates itself; the parser names the line
     *((old, new, "line 12: bump needs finite amp, x0, y0 and a finite w > 0")
       for old, new in (("amp=0.01", "amp=nan"), ("x0=0.0 y0=0.0 w=2.0", "x0=inf y0=0.0 w=2.0"),
@@ -379,6 +383,52 @@ def test_a_solve_array_out_of_memory_is_invalid_resolution(tmp_path, monkeypatch
         assert checks["rho_eta_selection_condition"]["raised"] == "InvalidResolution"
 
 
+@pytest.mark.parametrize("where", ["singular_tensors", "write_field_csv"])
+def test_output_fields_out_of_memory_fail_the_solve_with_no_field_csvs(tmp_path, monkeypatch,
+                                                                        where):
+    # numpy's MemoryError while tau_breve is built or after the first CSV is
+    # written: a failed solve with its error record, and none of the field
+    # CSVs of this run or an earlier one
+    from constraints2d import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text(MINIMAL + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["solve", str(path)]) == 0
+    written, original = [], getattr(cli, where)
+
+    def unable(*args):
+        if where == "write_field_csv" and not written:
+            written.append(args[1])
+            return original(*args)
+        raise MemoryError("Unable to allocate")
+    monkeypatch.setattr(cli, where, unable)
+    assert main(["solve", str(path)]) == 2
+    record = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert record["error"] == "InvalidResolution"
+    assert record["message"] == ("the output fields are too large to allocate: "
+                                 "Unable to allocate")
+    assert sorted(os.listdir(tmp_path / "out")) == ["solution.json"]
+
+
+def test_a_check_out_of_memory_fails_as_raised(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError in a check's Poisson solves: each such check fails
+    # as raised, the others pass, and verify.json is written
+    from constraints2d import cli
+
+    def unable(*args):
+        raise MemoryError("Unable to allocate")
+    monkeypatch.setattr(cli, "poisson_solve", unable)
+    assert cmd_verify(parse_config(FULL.format(out=tmp_path))) == 3
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())}
+    raised = {name for name, c in checks.items() if "raised" in c}
+    assert raised == {"poisson_zero_mass_error", "poisson_convergence_order_deviation",
+                      "poisson_log_coefficient_error"}
+    assert all(checks[name]["raised"] == "InvalidResolution" for name in raised)
+    assert all(c["passed"] for name, c in checks.items() if name not in raised)
+    assert ("check poisson_log_coefficient_error raised: the arrays of check "
+            "poisson_log_coefficient_error are too large to allocate") in capsys.readouterr().err
+
+
 def test_sweep_builds_no_seed_at_zero_amplitude(tmp_path, monkeypatch):
     # the zero row needs no seed; the unit-amplitude seed, built first, gives
     # the warnings, the constants and any config error of the seed
@@ -484,6 +534,15 @@ def test_verify_on_a_grid_within_r_one_half_leaves_out_the_divergence_identity(t
     assert cmd_verify(parse_config(text)) == 3
     names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())]
     assert "divergence_identity_error" not in names and len(names) == 6
+
+
+def test_verify_below_n_r_32_leaves_out_the_convergence_order(tmp_path):
+    # the order compares the grid with its half, which needs N_r // 2 >= 16
+    text = COARSE.format(out=tmp_path).replace("N_r = 64", "N_r = 24")
+    cmd_verify(parse_config(text))
+    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())]
+    assert "poisson_zero_mass_error" in names
+    assert "poisson_convergence_order_deviation" not in names
 
 
 def test_verify_under_resolved_fails(tmp_path):
@@ -625,12 +684,15 @@ def test_seed_samples_too_large_to_allocate_are_a_config_error(tmp_path, command
     assert run.stderr.count("\n") == 1, run.stderr
 
 
-@pytest.mark.parametrize("amplitudes", ["nan", "inf", "0.1,nan", "0.1,0.1", "1e200"])
-def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes):
+@pytest.mark.parametrize("amplitudes, message", [
+    *(pytest.param(a, "finite nonnegative amplitudes", id=a)
+      for a in ("nan", "inf", "0.1,nan", "0.1,0.1", "1e200")),
+    pytest.param("0.1,abc", "bad amplitude list:", id="0.1,abc")])
+def test_sweep_non_finite_amplitudes_exit1(tmp_path, capsys, amplitudes, message):
     path = tmp_path / "run.cfg"
     path.write_text(FULL.format(out=tmp_path / "out"))
     assert main(["sweep", str(path), "--amplitudes", amplitudes]) == 1
-    assert "finite nonnegative amplitudes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("var, value", [

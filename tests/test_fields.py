@@ -152,6 +152,18 @@ def test_grid_plane_row_is_the_plane_quadrature_row(grid):
     assert not grid.plane_row.flags.writeable
 
 
+@pytest.mark.parametrize("k, kind, error, message", [
+    (-1, "cos", InvalidResolution, "mode -1 outside 0..8"),
+    (9, "sin", InvalidResolution, "mode 9 outside 0..8"),
+    (0, "sin", ValueError, "sin mode 0 does not exist"),
+    (1, "tan", ValueError, "kind must be 'cos' or 'sin', got 'tan'"),
+])
+def test_from_mode_rejects_a_mode_outside_the_grid_and_an_unknown_kind(grid, k, kind, error,
+                                                                         message):
+    with pytest.raises(error, match=re.escape(message)):
+        ScalarField.from_mode(grid, k, kind, grid.r)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("bad", [np.nan, -1j * np.inf])
 def test_field_rejects_non_finite_coefficients(grid, order, bad):
@@ -540,20 +552,27 @@ def test_csv_reader_rejects_rows_outside_the_half_spectrum(grid, tmp_path, mode,
 
 
 def _edited_csv(f, path, edit):
-    """Write f to path, then duplicate its `1,cos` row after it or drop its
-    `2,sin` row."""
+    """Write f to path, then duplicate its `1,cos` row after it, drop its
+    `2,sin` row, or make the first value of its third line `abc` or drop the
+    line's last value."""
     write_field_csv(f, path)
     lines = path.read_text().splitlines(keepends=True)
     if edit == "duplicate":
         lines.insert(2, lines[1])
-    else:
+    elif edit == "drop":
         lines.remove(next(ln for ln in lines if ln.startswith("2,sin,")))
+    else:
+        cells = lines[2].rstrip("\r\n").split(",")
+        cells = cells[:2] + ["abc"] + cells[3:] if edit == "non_numeric" else cells[:-1]
+        lines[2] = ",".join(cells) + "\r\n"
     path.write_text("".join(lines))
 
 
 @pytest.mark.parametrize("edit, message", [
     ("duplicate", "line 3: repeated cos row at mode 1 (first on line 2)"),
     ("drop", "missing its sin row at mode 2"),
+    ("non_numeric", "line 3: malformed field CSV row (could not convert string to float: 'abc')"),
+    ("short", "line 3: field CSV does not match the grid"),
 ])
 def test_csv_reader_rejects_repeated_and_missing_rows(grid, tmp_path, edit, message):
     # a repeated row used to be added twice, and a missing one read as zero

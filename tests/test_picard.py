@@ -574,15 +574,11 @@ def test_divergence_guards_see_an_inflated_iterate(demo_seed, monkeypatch, infla
     assert len(steps) == 3
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "solve_thread"])
-def test_a_step_that_yields_a_non_finite_field_diverges(demo_seed, monkeypatch, cpus):
+def test_a_step_that_yields_a_non_finite_field_diverges(demo_seed, monkeypatch):
     # the Hamiltonian source overflows: the step raises DivergenceDetected,
     # which verify's selection check records, and the solve ends in it too
-    import os
-
     from constraints2d import picard
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     g = demo_seed.grid
 
     def overflowing(seed, samples, params):
@@ -734,18 +730,12 @@ _PINNED_RESIDUALS = {
 }
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "solve_thread"])
 @pytest.mark.parametrize("case", ["demo", "strong"])
-def test_solve_thread_and_inline_solve_give_the_pinned_answers(case, cpus, demo_seed,
-                                                               monkeypatch):
-    # with two usable CPUs each step's momentum block solve goes to the
-    # solve thread while the Hamiltonian branch runs; on one it runs inline
-    # and no thread is started; the answers are bitwise the same
-    import os
-
+def test_the_solve_thread_gives_the_pinned_answers(case, demo_seed, monkeypatch):
+    # each step's momentum block solve goes to the solve thread while the
+    # Hamiltonian branch runs; the answers are bitwise those pinned
     from constraints2d import operators
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     handed = []
     solve_thread = operators._solve_thread
     monkeypatch.setattr(operators, "_solve_thread",
@@ -755,7 +745,7 @@ def test_solve_thread_and_inline_solve_give_the_pinned_answers(case, cpus, demo_
         seed = cli.config_seed(cli.parse_config(DEMO_CFG.read_text()), demo_seed.grid,
                                amplitude=3)
     b = solve_constraints(seed)
-    assert len(handed) == (b.iterations if len(cpus) > 1 else 0)
+    assert len(handed) == b.iterations
     assert ([b.alpha.hex(), b.p.hex(), b.q.hex()],
             [x.hex() for x in b.contraction_ratios]) == _PINNED[case]
     assert [x.hex() for x in astuple(b.residuals)] == _PINNED_RESIDUALS[case]
@@ -777,9 +767,10 @@ print(json.dumps([len(started), [b.alpha.hex(), b.p.hex(), b.q.hex()],
 """
 
 
-def test_a_process_on_one_cpu_solves_inline_to_the_pinned_answer():
-    # the process's own affinity, not a patched count: no solve thread is
-    # started, and the demo answer is the pinned one
+def test_a_process_on_one_cpu_uses_the_solve_thread_for_the_pinned_answer():
+    # the process's own affinity, not a patched count: every step still
+    # hands its block solve to the solve thread, and the demo answer is the
+    # pinned one
     import json
     import os
 
@@ -788,15 +779,14 @@ def test_a_process_on_one_cpu_solves_inline_to_the_pinned_answer():
     run = run_python("-c", _ON_ONE_CPU, str(DEMO_CFG))
     assert run.returncode == 0, run.stderr
     started, *answer = json.loads(run.stdout)
-    assert started == 0
+    assert started == 6
     assert tuple(answer) == _PINNED["demo"]
 
 
 @pytest.mark.parametrize("fails", ["solve", "meanwhile"])
-def test_solve_beside_raises_either_branch_error_after_the_solve(fails, monkeypatch):
+def test_solve_beside_raises_either_branch_error_after_the_solve(fails):
     # an exception raised on the solve thread reaches the caller with its
     # own type; one raised by meanwhile does too, once the solve is done
-    import os
     import threading
     import time
 
@@ -805,7 +795,6 @@ def test_solve_beside_raises_either_branch_error_after_the_solve(fails, monkeypa
     class BranchFailed(Exception):
         pass
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     done = []
 
     def solve(rhs):
@@ -828,13 +817,11 @@ def test_concurrent_callers_share_one_solve_thread(monkeypatch):
     # more callers than cores, with a short switch interval: the first uses
     # race to start the solve thread, which is started once, and each call
     # gets its own solve's result
-    import os
     import sys
     import threading
 
     from constraints2d import operators
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(operators, "_tasks", None)
 
     def solve_threads():
@@ -863,7 +850,6 @@ def test_concurrent_callers_share_one_solve_thread(monkeypatch):
 
 _FORK_AFTER_SOLVE = """
 import os, signal, sys, time
-os.sched_getaffinity = lambda pid: {0, 1}  # the solve thread, on any host
 from constraints2d.fields import GaussianBump, build_grid, make_seed, sample_analytic
 from constraints2d.picard import solve_constraints
 
@@ -904,12 +890,10 @@ def test_factorizations_are_made_on_the_calling_thread(monkeypatch):
     # scipy leaks a SuperLU factorization freed on a thread other than the
     # one that made it, so the solve thread only solves: a fresh grid's two
     # factorizations are made on the thread that steps
-    import os
     import threading
 
     from constraints2d import operators
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     made_on = []
     splu = operators.splu
 
