@@ -67,29 +67,3 @@ void hamiltonian_source(ptrdiff_t n, ptrdiff_t m, const double *cr,
         }
     }
 }
-
-/* momentum._full_state: in place A += cr_i u11_j and B += cr_i u12_j, and
- * tau = T + cr_i ut_j. */
-void full_state(ptrdiff_t n, ptrdiff_t m, const double *cr,
-                const double *u11, const double *u12, const double *ut,
-                const double *T, double *A, double *B, double *tau)
-{
-    for (ptrdiff_t i = 0; i < n; i++) {
-        for (ptrdiff_t j = 0; j < m; j++) {
-            ptrdiff_t k = i * m + j;
-            A[k] += cr[i] * u11[j];
-            B[k] += cr[i] * u12[j];
-            tau[k] = T[k] + cr[i] * ut[j];
-        }
-    }
-}
-
-/* lichnerowicz._squares: S = (A A + B B) - (T/2)(T/2). */
-void squares(ptrdiff_t n, ptrdiff_t m, const double *A, const double *B,
-             const double *T, double *S)
-{
-    for (ptrdiff_t k = 0; k < n * m; k++) {
-        double h = 0.5 * T[k];
-        S[k] = (A[k] * A[k] + B[k] * B[k]) - h * h;
-    }
-}

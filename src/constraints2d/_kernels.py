@@ -1,8 +1,9 @@
-"""Compiled twins of the pointwise passes on the (N_r, M) angular samples.
+"""Compiled twins of the Picard step's pointwise passes on the angular samples.
 
 A Picard step assembles the momentum and Hamiltonian sources pointwise on
-the samples, and the residual report its two residuals: a few whole-array
-numpy operations per pass, each bound by memory bandwidth.  _kernels.c holds
+the samples: a few whole-array numpy operations per pass, each bound by
+memory bandwidth.  The once-per-solve residual report stays in numpy, apart
+from the H d lambda pass it shares with the momentum source.  _kernels.c holds
 each pass as one loop that computes every element with the numpy
 expression's IEEE operations in their order, so its result is the numpy
 pass's, bit for bit.  Reductions, exp, the DFT products and SuperLU stay in

@@ -236,6 +236,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "solution.json")
     csvs = [os.path.join(cfg.output_dir, f"{name}.csv") for name in _FIELD_CSVS]
+
+    def remove(paths):  # a directory in a file's place stays, and fails its write
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.remove(path)
+
+    remove([out, *csvs])  # no earlier run's file may pass for this run's, failed or not
     try:
         bundle = solve_constraints(seed, opts)
         with _allocation("the output fields are"):
@@ -248,9 +255,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         with open(out, "w") as fh:
             json.dump({"error": type(exc).__name__, "message": str(exc),
                        "epsilon": seed.epsilon}, fh, indent=2, sort_keys=True)
-        for path in csvs:  # an earlier run's fields must not pass for this run's
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+        remove(csvs)  # this run's fields, written before the failure
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
 
@@ -296,7 +301,8 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
                      bundle.iterations))
 
     m1, m2 = seed1.momentum_density
-    summary = _sweep_summary(rows, seed1.epsilon, integrate(m1), integrate(m2))
+    summary = {**_sweep_summary(rows, seed1.epsilon, integrate(m1), integrate(m2)),
+               "warnings": list(seed1.warnings)}
 
     with open(os.path.join(cfg.output_dir, "sweep.csv"), "w") as fh:
         fh.write("a,alpha,p,q,momentum_residual,hamiltonian_residual,"
@@ -305,8 +311,6 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
             sc = 1.0 / a**2 if a > 0 else np.nan
             fh.write(f"{a:.17g},{al:.17g},{p:.17g},{q:.17g},{rm:.17g},"
                      f"{rh:.17g},{it},{al*sc:.17g},{p*sc:.17g},{q*sc:.17g}\n")
-        for key, val in summary.items():
-            fh.write(f"# {key} = {val:.17g}\n")
     with open(os.path.join(cfg.output_dir, "sweep_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return status

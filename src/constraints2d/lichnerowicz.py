@@ -36,13 +36,6 @@ def _hamiltonian_source(cr, hut, u11, u12, T, A, B, Q):
     return cr * (hut * T - 2.0 * (u11 * A + u12 * B)) - (A * A + B * B) + Q
 
 
-@_kernels.twin("squares", "ppp", new=1)
-def _squares(A, B, T):
-    """A^2 + B^2 - (T/2)^2 on the samples."""
-    half_tau = 0.5 * T
-    return A * A + B * B - half_tau * half_tau
-
-
 def hamiltonian_rhs(seed: SeedData, samples, params: SingularTensorParams) -> ScalarField:
     """Assemble the decaying source with the singular squares cancelled.
 
@@ -68,12 +61,14 @@ def hamiltonian_residual(seed: SeedData, alpha: float, lambda_tilde: ScalarField
     full = momentum.full_state_samples(seed, Htilde, params).
 
     Delta lambda is the discrete Laplacian of lambdatilde plus the closed
-    form of the log part; |H|^2/2 - tau^2/4 = h11^2 + h12^2 - tau^2/4 is one
-    pass on the full-state samples.  At a converged state the result
+    form of the log part; |H|^2/2 - tau^2/4 = h11^2 + h12^2 - (tau/2)^2 is
+    taken in numpy on the full-state samples.  At a converged state the result
     vanishes to the fixed-point tolerance on the interior rows.
     """
     g = seed.grid
-    S = _squares(*full)
+    h11, h12, tau = full
+    half_tau = 0.5 * tau
+    S = h11 * h11 + h12 * h12 - half_tau * half_tau
     lap = PoissonSolution(-alpha, lambda_tilde).reconstruct_laplacian()
     return ScalarField(g, lap.c + 0.5 * seed.energy_density.c + angular_modes(g, S))
 

@@ -353,21 +353,16 @@ def correction_h3(params: SingularTensorParams, grid: Grid) -> TracelessSymTenso
 # residual of the full momentum equation
 # ----------------------------------------------------------------------------
 
-@_kernels.twin("full_state", "crrrpww", new=1)
-def _full_state(cr, u11, u12, ut, T, A, B):
-    """A += cr u11 and B += cr u12 in place; returns T + cr ut."""
-    A += cr * u11
-    B += cr * u12
-    return T + cr * ut
-
-
 def full_state_samples(seed: SeedData, H_tilde: TracelessSymTensorField,
                        params: SingularTensorParams):
     """Read-only (N_r, M) samples of the full h11, h12 and tau: the
     state_samples plus the closed-form singular parts H_b + H_rho_eta and
-    tau_sing."""
+    tau_sing, whose samples are cr (u11, u12, ut)."""
     T, h11, h12 = state_samples(seed, H_tilde)
-    tau = _full_state(*singular_factors(params, seed.grid), T, h11, h12)
+    cr, u11, u12, ut = singular_factors(params, seed.grid)
+    h11 += cr * u11
+    h12 += cr * u12
+    tau = T + cr * ut
     for x in (h11, h12, tau):
         x.setflags(write=False)
     return h11, h12, tau

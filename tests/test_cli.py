@@ -410,6 +410,44 @@ def test_output_fields_out_of_memory_fail_the_solve_with_no_field_csvs(tmp_path,
     assert sorted(os.listdir(tmp_path / "out")) == ["solution.json"]
 
 
+def test_a_field_that_cannot_be_written_leaves_no_earlier_runs_files(tmp_path, capsys):
+    # the second run, at another amplitude, finds a directory in place of
+    # H_tilde_12.csv: it exits 1 with the fields written before that one,
+    # and neither the first run's solution.json nor its tau_breve.csv stays
+    out = tmp_path / "out"
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        cfg = replace(parse_config(fh.read()), output_dir=str(out))
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg))
+    assert main(["solve", str(path)]) == 0
+    first = (out / "lambda_tilde.csv").read_bytes()
+    (out / "H_tilde_12.csv").unlink()
+    (out / "H_tilde_12.csv").mkdir()
+    path.write_text(serialize_config(
+        replace(cfg, udot_bumps=tuple(replace(b, amp=0.12) for b in cfg.udot_bumps))))
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("cannot write output:")
+    assert sorted(os.listdir(out)) == ["H_tilde_11.csv", "H_tilde_12.csv", "lambda_tilde.csv"]
+    assert (out / "lambda_tilde.csv").read_bytes() != first
+
+
+@pytest.mark.parametrize("R_max, expected", [
+    (60.0, []), (1e4, ["under_resolved_core"])],  # 25 and 11 ramp nodes
+    ids=["wave_N_r_256", "wave_N_r_256_R_max_1e4"])
+def test_sweep_summary_lists_the_seeds_warnings(tmp_path, R_max, expected):
+    # the unit-amplitude seed's warnings are in sweep_summary.json, which
+    # sweep.csv does not repeat; WAVE runs at N_r = 256, since its own 192
+    # nodes put 19 on the ramp, itself under_resolved_core
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(
+        replace(parse_config(WAVE.format(out=tmp_path)), R_max=R_max, N_r=256)))
+    assert main(["sweep", str(path), "--amplitudes", "0,0.1"]) == 0
+    assert _strict_json((tmp_path / "sweep_summary.json").read_text())["warnings"] == expected
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3 and not [line for line in lines if line.startswith("#")]
+
+
 def test_a_check_out_of_memory_fails_as_raised(tmp_path, monkeypatch, capsys):
     # numpy's MemoryError in a check's Poisson solves: each such check fails
     # as raised, the others pass, and verify.json is written

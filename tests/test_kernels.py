@@ -3,6 +3,7 @@ numpy path wherever the library cannot be built, trusted or loaded."""
 
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from constraints2d import _kernels
 
 from conftest import run_python
-from test_picard import _PINNED, DEMO_CFG
+from test_picard import _PINNED, _PINNED_RESIDUALS, DEMO_CFG
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def loops():
 def test_the_loops_load_and_pass_the_probe():
     assert _kernels.compiled()
     assert sorted(_kernels._loops) == sorted(_kernels._passes) == [
-        "full_state", "h_dlambda", "hamiltonian_source", "singular_source", "squares"]
+        "h_dlambda", "hamiltonian_source", "singular_source"]
 
 
 def test_threads_that_start_together_load_the_library_once(monkeypatch):
@@ -88,40 +89,44 @@ def test_each_loop_gives_the_bytes_of_its_numpy_pass(loops, name, K, N_r, seed):
 
 
 def test_the_probe_refuses_a_loop_that_differs_from_its_numpy_pass(loops):
-    # the squares loop against its pass summed in another order, flushing
-    # subnormal results to zero, and (where numpy's long double is wider)
-    # rounding only once at the end, as an x87 loop would
-    squares = _kernels._passes["squares"][2]
+    # the h_dlambda loop against its pass with one product multiplied out and
+    # summed in another order, flushing subnormal results to zero, and (where
+    # numpy's long double is wider) rounding only once at the end, as an x87
+    # loop would
+    h_dlambda = _kernels._passes["h_dlambda"][2]
 
-    def reassociated(A, B, T):
-        h = 0.5 * T
-        return A * A + (B * B - h * h)
+    def reassociated(prof, c, s, L1, L2, T, A, B):
+        lam1, lam2 = L1 + prof * c, L2 + prof * s
+        return -(0.5 * T * lam1 + (A * lam1 + lam2 * B)), -((0.5 * T - A) * lam2 + lam1 * B)
 
-    def flushed(A, B, T):
-        S = squares(A, B, T)
-        S[np.abs(S) < np.finfo(float).tiny] = 0.0
-        return S
+    def flushed(*args):
+        P = h_dlambda(*args)
+        for x in P:
+            x[np.abs(x) < np.finfo(float).tiny] = 0.0
+        return P
 
-    def extended(A, B, T):
-        return squares(*(x.astype(np.longdouble) for x in (A, B, T))).astype(float)
+    def extended(*args):
+        return tuple(x.astype(float) for x in h_dlambda(*(a.astype(np.longdouble) for a in args)))
 
     assert all(_kernels._probe(loops[name], *spec) for name, spec in _kernels._passes.items())
     wider = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
     for wrong in (reassociated, flushed, *[extended] * wider):
-        assert not _kernels._probe(loops["squares"], "ppp", 1, wrong), wrong.__name__
+        assert not _kernels._probe(loops["h_dlambda"], "crrppppp", 2, wrong), wrong.__name__
 
 
 def test_a_twin_runs_numpy_on_arrays_the_loops_do_not_take():
     # a strided plane, a read-only plane to update, and float32 samples all
     # fall back to the numpy pass, which raises or computes as numpy does
-    from constraints2d.lichnerowicz import _squares
+    from constraints2d.lichnerowicz import _hamiltonian_source
     from constraints2d.momentum import _singular_source
 
     rng = np.random.default_rng(1)
-    A, B, T = (rng.standard_normal((16, 32)) for _ in range(3))
-    assert _squares(A[:, ::2], B[:, ::2], T[:, ::2]).tobytes() == \
-        _squares.__wrapped__(A[:, ::2].copy(), B[:, ::2].copy(), T[:, ::2].copy()).tobytes()
-    small = _squares(*(x.astype(np.float32) for x in (A, B, T)))
+    col, row = rng.standard_normal((16, 1)), rng.standard_normal(16)
+    A, B, T, Q = (rng.standard_normal((16, 32)) for _ in range(4))
+    strided = [x[:, ::2] for x in (T, A, B, Q)]
+    assert _hamiltonian_source(col, row, row, row, *strided).tobytes() == \
+        _hamiltonian_source.__wrapped__(col, row, row, row, *(x.copy() for x in strided)).tobytes()
+    small = _hamiltonian_source(*(x.astype(np.float32) for x in (col, row, row, row, *strided)))
     assert small.dtype == np.float32
     P1, P2 = A.copy(), B.copy()
     P1.setflags(write=False)
@@ -130,8 +135,19 @@ def test_a_twin_runs_numpy_on_arrays_the_loops_do_not_take():
         _singular_source(col, col, col, row, row, row, A, B, P1, P2)
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_the_source_builds_without_a_warning_under_strict_flags(tmp_path):
+    # the loader discards cc's output and falls back to numpy on a failed
+    # build, so a warning in _kernels.c shows only here
+    run = subprocess.run(["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+                          "-o", str(tmp_path / "kernels.so"), _kernels._SOURCE],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 _SOLVE = """
 import json, sys
+from dataclasses import astuple
 from constraints2d import _kernels, cli
 from constraints2d.picard import solve_constraints
 
@@ -140,6 +156,7 @@ b = solve_constraints(cli.config_seed(cfg, cli.config_grid(cfg)))
 print(json.dumps({"compiled": _kernels.compiled(),
                   "answer": [[b.alpha.hex(), b.p.hex(), b.q.hex()],
                              [x.hex() for x in b.contraction_ratios]],
+                  "residuals": [x.hex() for x in astuple(b.residuals)],
                   "modules": [m for m in ("hashlib", "subprocess") if m in sys.modules]}))
 """
 
@@ -157,6 +174,7 @@ def test_without_a_compiler_numpy_gives_the_pinned_answers(tmp_path):
     run = _solve(tmp_path / "cache", PATH=str(empty))
     assert not run["compiled"]
     assert tuple(run["answer"]) == _PINNED["demo"]
+    assert run["residuals"] == _PINNED_RESIDUALS["demo"]
     assert os.listdir(tmp_path / "cache" / "constraints2d") == []
 
 
