@@ -1,4 +1,5 @@
-"""Compiled twins of the Picard step's pointwise passes on the angular samples.
+"""Compiled twins of the Picard step's pointwise passes on the angular
+samples, and of the field CSVs' `%.17g` kernel.
 
 A Picard step assembles the momentum and Hamiltonian sources pointwise on
 the samples: a few whole-array numpy operations per pass, each bound by
@@ -13,16 +14,21 @@ twin(name, layout, new) wraps a numpy pass, which stays the reference and
 the fallback: the wrapper runs the loop of that name where the library
 loaded and every argument has its layout's shape as C-contiguous float64
 (and a plane written in place is writeable), and the numpy pass otherwise.
+csv_twin wraps fields' vectorized `%.17g` kernel the same way with the loop
+csv_lines, which runs that kernel's algorithm one value at a time and leaves
+every value the kernel leaves to Python's `%` to `%`.
 
 The library is built on first use, once per machine: cc from PATH compiles
 _kernels.c into the user's cache, $XDG_CACHE_HOME/constraints2d or
 ~/.cache/constraints2d, which must be a directory of the user's that no one
 else may write to, under a name holding the CRC-32 of the source and flags,
-the interpreter's cache tag and the machine name.  Once loaded, each loop is
-run on a small fixed input, signed zeros and subnormals among it, and must
-give the bytes of its numpy pass.  Any failure on the way (no compiler, a
-refused cache, a differing probe) leaves every pass on numpy, with nothing
-printed; compiled() tells which path runs.
+the interpreter's cache tag and the machine name.  Once loaded, each plane
+loop is run on a small fixed input, signed zeros and subnormals among it,
+and on seeded normal samples, and must give the bytes of its numpy pass;
+csv_lines must format values at each edge of its algorithm as `%.17g`
+does.  Any failure on the way (no compiler, a refused cache, a differing
+probe) leaves every pass on numpy, with nothing printed; compiled() tells
+which path runs.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ _CFLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # plane updated in place; the loop's last arguments are its `new` output
 # planes.
 _passes: dict = {}   # name: (layout, new, numpy pass)
+_csv = None          # (tables, their addresses, splice) of csv_twin
 _loops = None        # name: compiled loop once loaded, {} where numpy serves
 _lock = threading.Lock()
 
@@ -73,6 +80,47 @@ def compiled() -> bool:
     return bool(_loops if _loops is not None else _load())
 
 
+def csv_twin(hi: np.ndarray, lo: np.ndarray, exp: np.ndarray, splice):
+    """Decorator: fields' numpy `%.17g` kernel, (values, labels) -> the text
+    `label,v_1,...,v_N\\r\\n` of each label and row, run by the compiled loop
+    csv_lines where it can be.  That loop reads the kernel's tables of
+    10^17 .. 10^340 = (hi + lo) 2^exp, writes the marker byte \\1 for each
+    value it leaves to `%` and hands those back in order; splice(text, hard)
+    formats them into the text, as it does for the kernel."""
+    global _csv
+    if not (hi.shape == lo.shape == exp.shape == (324,) and hi.dtype == lo.dtype == np.float64
+            and exp.dtype == np.int64 and all(x.flags.c_contiguous for x in (hi, lo, exp))):
+        raise ValueError("csv_lines reads float64, float64 and int64 tables of 324 entries")
+    _csv = ((hi, lo, exp), [x.ctypes.data for x in (hi, lo, exp)], splice)
+
+    def wrap(numpy_kernel):
+        @functools.wraps(numpy_kernel)
+        def run(values, labels):
+            loop = (_loops if _loops is not None else _load()).get("csv_lines")
+            text = None if loop is None else _csv_call(loop, values, labels)
+            return numpy_kernel(values, labels) if text is None else text
+        return run
+    return wrap
+
+
+def _csv_call(loop, values, labels):
+    """The text of loop on values and labels, or None where values is not a
+    C-contiguous float64 (rows, N) array with a label a row."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 2
+            and values.flags.c_contiguous and len(labels) == len(values)):
+        return None
+    _, addresses, splice = _csv
+    rows, n = values.shape
+    records = np.array(labels, dtype="S32")  # NUL-padded, as the kernel's
+    out = np.empty(rows * (34 + 25 * n), np.uint8)  # the most a row can take
+    hard = np.empty(values.size)
+    counts = np.empty(2, np.intp)  # bytes written, values handed back
+    loop(rows, n, values.ctypes.data, records.ctypes.data, *addresses,
+         out.ctypes.data, hard.ctypes.data, counts.ctypes.data)
+    text = out[:counts[0]].tobytes()
+    return splice(text, hard[:counts[1]]) if counts[1] else text
+
+
 def _call(loop, layout: str, new: int, args):
     """The `new` output planes of loop on args, as a list, or None where an
     argument does not fit the layout."""
@@ -98,7 +146,8 @@ def _load() -> dict:
         if _loops is None:
             try:
                 loops = _library()
-                if not all(_probe(loops[name], *spec) for name, spec in _passes.items()):
+                if not (all(_probe(loops[name], *spec) for name, spec in _passes.items())
+                        and _csv_probe(loops["csv_lines"])):
                     loops = {}
             except (OSError, AttributeError):  # no compiler, cache or library; no POSIX
                 loops = {}
@@ -122,12 +171,20 @@ def _library() -> dict:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    lib = ctypes.CDLL(path)
+    return _bind(ctypes.CDLL(path))
+
+
+def _bind(lib) -> dict:
+    """The loops of the loaded library lib, each taking two sizes and its
+    pointers."""
+    import ctypes
+
+    pointers = {name: len(layout) + new for name, (layout, new, _) in _passes.items()}
     loops = {}
-    for name, (layout, new, _) in _passes.items():
+    for name, count in (*pointers.items(), ("csv_lines", 8)):
         loop = loops[name] = getattr(lib, name)
         loop.restype = None
-        loop.argtypes = [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * (len(layout) + new)
+        loop.argtypes = [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * count
     return loops
 
 
@@ -165,19 +222,59 @@ _PROBE_VALUES = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -3e-160, 0.1, -1
                           -7.0 / 3.0])  # a prime count, 17
 
 
+@functools.cache
+def _normals() -> np.ndarray:
+    """2053 (a prime count) seeded standard normal samples, read-only:
+    Box-Muller on the random module's bits, since importing numpy.random
+    would cost a cold process 30 ms."""
+    import random
+
+    n = 2053
+    bits = random.Random(0).getrandbits(128 * n).to_bytes(16 * n, "little")
+    u = (np.frombuffer(bits, np.uint64) >> 11) * 2.0**-53  # in [0, 1)
+    x = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.cos(2.0 * np.pi * u[n:])
+    x.setflags(write=False)
+    return x
+
+
 def _probe(loop, layout: str, new: int, numpy_pass) -> bool:
-    """Whether loop gives the bytes of its numpy pass on a (4, 16) input:
-    element k of argument j is probe value (j + 1) k + j, so that no two
-    arguments run through the values in step."""
-    shapes = {"c": (4, 1), "r": (16,), "p": (4, 16), "w": (4, 16)}
-    results = []
-    for run in (lambda *a: _call(loop, layout, new, a), numpy_pass):
-        args = [_PROBE_VALUES[((j + 1) * np.arange(np.prod(shapes[kind])) + j)
-                              % len(_PROBE_VALUES)].reshape(shapes[kind])
+    """Whether loop gives the bytes of its numpy pass on a (4, 16) input of
+    the probe values and on a (64, 32) input of seeded normal samples, where
+    a fused multiply-add or another order in any one product or sum shows.
+    Element k of argument j is entry (j + 1) k + j of the values, so that no
+    two arguments run through them in step."""
+    for values, (n, m) in ((_PROBE_VALUES, (4, 16)), (_normals(), (64, 32))):
+        shapes = {"c": (n, 1), "r": (m,), "p": (n, m), "w": (n, m)}
+        args = [values[((j + 1) * np.arange(np.prod(shapes[kind])) + j)
+                       % len(values)].reshape(shapes[kind])
                 for j, kind in enumerate(layout)]
-        with np.errstate(all="ignore"):
-            out = run(*args)
-        out = (out,) if new == 1 and run is numpy_pass else out or ()
-        written = [a for a, kind in zip(args, layout) if kind == "w"]
-        results.append([x.tobytes() for x in (*out, *written)])
-    return results[0] == results[1]
+        results = []
+        for run in (lambda *a: _call(loop, layout, new, a), numpy_pass):
+            copies = [a.copy() for a in args]
+            with np.errstate(all="ignore"):
+                out = run(*copies)
+            out = (out,) if new == 1 and run is numpy_pass else out or ()
+            written = [a for a, kind in zip(copies, layout) if kind == "w"]
+            results.append([x.tobytes() for x in (*out, *written)])
+        if results[0] != results[1]:
+            return False
+    return True
+
+
+def _csv_probe(loop) -> bool:
+    """Whether loop formats values at every edge of its algorithm as `%.17g`
+    does: signed zeros, subnormals, values >= 1, powers of ten and their
+    neighbours (the fixed/scientific switch at 1e-5/1e-4, two/three exponent
+    digits at 1e-99/1e-100), dyadic values halfway between two 17-digit
+    decimals, and seeded normal samples over 300 decades."""
+    tens = np.array([0.1, 1e-4, 1e-5, 1e-99, 1e-100, 1e-300, 1e-323])
+    # x 10^(16-X) = n + 1/2 exactly for x = m / 2^(17-X), m odd, X = -1 and -5
+    ties = [m / 2.0**18 for m in range(26215, 26231, 2)] + [m / 2.0**22 for m in range(43, 59, 2)]
+    v = np.concatenate([[0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.5, 1e300], tens,
+                        np.nextafter(tens, 0.0), np.nextafter(tens, 1.0), ties,
+                        _normals()[:25] * 10.0 ** -np.linspace(0, 300, 25).round()])
+    values = np.concatenate([v, -v]).reshape(4, -1)
+    labels = [f"{k},cos" for k in range(len(values))]
+    return _csv_call(loop, values, labels) == b"".join(
+        label.encode() + b"".join(b",%.17g" % x for x in row) + b"\r\n"
+        for label, row in zip(labels, values.tolist()))

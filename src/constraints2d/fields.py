@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DeltaOutOfRange,
     GridMismatch,
@@ -771,7 +772,8 @@ def _csv_rows(K: int) -> list[tuple[int, str]]:
 def write_field_csv(f: ScalarField, path) -> None:
     """Rows `k,kind,v_1,...,v_N` with every value as `%.17g` and
     csv.writer's CRLF line ends, formatted by _csv_lines about 4096 values
-    at a time."""
+    at a time: by its compiled loop where the _kernels library loaded, and
+    by the numpy kernel otherwise, with the same bytes."""
     values = np.concatenate([f.a, f.b[1:]])
     labels = [f"{k},{kind}" for k, kind in _csv_rows(f.grid.K)]
     step = max(1, 4096 // f.grid.N_r)
@@ -793,7 +795,9 @@ def write_field_csv(f: ScalarField, path) -> None:
 # \1, every value >= 1 in magnitude and every value whose rem lies within
 # 1e-9 of a tie or whose p lies within 64 of either end of [1e16, 1e17)
 # (where an estimate of X from log10 one off also lands).  Zeros and every
-# other value below 1, subnormals included, take the vectorized path.
+# other value below 1, subnormals included, take the vectorized path.  The
+# compiled twin, csv_lines in _kernels.c, runs this algorithm one value at a
+# time from the same tables; _splice puts in the values it leaves to %.
 
 def _pow10_table(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hi, lo, t) with 10^k = (hi + lo) 2^t, hi in [1, 2) holding the top 53
@@ -807,7 +811,7 @@ def _pow10_table(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         his.append(top / 2.0 ** 52)
         los.append((p - (top << (t - 52))) / (1 << (t - 52)) / 2.0 ** 52)
         ts.append(t)
-    return np.array(his), np.array(los), np.array(ts)
+    return np.array(his), np.array(los), np.array(ts, np.int64)
 
 
 _P10_K0 = 17  # 16 - X for X = -1 .. -324, the decades of the doubles below 1
@@ -836,6 +840,15 @@ _EXPONENT = np.frombuffer(b"\0" * 8 + b"".join(("e-%02d" % x).ljust(8, "\0").enc
 _CRLF = np.frombuffer(b"\r\n".ljust(32, b"\0"), np.uint64)
 
 
+def _splice(text: bytes, hard: np.ndarray) -> bytes:
+    """text with its marker bytes \\1 replaced, in order, by `%.17g` of the
+    values hard."""
+    parts = text.split(b"\1")
+    formatted = [b"%.17g" % v for v in hard.tolist()] + [b""]
+    return b"".join(piece for pair in zip(parts, formatted) for piece in pair)
+
+
+@_kernels.csv_twin(_P10_HI, _P10_LO, _P10_EXP, _splice)
 def _csv_lines(values: np.ndarray, labels: list[str]) -> bytes:
     """`label,v_1,...,v_N\\r\\n` for each label and row of the (rows, N)
     float64 array values, every value exactly as `%.17g` formats it."""
@@ -892,11 +905,7 @@ def _csv_lines(values: np.ndarray, labels: list[str]) -> bytes:
     text = buf.view(np.uint8).ravel()
     text = text[text != 0].tobytes()
     fallback = code == _FALLBACK
-    if fallback.any():
-        parts = text.split(b"\1")
-        formatted = [b"%.17g" % v for v in values[fallback].tolist()] + [b""]
-        text = b"".join(piece for pair in zip(parts, formatted) for piece in pair)
-    return text
+    return _splice(text, values[fallback]) if fallback.any() else text
 
 
 def read_field_csv(path, grid: Grid) -> ScalarField:

@@ -1,8 +1,10 @@
 """The compiled sample-space loops: bitwise their numpy passes, and the
 numpy path wherever the library cannot be built, trusted or loaded."""
 
+import ctypes
 import json
 import os
+import platform
 import shutil
 import stat
 import subprocess
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constraints2d import _kernels
+from constraints2d.fields import build_grid, write_field_csv
 
-from conftest import run_python
+from conftest import percent_csv_bytes, random_low_mode_field, rng, run_python
 from test_picard import _PINNED, _PINNED_RESIDUALS, DEMO_CFG
 
 
@@ -28,8 +31,18 @@ def loops():
 
 def test_the_loops_load_and_pass_the_probe():
     assert _kernels.compiled()
-    assert sorted(_kernels._loops) == sorted(_kernels._passes) == [
-        "h_dlambda", "hamiltonian_source", "singular_source"]
+    assert sorted(_kernels._passes) == ["h_dlambda", "hamiltonian_source", "singular_source"]
+    assert sorted(_kernels._loops) == ["csv_lines", *sorted(_kernels._passes)]
+
+
+def test_field_csvs_are_formatted_by_the_compiled_loop(tmp_path, monkeypatch):
+    calls = []
+    loop = _kernels._library()["csv_lines"]
+    monkeypatch.setattr(_kernels, "_loops", {"csv_lines": lambda *a: calls.append(1) or loop(*a)})
+    f = random_low_mode_field(build_grid(4, 1500, 10.0, -0.5), rng())
+    write_field_csv(f, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == percent_csv_bytes(f)
+    assert len(calls) == 5  # 2 rows of 1500 values a call, 9 rows
 
 
 def test_threads_that_start_together_load_the_library_once(monkeypatch):
@@ -88,16 +101,33 @@ def test_each_loop_gives_the_bytes_of_its_numpy_pass(loops, name, K, N_r, seed):
         assert x[~nan].tobytes() == y[~nan].tobytes()
 
 
-def test_the_probe_refuses_a_loop_that_differs_from_its_numpy_pass(loops):
-    # the h_dlambda loop against its pass with one product multiplied out and
-    # summed in another order, flushing subnormal results to zero, and (where
-    # numpy's long double is wider) rounding only once at the end, as an x87
-    # loop would
-    h_dlambda = _kernels._passes["h_dlambda"][2]
+# each numpy pass with one product multiplied out or its sums in another
+# order: each loop's probe must refuse its own on its own
+def _h_dlambda_reassociated(prof, c, s, L1, L2, T, A, B):
+    lam1, lam2 = L1 + prof * c, L2 + prof * s
+    return -(0.5 * T * lam1 + (A * lam1 + lam2 * B)), -((0.5 * T - A) * lam2 + lam1 * B)
 
-    def reassociated(prof, c, s, L1, L2, T, A, B):
-        lam1, lam2 = L1 + prof * c, L2 + prof * s
-        return -(0.5 * T * lam1 + (A * lam1 + lam2 * B)), -((0.5 * T - A) * lam2 + lam1 * B)
+
+def _singular_source_reassociated(cr, p4, q4, r1, u12, r2, L1, L2, P1, P2):
+    P1 += p4 - (L1 * r1 * cr + L2 * u12 * cr)
+    P2 += q4 - (L1 * u12 * cr - L2 * r2 * cr)
+
+
+def _hamiltonian_source_reassociated(cr, hut, u11, u12, T, A, B, Q):
+    return cr * (hut * T - 2.0 * (u11 * A + u12 * B)) - A * A - B * B + Q
+
+
+_REASSOCIATED = {"h_dlambda": _h_dlambda_reassociated,
+                 "singular_source": _singular_source_reassociated,
+                 "hamiltonian_source": _hamiltonian_source_reassociated}
+
+
+def test_the_probe_refuses_a_loop_that_differs_from_its_numpy_pass(loops):
+    # every loop against its reassociated pass; the h_dlambda loop also
+    # against its pass flushing subnormal results to zero and (where numpy's
+    # long double is wider) rounding only once at the end, as an x87 loop
+    # would
+    h_dlambda = _kernels._passes["h_dlambda"][2]
 
     def flushed(*args):
         P = h_dlambda(*args)
@@ -109,9 +139,64 @@ def test_the_probe_refuses_a_loop_that_differs_from_its_numpy_pass(loops):
         return tuple(x.astype(float) for x in h_dlambda(*(a.astype(np.longdouble) for a in args)))
 
     assert all(_kernels._probe(loops[name], *spec) for name, spec in _kernels._passes.items())
+    assert sorted(_REASSOCIATED) == sorted(_kernels._passes)
+    for name, (layout, new, _) in _kernels._passes.items():
+        assert not _kernels._probe(loops[name], layout, new, _REASSOCIATED[name]), name
     wider = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
-    for wrong in (reassociated, flushed, *[extended] * wider):
+    for wrong in (flushed, *[extended] * wider):
         assert not _kernels._probe(loops["h_dlambda"], "crrppppp", 2, wrong), wrong.__name__
+
+
+def _build(tmp_path, flags, source=None):
+    """The loops of _kernels.c (or of the C text source) built by cc with
+    flags into tmp_path."""
+    path = tmp_path / "kernels.c"
+    path.write_text(source if source is not None else open(_kernels._SOURCE).read())
+    run = subprocess.run(["cc", *flags, "-o", str(tmp_path / "kernels.so"), str(path)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return _kernels._bind(ctypes.CDLL(str(tmp_path / "kernels.so")))
+
+
+def _fma_flags():
+    """The build flags with contraction to fused multiply-adds, or None where
+    this CPU has no such instruction."""
+    flags = [f for f in _kernels._CFLAGS if f != "-ffp-contract=off"] + ["-ffp-contract=fast"]
+    if platform.machine() in ("x86_64", "AMD64"):
+        try:
+            with open("/proc/cpuinfo") as fh:
+                if " fma " not in fh.read().replace("\n", " "):
+                    return None
+        except OSError:
+            return None
+        flags.append("-mfma")
+    return flags
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or _fma_flags() is None,
+                    reason="no cc on PATH or no fused multiply-add")
+def test_each_probe_refuses_a_fused_multiply_add_build(tmp_path):
+    fused = _build(tmp_path, _fma_flags())
+    for name, spec in _kernels._passes.items():
+        assert not _kernels._probe(fused[name], *spec), name
+
+
+# csv_lines with the fallback at a tie removed, so that a tie rounds down,
+# or rounded up as well
+_NO_TIE = ("    if (!(tie > 1e-9))\n        return 1;\n", "")
+_CSV_MUTANTS = {"rounds ties down": [_NO_TIE],
+                "rounds ties up": [_NO_TIE, ("(frac > 0.5)", "(frac >= 0.5)")]}
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+@pytest.mark.parametrize("mutant", sorted(_CSV_MUTANTS))
+def test_the_probe_refuses_a_csv_loop_that_rounds_a_tie_itself(tmp_path, mutant):
+    source = open(_kernels._SOURCE).read()
+    for old, new in _CSV_MUTANTS[mutant]:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    assert _kernels._csv_probe(_kernels._library()["csv_lines"])
+    assert not _kernels._csv_probe(_build(tmp_path, _kernels._CFLAGS, source)["csv_lines"])
 
 
 def test_a_twin_runs_numpy_on_arrays_the_loops_do_not_take():
