@@ -12,8 +12,9 @@ line adds a bump, while any other key may be set only once), e.g.
 Exit codes: 0 success; 1 a config that cannot be read, a `config error:` (a
 ParseError, or the ValidationError of any rejected setting, seed data too large
 among them) or an output directory that cannot be written; 2 failed solve (any
-SolverError of the solve, an overflow or non-convergence among them; diagnostics
-still written); 3 verification failure.
+SolverError of the solve, an overflow or non-convergence among them; its record
+in solution.json names the error and lists the warnings); 3 verification failure
+(verify.json still lists every check and the warnings).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -201,27 +202,18 @@ def config_options(cfg: RunConfig) -> SolverOptions:
 # commands
 # ----------------------------------------------------------------------------
 
-def _scalar_block(bundle, seed) -> dict:
-    return {
-        "alpha": bundle.alpha,
-        "rho": bundle.rho,
-        "eta": bundle.eta,
-        "p": bundle.p,
-        "q": bundle.q,
-        "b": seed.b,
-        "epsilon": seed.epsilon,
-        "cone_angle": cone_angle(bundle.alpha) if bundle.alpha < 1.0 else None,
-        "iterations": bundle.iterations,
-        "contraction_ratios": bundle.contraction_ratios,
-        "momentum_residual_norm": bundle.residuals.momentum_residual_norm,
-        "hamiltonian_residual_norm": bundle.residuals.hamiltonian_residual_norm,
-        "pointwise_max_momentum": bundle.residuals.pointwise_max_momentum,
-        "pointwise_max_hamiltonian": bundle.residuals.pointwise_max_hamiltonian,
-        "warnings": [name for name, hit in (
-            ("alpha_nonpositive", bundle.alpha <= 0.0),  # a cone angle of 2 pi or more
-            ("converged_at_rounding_floor", bundle.converged_at_rounding_floor)) if hit]
-        + list(seed.warnings),
-    }
+def _record(outcome, seed) -> dict:
+    """solution.json's dict for the solve of the seed: its SolutionBundle, or
+    the SolverError that ended it; either lists the warnings."""
+    if isinstance(outcome, SolverError):
+        return {"error": type(outcome).__name__, "message": str(outcome),
+                "epsilon": seed.epsilon, "warnings": list(seed.warnings)}
+    return {**{name: getattr(outcome, name) for name in (
+                "alpha", "rho", "eta", "p", "q", "iterations", "contraction_ratios")},
+            **asdict(outcome.residuals),  # the four residual norms, under their names
+            "b": seed.b, "epsilon": seed.epsilon,
+            "cone_angle": cone_angle(outcome.alpha) if outcome.alpha < 1.0 else None,
+            "warnings": list(outcome.warnings)}
 
 
 # the field files of a successful solve, in the output directory as <name>.csv
@@ -232,7 +224,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     opts = config_options(cfg)
     grid = config_grid(cfg)
     seed = config_seed(cfg, grid)
-    seed.warnings  # taken before the solve: a failed solve still warns of irregular data
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, "solution.json")
     csvs = [os.path.join(cfg.output_dir, f"{name}.csv") for name in _FIELD_CSVS]
@@ -251,17 +242,22 @@ def cmd_solve(cfg: RunConfig) -> int:
             for f, path in zip((bundle.lambda_tilde, bundle.H_tilde.h11, bundle.H_tilde.h12,
                                 tau_breve), csvs):
                 write_field_csv(f, path)
+        record = _record(bundle, seed)
     except SolverError as exc:
-        with open(out, "w") as fh:
-            json.dump({"error": type(exc).__name__, "message": str(exc),
-                       "epsilon": seed.epsilon}, fh, indent=2, sort_keys=True)
+        record = _record(exc, seed)
         remove(csvs)  # this run's fields, written before the failure
         print(f"solve failed: {exc}", file=sys.stderr)
-        return 2
-
     with open(out, "w") as fh:
-        json.dump(_scalar_block(bundle, seed), fh, indent=2, sort_keys=True)
-    return 0
+        json.dump(record, fh, indent=2, sort_keys=True)
+    return 2 if "error" in record else 0
+
+
+# the solution.json keys that sweep.csv reads, and their values at amplitude
+# 0, which needs no solve, and for a failed solve
+_SWEEP_KEYS = ("alpha", "p", "q", "momentum_residual_norm", "hamiltonian_residual_norm",
+               "iterations")
+_ZERO_RECORD = {**dict.fromkeys(_SWEEP_KEYS, 0.0), "iterations": 1}
+_FAILED_RECORD = {**dict.fromkeys(_SWEEP_KEYS, np.nan), "iterations": -1}
 
 
 def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
@@ -281,60 +277,48 @@ def cmd_sweep(cfg: RunConfig, amplitudes) -> int:
     seed1 = config_seed(cfg, grid, amplitude=1.0)
     for name in seed1.warnings:
         print(f"warning: {name}", file=sys.stderr)
-    rows = []
+    rows = []  # (amplitude, its solution.json record, or the zero or failed one)
     status = 0
     for a in amplitudes:
         if a == 0.0:
-            rows.append((a, 0.0, 0.0, 0.0, 0.0, 0.0, 1))
+            rows.append((a, _ZERO_RECORD))
             continue
         seed = config_seed(cfg, grid, amplitude=a)
         try:
-            bundle = solve_constraints(seed, opts)
+            rows.append((a, _record(solve_constraints(seed, opts), seed)))
         except SolverError as exc:
             print(f"amplitude {a}: {exc}", file=sys.stderr)
-            rows.append((a, np.nan, np.nan, np.nan, np.nan, np.nan, -1))
+            rows.append((a, _FAILED_RECORD))
             status = 2
-            continue
-        rows.append((a, bundle.alpha, bundle.p, bundle.q,
-                     bundle.residuals.momentum_residual_norm,
-                     bundle.residuals.hamiltonian_residual_norm,
-                     bundle.iterations))
 
+    # the quadratic coefficients, Richardson-extrapolated from the first two
+    # solved amplitudes, beside the leading-order constants
     m1, m2 = seed1.momentum_density
-    summary = {**_sweep_summary(rows, seed1.epsilon, integrate(m1), integrate(m2)),
+    summary = {"alpha_coeff_expected": seed1.epsilon / (4.0 * np.pi),
+               "p_coeff_expected": integrate(m1) / np.pi,
+               "q_coeff_expected": integrate(m2) / np.pi,
                "warnings": list(seed1.warnings)}
+    solved = [(a, rec) for a, rec in rows if a > 0 and np.isfinite(rec["alpha"])]
+    if len(solved) >= 2:
+        (a1, rec1), (a2, rec2) = solved[:2]
+        x1, x2 = a1**2, a2**2
+        for name in ("alpha", "p", "q"):
+            y1, y2 = rec1[name] / x1, rec2[name] / x2
+            c0 = y1 + (y1 - y2) * x1 / (x2 - x1)
+            summary[f"{name}_coeff_extrapolated"] = c0
+            summary[f"{name}_richardson_remainder"] = abs(c0 - y1)
 
     with open(os.path.join(cfg.output_dir, "sweep.csv"), "w") as fh:
         fh.write("a,alpha,p,q,momentum_residual,hamiltonian_residual,"
                  "iterations,alpha_over_a2,p_over_a2,q_over_a2\n")
-        for (a, al, p, q, rm, rh, it) in rows:
+        for a, rec in rows:
             sc = 1.0 / a**2 if a > 0 else np.nan
+            al, p, q, rm, rh, it = (rec[key] for key in _SWEEP_KEYS)
             fh.write(f"{a:.17g},{al:.17g},{p:.17g},{q:.17g},{rm:.17g},"
                      f"{rh:.17g},{it},{al*sc:.17g},{p*sc:.17g},{q*sc:.17g}\n")
     with open(os.path.join(cfg.output_dir, "sweep_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return status
-
-
-def _sweep_summary(rows, e_unit, i1, i2) -> dict:
-    """Richardson-extrapolated quadratic coefficients and reference constants."""
-    ok = [(a, al, p, q) for (a, al, p, q, *_rest) in rows
-          if a > 0 and np.isfinite(al)]
-    out = {
-        "alpha_coeff_expected": e_unit / (4.0 * np.pi),
-        "p_coeff_expected": i1 / np.pi,
-        "q_coeff_expected": i2 / np.pi,
-    }
-    if len(ok) >= 2:
-        (a1, al1, p1, q1), (a2, al2, p2, q2) = ok[0], ok[1]
-        x1, x2 = a1**2, a2**2
-        for name, y1, y2 in (("alpha", al1 / x1, al2 / x2),
-                             ("p", p1 / x1, p2 / x2),
-                             ("q", q1 / x1, q2 / x2)):
-            c0 = y1 + (y1 - y2) * x1 / (x2 - x1)
-            out[f"{name}_coeff_extrapolated"] = c0
-            out[f"{name}_richardson_remainder"] = abs(c0 - y1)
-    return out
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -433,7 +417,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         checks.append(entry)
 
     with open(os.path.join(cfg.output_dir, "verify.json"), "w") as fh:
-        json.dump(checks, fh, indent=2, sort_keys=True)
+        json.dump({"checks": checks, "warnings": list(seed.warnings)}, fh, indent=2,
+                  sort_keys=True)
     for c in checks:
         tag = "pass" if c["passed"] else "FAIL"
         value = (f"raised {c['raised']}" if "raised" in c

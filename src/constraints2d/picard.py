@@ -133,6 +133,15 @@ class SolutionBundle:
     contraction_ratios: list[float] = field(default_factory=list)
     residuals: ResidualReport | None = None
     converged_at_rounding_floor: bool = False
+    seed_warnings: tuple[str, ...] = ()  # SeedData.warnings of the seed solved
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The names of the solve's warnings, then the seed's."""
+        return tuple(name for name, hit in (
+            ("alpha_nonpositive", self.alpha <= 0.0),  # a cone angle of 2 pi or more
+            ("converged_at_rounding_floor", self.converged_at_rounding_floor)) if hit
+        ) + self.seed_warnings
 
 
 # weight row (OperatorWorkspace.norm_weights) of each of IterState.norm_terms
@@ -216,6 +225,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
     arrays too large to allocate in InvalidResolution.
     """
     opts = opts or SolverOptions()
+    seed_warnings = seed.warnings  # taken first: a failed solve still warns of irregular data
     if seed.epsilon > opts.epsilon_threshold:
         raise EpsilonTooLarge(
             f"epsilon = {seed.epsilon:.3g} exceeds threshold {opts.epsilon_threshold}")
@@ -275,6 +285,7 @@ def solve_constraints(seed: SeedData, opts: SolverOptions | None = None) -> Solu
         iterations=iterations,
         contraction_ratios=ratios,
         converged_at_rounding_floor=floor,
+        seed_warnings=seed_warnings,
     )
     state = nxt = None  # their norm terms are dropped: the residuals set the peak memory
     return replace(bundle, residuals=residuals(bundle, seed))

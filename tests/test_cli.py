@@ -273,7 +273,8 @@ def test_solve_verify_and_sweep_name_the_seeds_warnings(tmp_path, capsys, case, 
                full.replace("K = 12", "K = 4").replace("N_r = 192", "N_r = 512")
                .replace("u = gauss amp=0.1 x0=0.5 y0=0.2 w=1.0",
                         "u = gauss amp=0.1 x0=0.5 y0=0.2 w=0.2"))}[case]
-    assert config_seed(cfg, config_grid(cfg)).warnings == expected
+    seed = config_seed(cfg, config_grid(cfg))
+    assert seed.warnings == expected
 
     def stderr_names():
         return tuple(line.removeprefix("warning: ") for line in capsys.readouterr().err.splitlines()
@@ -289,6 +290,26 @@ def test_solve_verify_and_sweep_name_the_seeds_warnings(tmp_path, capsys, case, 
     assert stderr_names() == expected
     assert cmd_sweep(cfg, [0.0]) == 0
     assert stderr_names() == expected
+    # every output file lists the library solve's warnings
+    from constraints2d.picard import solve_constraints
+
+    def written(name):
+        return json.loads((tmp_path / name).read_text())["warnings"]
+    assert (listed == written("verify.json") == written("sweep_summary.json")
+            == list(solve_constraints(seed, cfg.solver).warnings))
+
+
+def test_a_failed_solve_lists_the_seeds_warnings(tmp_path):
+    # the demo seed reaches r = 12, so R_max = 5 cuts its tail: the solve
+    # fails, and its error record names the grid that caused it, as verify does
+    with open(os.path.join(CONFIGS, "demo.cfg")) as fh:
+        cfg = replace(parse_config(fh.read()), R_max=5.0, output_dir=str(tmp_path))
+    assert cmd_solve(cfg) == 2
+    record = _strict_json((tmp_path / "solution.json").read_text())
+    assert record["error"] == "NonDecayingRHS"
+    assert record["warnings"] == ["r_max_near_cutoff"]
+    cmd_verify(cfg)
+    assert _strict_json((tmp_path / "verify.json").read_text())["warnings"] == record["warnings"]
 
 
 def test_a_solve_takes_the_irregularity_rule_once_per_seed_field(tmp_path, monkeypatch):
@@ -379,7 +400,8 @@ def test_a_solve_array_out_of_memory_is_invalid_resolution(tmp_path, monkeypatch
     assert rows[1][1:4] == ["nan", "nan", "nan"] and rows[1][6] == "-1"
     if where == "state_samples":  # verify's selection check takes one Picard step
         assert main(["verify", str(path)]) == 3
-        checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "verify.json").read_text())}
+        checks = {c["name"]: c for c in
+              json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]}
         assert checks["rho_eta_selection_condition"]["raised"] == "InvalidResolution"
 
 
@@ -457,7 +479,7 @@ def test_a_check_out_of_memory_fails_as_raised(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate")
     monkeypatch.setattr(cli, "poisson_solve", unable)
     assert cmd_verify(parse_config(FULL.format(out=tmp_path))) == 3
-    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())}
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
     raised = {name for name, c in checks.items() if "raised" in c}
     assert raised == {"poisson_zero_mass_error", "poisson_convergence_order_deviation",
                       "poisson_log_coefficient_error"}
@@ -550,7 +572,7 @@ def test_sweep_zero_amplitude_row(tmp_path):
 def test_verify_passes(tmp_path):
     cfg = parse_config(FULL.format(out=tmp_path))
     assert cmd_verify(cfg) == 0
-    checks = json.loads((tmp_path / "verify.json").read_text())
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
     assert all(c["passed"] for c in checks)
     names = [c["name"] for c in checks]
     assert len(names) == len(set(names)) == 8
@@ -570,7 +592,7 @@ def test_verify_on_a_grid_within_r_one_half_leaves_out_the_divergence_identity(t
     text = (open(os.path.join(CONFIGS, "demo.cfg")).read().replace("R_max = 100.0", "R_max = 0.5")
             .replace("dir = out/demo", f"dir = {tmp_path}"))
     assert cmd_verify(parse_config(text)) == 3
-    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())]
+    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())["checks"]]
     assert "divergence_identity_error" not in names and len(names) == 6
 
 
@@ -578,7 +600,7 @@ def test_verify_below_n_r_32_leaves_out_the_convergence_order(tmp_path):
     # the order compares the grid with its half, which needs N_r // 2 >= 16
     text = COARSE.format(out=tmp_path).replace("N_r = 64", "N_r = 24")
     cmd_verify(parse_config(text))
-    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())]
+    names = [c["name"] for c in json.loads((tmp_path / "verify.json").read_text())["checks"]]
     assert "poisson_zero_mass_error" in names
     assert "poisson_convergence_order_deviation" not in names
 
@@ -653,7 +675,8 @@ def test_tau_too_large_for_the_solve_fails_it_without_a_traceback(tmp_path, caps
     assert main(["solve", str(path)]) == 2
     assert "non-finite iterate norm" in capsys.readouterr().err
     assert main(["verify", str(path)]) == 3
-    checks = {c["name"]: c for c in _strict_json((tmp_path / "out" / "verify.json").read_text())}
+    checks = {c["name"]: c for c in
+              _strict_json((tmp_path / "out" / "verify.json").read_text())["checks"]}
     assert [name for name, c in checks.items() if not c["passed"]] == [
         "rho_eta_selection_condition"]
     capsys.readouterr()
@@ -878,7 +901,7 @@ def test_verify_json_is_strict_when_a_check_raises(tmp_path, monkeypatch, capsys
         raise errors.SingularSystem("injected")
     monkeypatch.setattr(cli, "asymptotic_charges", failing)
     assert cmd_verify(parse_config(FULL.format(out=tmp_path))) == 3
-    checks = {c["name"]: c for c in _strict_json((tmp_path / "verify.json").read_text())}
+    checks = {c["name"]: c for c in _strict_json((tmp_path / "verify.json").read_text())["checks"]}
     raised = checks["charge_roundtrip_error"]
     assert raised["value"] is None and not raised["passed"]
     assert all(c["passed"] for name, c in checks.items() if name != "charge_roundtrip_error")
@@ -908,7 +931,7 @@ def test_verify_charges_a_raise_to_the_check_that_raised(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(COARSE.format(out=tmp_path / "out"))
     assert main(["verify", str(path)]) == 3
-    checks = _strict_json((tmp_path / "out" / "verify.json").read_text())
+    checks = _strict_json((tmp_path / "out" / "verify.json").read_text())["checks"]
     names = [c["name"] for c in checks]
     assert len(names) == len(set(names))
     by_name = {c["name"]: c for c in checks}
@@ -938,7 +961,7 @@ def test_verify_passes_on_the_shipped_configs(tmp_path, config):
     with open(os.path.join(CONFIGS, f"{config}.cfg")) as fh:
         cfg = parse_config(fh.read())
     assert cmd_verify(replace(cfg, output_dir=str(tmp_path))) == 0
-    checks = _strict_json((tmp_path / "verify.json").read_text())
+    checks = _strict_json((tmp_path / "verify.json").read_text())["checks"]
     names = [c["name"] for c in checks]
     assert len(names) == len(set(names)) == 8
     assert all(c["passed"] for c in checks)
@@ -947,7 +970,7 @@ def test_verify_passes_on_the_shipped_configs(tmp_path, config):
 def test_verify_records_selection_condition(tmp_path):
     cfg = parse_config(FULL.format(out=tmp_path))
     assert cmd_verify(cfg) == 0
-    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())}
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verify.json").read_text())["checks"]}
     sel = checks["rho_eta_selection_condition"]
     assert sel["tolerance"] == 1e8
     assert 1.0 <= sel["value"] < 1.1   # near (1 + 4c) I for these small data

@@ -245,7 +245,8 @@ def test_a_run_loads_scipys_two_kernels_and_no_scipy_package(tmp_path, command):
     assert set(run["modules"]) <= {"scipy.sparse._sparsetools",
                                    "scipy.sparse.linalg._dsolve._superlu"}
     if command == "verify":  # the checks that use the spline ran
-        checks = {c["name"]: c for c in json.loads((tmp_path / "out" / "verify.json").read_text())}
+        checks = {c["name"]: c for c in
+              json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]}
         assert checks["greens_farfield_error"]["passed"]
 
 
